@@ -68,13 +68,13 @@ void check_declared(const MetricEntry& entry, const Params& params) {
 /// parse time via MetricEntry::validate; accel_from_params re-parses at
 /// compute time and fills the operator-specific Gershgorin bound.
 void validate_spectral_params(const Params& params) {
-  (void)spectral_mode_from_string(params.get_str("spectral_mode", "auto"));
+  (void)spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
   FNE_REQUIRE(params.get_int("filter_degree", 0) >= 0, "filter_degree must be >= 0");
 }
 
 [[nodiscard]] SpectralAccel accel_from_params(const Params& params, const SubCsr& sub) {
   SpectralAccel accel;
-  accel.mode = spectral_mode_from_string(params.get_str("spectral_mode", "auto"));
+  accel.mode = spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
   accel.filter_degree = static_cast<int>(params.get_int("filter_degree", 0));
   accel.op_upper_bound = gershgorin_upper_bound(sub);
   return accel;
@@ -280,7 +280,7 @@ void validate_spectral_params(const Params& params) {
   // spectral/expander_certificate.cpp for the same construction).
   top_opts.accel = accel;
   top_opts.accel.op_upper_bound = 0.0;
-  if (resolve_spectral_mode(top_opts.accel, lap.dim()) == SpectralMode::kShiftInvert) {
+  if (top_opts.accel.mode == SpectralMode::kShiftInvert) {
     top_opts.accel.shift = -(gershgorin_upper_bound(sub) + 1.0);
   }
   const LanczosResult top = lanczos_smallest(
@@ -416,7 +416,7 @@ MetricsRegistry::MetricsRegistry() {
        "load/congestion/dilation of embedding the fault-free guest into the largest "
        "surviving component, plus its blocked-Lanczos spectral profile",
        {{"spectral_dims", "2", "smallest nontrivial Laplacian eigenvalues to report (0: skip)"},
-        {"spectral_mode", "auto", "eigensolver: plain|filtered|shift_invert|auto"},
+        {"spectral_mode", "filtered", "eigensolver: plain|filtered|shift_invert (auto = filtered)"},
         {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
        metric_embedding_quality,
        validate_spectral_params});
@@ -424,7 +424,7 @@ MetricsRegistry::MetricsRegistry() {
        "spectral expansion certificate of the largest surviving component (Cheeger lower "
        "bound; mixing-lemma fields when regular)",
        {{"eigenpairs", "2", "bottom eigenpairs from one blocked solve"},
-        {"spectral_mode", "auto", "eigensolver: plain|filtered|shift_invert|auto"},
+        {"spectral_mode", "filtered", "eigensolver: plain|filtered|shift_invert (auto = filtered)"},
         {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
        metric_expander_certificate,
        validate_spectral_params});

@@ -69,7 +69,7 @@ struct TopologyEntry {
   /// fingerprint here (path + header checksum) and an edited file can
   /// never be served a stale cached graph.  Empty function = params are
   /// the whole identity (every synthetic family).
-  std::function<std::string(const Params&)> cache_salt;
+  std::function<std::string(const Params&)> cache_salt = {};
 };
 
 class TopologyRegistry {

@@ -275,8 +275,11 @@ Graph CsrFile::to_graph() const {
   bool same = g.num_edges() == header_.m;
   for (vid v = 0; same && v < n; ++v) {
     const std::span<const vid> nb = g.neighbors(v);
+    // An isolated vertex's span is empty, and in an edgeless graph its
+    // data() is null, which memcmp must never see, even for length 0.
     same = nb.size() == off[v + 1] - off[v] &&
-           std::memcmp(nb.data(), arcs.data() + off[v], nb.size() * sizeof(vid)) == 0;
+           (nb.empty() ||
+            std::memcmp(nb.data(), arcs.data() + off[v], nb.size() * sizeof(vid)) == 0);
   }
   FNE_REQUIRE(same, "csr file: rebuilt adjacency diverges from the stored payload");
   return g;

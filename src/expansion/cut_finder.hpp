@@ -21,10 +21,9 @@ struct CutFinderOptions {
   bool use_balls = true;
   bool use_exact = true;
   /// Eigensolve acceleration for the spectral stage (DESIGN.md §10).
-  /// kAuto keeps every sub-kFilteredAutoDim solve on the plain path —
-  /// bit-identical to the pre-PR-6 portfolio — and switches the large
-  /// components a scaled-up scenario produces to the Chebyshev filter.
-  SpectralMode spectral_mode = SpectralMode::kAuto;
+  /// The Chebyshev-filtered solve runs at every size by default; its
+  /// opening plain probe returns directly when a small spectrum converges.
+  SpectralMode spectral_mode = SpectralMode::kFiltered;
   /// Chebyshev degree for filtered solves; <= 0 = auto from the probe.
   int filter_degree = 0;
 

@@ -54,7 +54,7 @@ struct FiedlerSweepOptions {
   /// resulting vector is stored back into it (fiedler_valid set).
   ExpansionWorkspace* ws = nullptr;
   /// Eigensolve acceleration, forwarded to FiedlerOptions (DESIGN.md §10).
-  SpectralAccel accel = SpectralAccel{SpectralMode::kAuto};
+  SpectralAccel accel = SpectralAccel{SpectralMode::kFiltered};
 };
 
 /// Sweep over the Fiedler-vector ordering of the alive subgraph.

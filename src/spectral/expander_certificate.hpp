@@ -33,7 +33,7 @@ struct ExpanderCertOptions {
   /// bottom solve uses it as given; the top solve (on -L) re-derives its
   /// upper bound (0) and, for shift-invert, a shift that keeps -L - σI
   /// positive definite.
-  SpectralAccel accel = SpectralAccel{SpectralMode::kAuto};
+  SpectralAccel accel = SpectralAccel{SpectralMode::kFiltered};
 };
 
 /// Certify the subgraph induced by `alive`, which must be connected and

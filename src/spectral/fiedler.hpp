@@ -33,10 +33,10 @@ struct FiedlerOptions {
   /// exactly — the PruneEngine maintains one incrementally across culls).
   /// nullptr: the solve builds its own, amortized over its 40+ applies.
   const SubCsr* sub = nullptr;
-  /// Acceleration mode (DESIGN.md §10).  kAuto: plain below
-  /// kFilteredAutoDim, Chebyshev-filtered at or above it.  A non-finite
-  /// op_upper_bound is filled from gershgorin_upper_bound over the sub-CSR.
-  SpectralAccel accel = SpectralAccel{SpectralMode::kAuto};
+  /// Acceleration mode (DESIGN.md §10), Chebyshev-filtered by default.
+  /// A non-finite op_upper_bound is filled from gershgorin_upper_bound
+  /// over the sub-CSR, so the filter always has its bound.
+  SpectralAccel accel = SpectralAccel{SpectralMode::kFiltered};
 };
 
 /// λ₂ and Fiedler vector of the subgraph induced by `alive`, which must be

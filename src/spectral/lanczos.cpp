@@ -20,7 +20,7 @@ SpectralMode spectral_mode_from_string(const std::string& name) {
   if (name == "plain") return SpectralMode::kPlain;
   if (name == "filtered") return SpectralMode::kFiltered;
   if (name == "shift_invert") return SpectralMode::kShiftInvert;
-  if (name == "auto") return SpectralMode::kAuto;
+  if (name == "auto") return SpectralMode::kFiltered;  // the default's name in configs
   FNE_REQUIRE(false, "unknown spectral_mode '" + name +
                          "' (expected plain | filtered | shift_invert | auto)");
   return SpectralMode::kPlain;  // unreachable
@@ -31,17 +31,8 @@ const char* spectral_mode_name(SpectralMode mode) {
     case SpectralMode::kPlain: return "plain";
     case SpectralMode::kFiltered: return "filtered";
     case SpectralMode::kShiftInvert: return "shift_invert";
-    case SpectralMode::kAuto: return "auto";
   }
   return "plain";
-}
-
-SpectralMode resolve_spectral_mode(const SpectralAccel& accel, std::size_t n) {
-  if (accel.mode != SpectralMode::kAuto) return accel.mode;
-  if (n >= kFilteredAutoDim && std::isfinite(accel.op_upper_bound)) {
-    return SpectralMode::kFiltered;
-  }
-  return SpectralMode::kPlain;
 }
 
 namespace {
@@ -852,7 +843,7 @@ LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
     return result;
   }
 
-  const SpectralMode mode = resolve_spectral_mode(options.accel, n);
+  const SpectralMode mode = options.accel.mode;
   if (mode == SpectralMode::kPlain) return rank1_plain(op, n, defl, usable, options);
 
   if (mode == SpectralMode::kShiftInvert) {
@@ -904,7 +895,7 @@ LanczosResult lanczos_smallest_block(const LinearOperator& op, std::size_t n,
     return result;
   }
 
-  const SpectralMode mode = resolve_spectral_mode(options.accel, n);
+  const SpectralMode mode = options.accel.mode;
   if (mode == SpectralMode::kPlain) return block_plain(op, n, defl, usable, options);
 
   if (mode == SpectralMode::kShiftInvert) {

@@ -36,29 +36,26 @@ namespace fne {
 ///                  clustered low spectra separate in tens instead of
 ///                  thousands of iterations.  Needs op_upper_bound
 ///                  (Gershgorin over SubCsr rows for Laplacians).
+///                  The default of every library consumer (Fiedler
+///                  solve, cut finder, metrics, certificates), at any
+///                  size: it opens with a short plain probe, so a cheap
+///                  spectrum converges there and never pays for the filter.
 ///   kShiftInvert — the recurrence runs on -(L - σI)^{-1}, applied by a
 ///                  deterministic chunk-ordered CG inner solve; for the
 ///                  near-singular cases filtering can't crack.
-///   kAuto        — plain below kFilteredAutoDim; filtered at or above
-///                  it when op_upper_bound is available (else plain).
 ///
 /// In every accelerated mode eigenvalues are recovered by Rayleigh
 /// quotient against the ORIGINAL operator and convergence is decided by
 /// the true residual ‖Lx − ρx‖ ≤ tolerance, so tolerances stay
 /// comparable across modes.  The determinism contract is unchanged: a
 /// solve is a pure function of its inputs for ANY OMP thread count.
-enum class SpectralMode { kPlain, kFiltered, kShiftInvert, kAuto };
+enum class SpectralMode { kPlain, kFiltered, kShiftInvert };
 
-/// Parse "plain" | "filtered" | "shift_invert" | "auto" (REQUIREs a
-/// valid name, listing the alternatives — registry-style hygiene).
+/// Parse "plain" | "filtered" | "shift_invert" (REQUIREs a valid name,
+/// listing the alternatives — registry-style hygiene).  "auto", the name
+/// configs use for the default, parses to kFiltered.
 [[nodiscard]] SpectralMode spectral_mode_from_string(const std::string& name);
 [[nodiscard]] const char* spectral_mode_name(SpectralMode mode);
-
-/// Dimension at or above which kAuto switches from plain to filtered.
-/// Below it the plain solver converges within the engine's staged caps
-/// and auto must not perturb existing results (the deterministic engine
-/// == reference parity runs through this resolution on both sides).
-inline constexpr std::size_t kFilteredAutoDim = 8192;
 
 /// Acceleration knobs shared by the rank-1 and blocked solvers.
 struct SpectralAccel {
@@ -67,8 +64,8 @@ struct SpectralAccel {
   /// cut ratio (clamped to [6, 24]).
   int filter_degree = 0;
   /// Upper bound on the operator spectrum (REQUIREd finite in filtered
-  /// mode; kAuto resolves to plain without it).  For a SubCsr Laplacian
-  /// use gershgorin_upper_bound(); for -L the bound is 0.
+  /// mode).  For a SubCsr Laplacian use gershgorin_upper_bound(); for -L
+  /// the bound is 0.
   double op_upper_bound = std::numeric_limits<double>::quiet_NaN();
   /// Shift σ for kShiftInvert.  0 targets the bottom of a PSD operator
   /// whose kernel is deflated (the Fiedler case).
@@ -78,11 +75,6 @@ struct SpectralAccel {
   double cg_tolerance = 1e-10;
   int cg_max_iterations = 4000;
 };
-
-/// The kAuto decision, shared by every consumer so the engine and the
-/// stateless reference can never disagree: filtered iff n >=
-/// kFilteredAutoDim and the accel carries a finite upper bound.
-[[nodiscard]] SpectralMode resolve_spectral_mode(const SpectralAccel& accel, std::size_t n);
 
 struct LanczosResult {
   std::vector<double> values;               ///< converged Ritz values, ascending

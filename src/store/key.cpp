@@ -60,7 +60,7 @@ void append_metrics(std::string& key, const MetricsSpec& metrics) {
 
 std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
                            int rep, const SweepSpec* monotone) {
-  std::string key = "fne-cell|schema=1";
+  std::string key = "fne-cell|schema=2";
   key += "|topo=" + scenario.topology.name;
   key += "|topo_params=" + scenario.topology.params.to_string();
   // Entries whose build output depends on state beyond the params (the

@@ -117,15 +117,20 @@ INSTANTIATE_TEST_SUITE_P(Families, CsrRoundTrip,
                                            GraphCase{Family::ErdosRenyi, 20, 11}),
                          GraphCaseName());
 
-TEST(CsrFileFormat, EmptyAndEdgelessGraphsRoundTrip) {
-  for (const vid n : {vid{0}, vid{1}, vid{5}}) {
-    const Graph g = Graph::from_edges(n, {});
-    const std::string path = tmp_path("edgeless_" + std::to_string(n) + ".csr");
+TEST(CsrFileFormat, EmptyEdgelessAndIsolatedVertexGraphsRoundTrip) {
+  // Edgeless graphs have null adjacency data; the last graph's vertices
+  // 0, 3 and 6 are isolated between vertices that have neighbors.
+  for (const Graph& g : {Graph::from_edges(0, {}), Graph::from_edges(1, {}),
+                         Graph::from_edges(5, {}),
+                         Graph::from_edges(7, {{1, 2}, {2, 4}, {4, 5}, {1, 5}})}) {
+    const std::string path = tmp_path("isolated_" + std::to_string(g.num_vertices()) + ".csr");
     CsrFile::write(path, g);
-    const CsrFile f = CsrFile::open(path);
-    EXPECT_EQ(f.header().n, n);
-    EXPECT_EQ(f.header().m, 0u);
-    expect_graphs_equal(f.to_graph(), g);
+    for (const CsrFile::Load load : {CsrFile::Load::kAuto, CsrFile::Load::kBuffer}) {
+      const CsrFile f = CsrFile::open(path, load);
+      EXPECT_EQ(f.header().n, g.num_vertices());
+      EXPECT_EQ(f.header().m, g.num_edges());
+      expect_graphs_equal(f.to_graph(), g);
+    }
   }
 }
 

@@ -121,7 +121,7 @@ TEST(CellRecord, DecodeIsTotalOnMalformedInput) {
 TEST(CellKey, NamesEveryInputAndSeparatesCells) {
   const Scenario s = small_scenario();
   const std::string key = store_cell_key(s, s.fault, 0);
-  EXPECT_EQ(key.find("fne-cell|schema=1|"), 0u);
+  EXPECT_EQ(key.find("fne-cell|schema=2|"), 0u);
   EXPECT_NE(key.find("|topo=mesh|"), std::string::npos);
   EXPECT_NE(key.find("|fault=random|"), std::string::npos);
   EXPECT_NE(key.find("|rep=0"), std::string::npos);
@@ -415,6 +415,36 @@ TEST(CampaignStore, KilledCampaignResumesRecomputingOnlyMissingCells) {
   // The store is whole again: a third run is all hits.
   const CampaignReport healed = runner.run(2, &store);
   EXPECT_EQ(healed.store.misses, 0u);
+}
+
+TEST(CampaignStore, SchemaOneCellsAreMissesUnderSchemaTwo) {
+  // Schema-1 cells ran the old default solver and, with fast=1, the old
+  // staged schedule.  A fast cell that named spectral_mode:filtered then
+  // has the same key string now but a different result, so only the
+  // schema field keeps such cells from being replayed as current results.
+  // This cell is fast=1 and uses the default (filtered) mode.
+  const std::string dir = fresh_dir("campaign-schema1");
+  Campaign reps;
+  reps.name = "schema";
+  reps.entries.push_back(store_campaign().entries[0]);
+  const Scenario& s = reps.entries[0].scenario;
+  ScenarioRunner scenario_runner(s);
+
+  ResultStore store(dir);
+  for (int rep = 0; rep < s.repetitions; ++rep) {
+    std::string old_key = store_cell_key(s, s.fault, rep);
+    ASSERT_EQ(old_key.find("fne-cell|schema=2|"), 0u);
+    old_key.replace(0, std::string("fne-cell|schema=2").size(), "fne-cell|schema=1");
+    const ScenarioRun run = scenario_runner.run_isolated(s.fault, rep);
+    store.put(old_key, encode_runs({&run, 1}));
+    EXPECT_TRUE(store.contains(old_key));
+    EXPECT_FALSE(store.contains(store_cell_key(s, s.fault, rep)));
+  }
+
+  const CampaignReport report = CampaignRunner(reps).run(1, &store);
+  EXPECT_EQ(report.store.hits, 0u) << "a schema-1 cell must never be served";
+  EXPECT_EQ(report.store.misses, static_cast<std::uint64_t>(s.repetitions));
+  EXPECT_EQ(report.to_json(false), CampaignRunner(reps).run(1).to_json(false));
 }
 
 TEST(CampaignStore, CorruptRecordDegradesToRecomputeNotCrash) {

@@ -1,8 +1,8 @@
 // Spectral acceleration modes (DESIGN.md §10): Chebyshev-filtered and
 // shift-invert solves must agree with the plain solver at matched
 // tolerance (eigenvalues come from Rayleigh quotients against the
-// original operator in every mode), kAuto must resolve purely from
-// (dimension, bound availability), the Gershgorin bound must dominate
+// original operator in every mode), the default Fiedler solve must be
+// the filtered one at any dimension, the Gershgorin bound must dominate
 // the spectrum, and every mode must stay bit-identical for any OMP
 // thread count on both sides of kSpectralParallelDim.  The Slow suite
 // adds the clustered-spectrum regression the filter exists for: the
@@ -12,7 +12,9 @@
 
 #include <cmath>
 
+#include "api/runner.hpp"
 #include "core/traversal.hpp"
+#include "expansion/cut_finder.hpp"
 #include "faults/fault_model.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/jacobi.hpp"
@@ -65,29 +67,66 @@ namespace {
   return 2.0 - 2.0 * std::cos(M_PI * static_cast<double>(k) / static_cast<double>(side));
 }
 
+/// The largest component of the certify benchmark's mesh-64² cell
+/// (p = 0.05, scenario seed 11): the solve the filtered default exists
+/// to speed up.  The spectral stage is switched off so the runner only
+/// reproduces the cell's fault mask.
+struct CertifyComponent {
+  Graph graph;
+  VertexSet comp;
+};
+
+[[nodiscard]] CertifyComponent certify_component() {
+  Scenario cell;
+  cell.topology = {"mesh", Params{{"side", "64"}, {"dims", "2"}}};
+  cell.fault = {"random", Params{{"p", "0.05"}}};
+  cell.prune.alpha = 0.125;
+  cell.prune.finder.use_spectral = false;
+  cell.seed = 11;
+  ScenarioRunner runner(cell);
+  VertexSet comp = largest_component(runner.graph(), runner.run_once(0).alive);
+  return {runner.graph(), std::move(comp)};
+}
+
 TEST(SpectralModes, ModeStringsRoundTripAndReject) {
-  for (const SpectralMode mode : {SpectralMode::kPlain, SpectralMode::kFiltered,
-                                  SpectralMode::kShiftInvert, SpectralMode::kAuto}) {
+  for (const SpectralMode mode :
+       {SpectralMode::kPlain, SpectralMode::kFiltered, SpectralMode::kShiftInvert}) {
     EXPECT_EQ(spectral_mode_from_string(spectral_mode_name(mode)), mode);
   }
+  // "auto" names the default in configs; it is the filtered solve.
+  EXPECT_EQ(spectral_mode_from_string("auto"), SpectralMode::kFiltered);
   EXPECT_THROW((void)spectral_mode_from_string("chebyshev"), PreconditionError);
   EXPECT_THROW((void)spectral_mode_from_string(""), PreconditionError);
 }
 
-TEST(SpectralModes, AutoResolvesBySizeAndBound) {
-  SpectralAccel accel;
-  accel.mode = SpectralMode::kAuto;
-  accel.op_upper_bound = 8.0;
-  EXPECT_EQ(resolve_spectral_mode(accel, kFilteredAutoDim - 1), SpectralMode::kPlain);
-  EXPECT_EQ(resolve_spectral_mode(accel, kFilteredAutoDim), SpectralMode::kFiltered);
-  accel.op_upper_bound = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(resolve_spectral_mode(accel, kFilteredAutoDim), SpectralMode::kPlain)
-      << "auto must not pick filtered without a usable upper bound";
-  // Explicit modes resolve to themselves regardless of size.
-  accel.mode = SpectralMode::kShiftInvert;
-  EXPECT_EQ(resolve_spectral_mode(accel, 10), SpectralMode::kShiftInvert);
-  accel.mode = SpectralMode::kFiltered;
-  EXPECT_EQ(resolve_spectral_mode(accel, 10), SpectralMode::kFiltered);
+TEST(SpectralModes, DefaultFiedlerSolveIsFilteredAtAnySize) {
+  EXPECT_EQ(FiedlerOptions{}.accel.mode, SpectralMode::kFiltered);
+  EXPECT_EQ(CutFinderOptions{}.spectral_mode, SpectralMode::kFiltered);
+  // No size threshold: at n = 2, 10 and 8192 the default solve (whose
+  // NaN bound fiedler_vector fills from Gershgorin) is bit-identical to
+  // an explicit filtered solve with that bound.
+  for (const Mesh& mesh : {Mesh({2}), Mesh({2, 5}), Mesh({128, 64})}) {
+    const VertexSet all = VertexSet::full(mesh.num_vertices());
+    SubCsr sub;
+    sub.build(mesh.graph(), all);
+    SCOPED_TRACE(sub.dim());
+    FiedlerOptions defaults;
+    defaults.max_iterations = 60;
+    FiedlerOptions filtered = defaults;
+    filtered.accel = accel_for(SpectralMode::kFiltered, sub);
+    const FiedlerResult a = fiedler_vector(mesh.graph(), all, defaults);
+    const FiedlerResult b = fiedler_vector(mesh.graph(), all, filtered);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_EQ(a.lambda2, b.lambda2);
+    EXPECT_EQ(a.vector, b.vector);
+  }
+}
+
+TEST(SpectralModes, DefaultFiedlerConvergesOnCertifyCell) {
+  const CertifyComponent cell = certify_component();
+  ASSERT_GT(cell.comp.count(), 3500u);
+  const FiedlerResult fast = fiedler_vector(cell.graph, cell.comp, FiedlerOptions{});
+  EXPECT_TRUE(fast.converged) << "the filtered default must converge within the default cap";
 }
 
 TEST(SpectralModes, GershgorinBoundDominatesTheSpectrum) {
@@ -295,6 +334,33 @@ TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
 #endif
     }
   }
+}
+
+TEST(SpectralModesSlow, DefaultFiedlerOnCertifyCellMatchesPlainAcrossThreads) {
+  // Slow: the plain reference needs ~1000 fully reorthogonalized steps
+  // on a component of 3500+ vertices before it converges.
+  const CertifyComponent cell = certify_component();
+  const FiedlerResult fast = fiedler_vector(cell.graph, cell.comp, FiedlerOptions{});
+  ASSERT_TRUE(fast.converged);
+
+  FiedlerOptions plain_opts;
+  plain_opts.accel.mode = SpectralMode::kPlain;
+  plain_opts.max_iterations = 1000;
+  const FiedlerResult plain = fiedler_vector(cell.graph, cell.comp, plain_opts);
+  ASSERT_TRUE(plain.converged);
+  EXPECT_NEAR(fast.lambda2, plain.lambda2, 1e-6);
+
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    const FiedlerResult again = fiedler_vector(cell.graph, cell.comp, FiedlerOptions{});
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(again.lambda2, fast.lambda2);
+    EXPECT_EQ(again.vector, fast.vector);
+  }
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(SpectralModesSlow, ClusteredSpectrumRegressionSide96) {
