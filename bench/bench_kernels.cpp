@@ -184,7 +184,7 @@ void BM_SteinerExact(benchmark::State& state) {
     benchmark::DoNotOptimize(steiner_exact(m.graph(), terminals).tree_nodes);
   }
 }
-BENCHMARK(BM_SteinerExact)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SteinerExact)->Arg(4)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
 
 void BM_Prune2EndToEnd(benchmark::State& state) {
   const Mesh m = Mesh::cube(static_cast<vid>(state.range(0)), 2);

@@ -446,7 +446,7 @@ int run_campaign(const Cli& cli) {
   if (!json_to_stdout) {
     std::cout << "campaign: " << report.name << " — " << report.scenarios.size()
               << " scenarios, " << threads << (threads == 1 ? " thread" : " threads") << ", "
-              << report.millis << " ms\n\n";
+              << format_fixed(report.millis, 1) << " ms\n\n";
     Table table({"scenario", "topology", "n", "runs", "mean |H|/n", "culled", "engine iters",
                  "eigensolves", "ms"});
     for (const ScenarioReport& s : report.scenarios) {
@@ -466,7 +466,7 @@ int run_campaign(const Cli& cli) {
           .cell(culled)
           .cell(s.engine.iterations)
           .cell(s.engine.eigensolves)
-          .cell(s.millis, 1);
+          .cell(format_fixed(s.millis, 1));
     }
     if (cli.has("csv")) {
       table.write_csv(std::cout);

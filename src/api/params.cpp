@@ -21,7 +21,8 @@ Params Params::parse(const std::string& spec) {
     if (token.empty()) continue;
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) {
-      p.values_[token] = "1";
+      // Move-assigned: GCC 12 warns falsely (-Wrestrict) on assign(const char*).
+      p.values_[token] = std::string("1");
     } else {
       p.values_[token.substr(0, eq)] = token.substr(eq + 1);
     }

@@ -339,14 +339,17 @@ Table ScenarioRunner::metrics_table(std::span<const ScenarioRun> runs,
         .cell(r.survivor_fraction(n), 3)
         .cell(std::size_t{r.prune.total_culled})
         .cell(r.prune.iterations)
-        .cell(r.millis, 1);
+        .cell(format_fixed(r.millis, 1));
     if (scenario_.metrics.fragmentation) {
       table.cell(r.fragmentation.gamma, 3).cell(r.fragmentation.num_components);
     }
     if (scenario_.metrics.expansion) {
       if (r.expansion.has_value()) {
-        table.cell("[" + std::to_string(r.expansion->lower).substr(0, 6) + "," +
-                   std::to_string(r.expansion->upper).substr(0, 6) + "]");
+        // Appended, not "[" + ...: GCC 12 warns falsely (-Wrestrict) on the prepend.
+        std::string bracket(1, '[');
+        bracket.append(std::to_string(r.expansion->lower), 0, 6).push_back(',');
+        bracket.append(std::to_string(r.expansion->upper), 0, 6).push_back(']');
+        table.cell(bracket);
       } else {
         table.cell("-");
       }

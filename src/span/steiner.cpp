@@ -1,9 +1,11 @@
 #include "span/steiner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
-#include <queue>
+#include <numeric>
+#include <utility>
 
 #include "core/traversal.hpp"
 #include "util/require.hpp"
@@ -34,110 +36,99 @@ SteinerResult steiner_exact(const Graph& g, const std::vector<vid>& terminals) {
   const vid n = g.num_vertices();
   const auto t = static_cast<vid>(terminals.size());
 
-  SteinerResult result;
-  result.exact = true;
-  result.nodes = VertexSet(n);
-  if (t == 1) {
-    result.nodes.set(terminals[0]);
-    result.tree_nodes = 1;
-    result.tree_edges = 0;
-    return result;
-  }
+  // Rooted at the last terminal: dp[mask][v] is the fewest edges of a tree
+  // spanning v and the terminals in `mask` (bit i = terminals[i], i < t-1),
+  // so the optimum is dp[full][root].  The empty mask costs nothing.
+  const vid root = terminals[t - 1];
+  const std::uint32_t full = (std::uint32_t{1} << (t - 1)) - 1U;
+  std::vector<std::uint32_t> dp((std::size_t{full} + 1) * n, kInf);
+  std::fill_n(dp.begin(), n, 0U);
+  auto row = [&](std::uint32_t mask) { return dp.data() + std::size_t{mask} * n; };
 
-  const std::uint32_t full = (std::uint32_t{1} << t) - 1U;
-  const std::size_t masks = std::size_t{1} << t;
-  std::vector<std::uint32_t> dp(masks * n, kInf);
-  std::vector<std::uint32_t> choice_sub(masks * n, 0);      // nonzero => merge split
-  std::vector<vid> choice_pred(masks * n, kInvalidVertex);  // grow predecessor
-
-  auto idx = [n](std::uint32_t mask, vid v) { return static_cast<std::size_t>(mask) * n + v; };
-
-  // Grow step: Dijkstra relaxation (unit weights) from the current dp row.
-  auto grow = [&](std::uint32_t mask) {
-    using Item = std::pair<std::uint32_t, vid>;  // (cost, vertex)
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  // Grow step.  With unit weights Dijkstra is a BFS: the row's cells,
+  // counting-sorted by cost, are merged with the FIFO of relaxed cells, whose
+  // costs never decrease (so a cell enters the FIFO at most once).  A cost of
+  // n or more is never optimal (a tree has < n edges), so such a cell is only
+  // relaxed, never a seed.
+  std::vector<vid> bucket;
+  std::vector<std::uint64_t> seeds;  // (cost << 32) | v
+  std::vector<vid> fifo;
+  auto grow = [&](std::uint32_t* d) {
+    bucket.assign(std::size_t{n} + 1, 0);
     for (vid v = 0; v < n; ++v) {
-      if (dp[idx(mask, v)] < kInf) heap.push({dp[idx(mask, v)], v});
+      if (d[v] < n) ++bucket[d[v] + 1];
     }
-    while (!heap.empty()) {
-      const auto [cost, v] = heap.top();
-      heap.pop();
-      if (cost != dp[idx(mask, v)]) continue;
+    std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());
+    seeds.resize(bucket[n]);
+    for (vid v = 0; v < n; ++v) {
+      if (d[v] < n) seeds[bucket[d[v]]++] = (std::uint64_t{d[v]} << 32) | v;
+    }
+    fifo.clear();
+    for (std::size_t next = 0, head = 0; next < seeds.size() || head < fifo.size();) {
+      vid v = 0;
+      if (head == fifo.size() || (next < seeds.size() && (seeds[next] >> 32) <= d[fifo[head]])) {
+        v = static_cast<vid>(seeds[next]);
+        if ((seeds[next++] >> 32) != d[v]) continue;  // lowered since: its FIFO entry grows it
+      } else {
+        v = fifo[head++];
+      }
       for (vid w : g.neighbors(v)) {
-        if (cost + 1 < dp[idx(mask, w)]) {
-          dp[idx(mask, w)] = cost + 1;
-          choice_pred[idx(mask, w)] = v;
-          choice_sub[idx(mask, w)] = 0;
-          heap.push({cost + 1, w});
+        if (d[v] + 1 < d[w]) {
+          d[w] = d[v] + 1;
+          fifo.push_back(w);
         }
       }
     }
   };
 
-  // Singleton masks: distance from each terminal.
-  for (vid i = 0; i < t; ++i) {
-    const std::uint32_t mask = std::uint32_t{1} << i;
-    dp[idx(mask, terminals[i])] = 0;
-    grow(mask);
-  }
-
-  // Masks in increasing popcount order.
-  std::vector<std::uint32_t> order;
-  order.reserve(masks - 1);
-  for (std::uint32_t mask = 1; mask <= full; ++mask) order.push_back(mask);
-  std::stable_sort(order.begin(), order.end(), [](std::uint32_t a, std::uint32_t b) {
-    return __builtin_popcount(a) < __builtin_popcount(b);
-  });
-  for (std::uint32_t mask : order) {
-    if (__builtin_popcount(mask) < 2) continue;
-    // Merge: combine complementary sub-trees meeting at v.  Fix the lowest
-    // terminal of `mask` into `sub` so each split is tried once.
+  // Every proper submask is numerically smaller than its mask, so numeric
+  // order finishes both halves of a split before the merge reads them.
+  // Fixing the lowest terminal in one half tries each split once; kInf is
+  // small enough that two of them add without wrapping.
+  for (std::uint32_t mask = 1; mask <= full; ++mask) {
+    std::uint32_t* d = row(mask);
     const std::uint32_t low = mask & (~mask + 1);
-    for (std::uint32_t sub = (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask) {
-      if ((sub & low) == 0) continue;
-      const std::uint32_t other = mask ^ sub;
-      for (vid v = 0; v < n; ++v) {
-        const std::uint32_t combined = dp[idx(sub, v)] + dp[idx(other, v)];
-        if (combined < dp[idx(mask, v)]) {
-          dp[idx(mask, v)] = combined;
-          choice_sub[idx(mask, v)] = sub;
-          choice_pred[idx(mask, v)] = kInvalidVertex;
-        }
+    const std::uint32_t rest = mask ^ low;
+    if (rest == 0) d[terminals[std::countr_zero(mask)]] = 0;
+    for (std::uint32_t sub = rest; sub != 0;) {
+      sub = (sub - 1) & rest;
+      const std::uint32_t* a = row(sub | low);
+      const std::uint32_t* b = row(rest ^ sub);
+      for (vid v = 0; v < n; ++v) d[v] = std::min(d[v], a[v] + b[v]);
+    }
+    grow(d);
+  }
+  const std::uint32_t best = row(full)[root];
+  FNE_REQUIRE(best < kInf, "terminals are not mutually connected");
+
+  // Reconstruction by search: a cell's cost is a terminal's own 0, one more
+  // than a neighbour's in the same row (grow), or the sum of a split (merge).
+  SteinerResult result{best + 1, best, /*exact=*/true, VertexSet(n)};
+  std::vector<std::pair<std::uint32_t, vid>> stack{{full, root}};
+  while (!stack.empty()) {
+    const auto [mask, v] = stack.back();
+    stack.pop_back();
+    result.nodes.set(v);
+    const std::uint32_t* d = row(mask);
+    if (d[v] == 0 && (mask & (mask - 1)) == 0) continue;
+    const auto nbrs = g.neighbors(v);
+    const auto step =
+        std::find_if(nbrs.begin(), nbrs.end(), [&](vid w) { return d[w] + 1 == d[v]; });
+    if (step != nbrs.end()) {
+      stack.push_back({mask, *step});
+      continue;
+    }
+    const std::uint32_t low = mask & (~mask + 1);
+    const std::uint32_t rest = mask ^ low;
+    for (std::uint32_t sub = rest; sub != 0;) {
+      sub = (sub - 1) & rest;
+      if (row(sub | low)[v] + row(rest ^ sub)[v] == d[v]) {
+        stack.push_back({sub | low, v});
+        stack.push_back({rest ^ sub, v});
+        break;
       }
     }
-    grow(mask);
   }
-
-  // Optimum and reconstruction.
-  vid best_v = 0;
-  for (vid v = 1; v < n; ++v) {
-    if (dp[idx(full, v)] < dp[idx(full, best_v)]) best_v = v;
-  }
-  FNE_REQUIRE(dp[idx(full, best_v)] < kInf, "terminals are not mutually connected");
-
-  // Recursive collection of the tree's vertex set (iterative stack).
-  std::vector<std::pair<std::uint32_t, vid>> stack{{full, best_v}};
-  while (!stack.empty()) {
-    auto [mask, v] = stack.back();
-    stack.pop_back();
-    // Walk the grow chain back to the merge/init anchor.
-    vid cur = v;
-    while (true) {
-      result.nodes.set(cur);
-      const vid pred = choice_pred[idx(mask, cur)];
-      if (pred == kInvalidVertex) break;
-      cur = pred;
-    }
-    const std::uint32_t sub = choice_sub[idx(mask, cur)];
-    if (sub != 0) {
-      stack.push_back({sub, cur});
-      stack.push_back({mask ^ sub, cur});
-    }
-    // popcount(mask) == 1 and no pred: cur is the terminal itself.
-  }
-
-  result.tree_edges = dp[idx(full, best_v)];
-  result.tree_nodes = result.tree_edges + 1;
   return result;
 }
 

@@ -2,8 +2,9 @@
 // smallest tree connecting every node of Γ(U).
 //
 // Two engines:
-//   * Dreyfus–Wagner dynamic program — exact, O(3^t·n + 2^t·n·m) for t
-//     terminals; used whenever 3^t·n is affordable.
+//   * Dreyfus–Wagner dynamic program — exact, O(3^(t−1)·n + 2^(t−1)·m)
+//     for t terminals (rooted at one of them); used whenever 3^t·n is
+//     affordable.
 //   * metric-closure MST — the classic 2-approximation; only ever
 //     *overestimates* the tree size, which keeps sampled span estimates
 //     conservative in the documented direction.

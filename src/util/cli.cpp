@@ -16,7 +16,8 @@ Cli::Cli(int argc, char** argv) {
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq == std::string_view::npos) {
-      values_[std::string(arg)] = "1";
+      // Move-assigned: GCC 12 warns falsely (-Wrestrict) on assign(const char*).
+      values_[std::string(arg)] = std::string("1");
     } else {
       values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
     }

@@ -92,4 +92,10 @@ std::string format_pm(double value, double halfwidth, int precision) {
   return os.str();
 }
 
+std::string format_fixed(double value, int decimals) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(decimals) << value;
+  return os.str();
+}
+
 }  // namespace fne

@@ -43,4 +43,8 @@ class Table {
 /// Format helper: "value ± ci" with sensible precision.
 [[nodiscard]] std::string format_pm(double value, double halfwidth, int precision = 4);
 
+/// Format helper: fixed notation with `decimals` digits after the point
+/// (cell(double, int) takes significant digits, so 20 ms at 1 is "2e+01").
+[[nodiscard]] std::string format_fixed(double value, int decimals);
+
 }  // namespace fne

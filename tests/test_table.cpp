@@ -50,12 +50,20 @@ TEST(FormatPm, ContainsBothParts) {
   EXPECT_NE(s.find("±"), std::string::npos);
 }
 
+TEST(FormatFixed, KeepsDecimalsAndNeverGoesScientific) {
+  EXPECT_EQ(format_fixed(20.34, 1), "20.3");
+  EXPECT_EQ(format_fixed(28.9346, 1), "28.9");
+  EXPECT_EQ(format_fixed(1234.56, 1), "1234.6");
+  EXPECT_EQ(format_fixed(0.04, 1), "0.0");
+}
+
 TEST(Cli, ParsesKeyValueAndFlags) {
   const char* argv[] = {"prog", "--n=128", "--p=0.25", "--verbose", "positional"};
   Cli cli(5, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("n", 0), 128);
   EXPECT_DOUBLE_EQ(cli.get_double("p", 0.0), 0.25);
   EXPECT_TRUE(cli.has("verbose"));
+  EXPECT_EQ(cli.get("verbose", ""), "1");
   EXPECT_FALSE(cli.has("positional"));
   EXPECT_EQ(cli.get("missing", "fallback"), "fallback");
 }
