@@ -123,9 +123,7 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
       s.prune.finder.spectral_mode = spectral_mode_from_string(m->as_string());
     }
     if (const JsonValue* d = v->find("filter_degree")) {
-      const auto degree = static_cast<int>(d->as_int());
-      FNE_REQUIRE(degree >= 0, "campaign: prune.filter_degree must be >= 0");
-      s.prune.finder.filter_degree = degree;
+      s.prune.finder.filter_degree = filter_degree_from_int(d->as_int());
     }
   }
   if (const JsonValue* v = obj.find("metrics")) {

@@ -69,13 +69,13 @@ void check_declared(const MetricEntry& entry, const Params& params) {
 /// compute time and fills the operator-specific Gershgorin bound.
 void validate_spectral_params(const Params& params) {
   (void)spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
-  FNE_REQUIRE(params.get_int("filter_degree", 0) >= 0, "filter_degree must be >= 0");
+  (void)filter_degree_from_int(params.get_int("filter_degree", 0));
 }
 
 [[nodiscard]] SpectralAccel accel_from_params(const Params& params, const SubCsr& sub) {
   SpectralAccel accel;
   accel.mode = spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
-  accel.filter_degree = static_cast<int>(params.get_int("filter_degree", 0));
+  accel.filter_degree = filter_degree_from_int(params.get_int("filter_degree", 0));
   accel.op_upper_bound = gershgorin_upper_bound(sub);
   return accel;
 }

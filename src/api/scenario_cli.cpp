@@ -43,9 +43,7 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
     base.prune.finder.spectral_mode = spectral_mode_from_string(cli.get("spectral-mode", ""));
   }
   if (has_filter_degree) {
-    const auto degree = static_cast<int>(cli.get_int("filter-degree", 0));
-    FNE_REQUIRE(degree >= 0, "--filter-degree must be >= 0");
-    base.prune.finder.filter_degree = degree;
+    base.prune.finder.filter_degree = filter_degree_from_int(cli.get_int("filter-degree", 0));
   }
   base.metrics.verify_trace = cli.has("verify") || base.metrics.verify_trace;
   base.metrics.expansion = cli.has("expansion") || base.metrics.expansion;

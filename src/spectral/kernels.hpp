@@ -11,9 +11,9 @@
 // The lane loops are trivially vectorizable (`#pragma omp simd` over
 // independent accumulators) because no float op crosses a lane.
 //
-// These were file-local to lanczos.cpp until PR 6; they are exposed here
-// so the SubCsr apply shares the same fold, bench_kernels can measure the
-// vectorization win, and the Chebyshev/CG surrogate operators reuse them.
+// The Lanczos bodies and the Chebyshev/CG surrogate operators call these
+// directly, the SubCsr apply mirrors the same lane fold, and bench_kernels
+// measures the vectorization win.
 #pragma once
 
 #include <cstddef>

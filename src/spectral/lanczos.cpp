@@ -35,21 +35,16 @@ const char* spectral_mode_name(SpectralMode mode) {
   return "plain";
 }
 
+int filter_degree_from_int(std::int64_t degree) {
+  FNE_REQUIRE(degree >= 0 && degree <= kMaxFilterDegree,
+              "filter_degree must be in [0, " + std::to_string(kMaxFilterDegree) +
+                  "] (0 picks the degree automatically), got " + std::to_string(degree));
+  return static_cast<int>(degree);
+}
+
 namespace {
 
-// Thin local names for the shared chunk-deterministic kernels
-// (spectral/kernels.hpp) so the solver bodies below read as before PR 6.
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  return spectral_dot(a, b);
-}
-double norm(const std::vector<double>& a) { return spectral_norm(a); }
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  spectral_axpy(alpha, x, y);
-}
-void orthogonalize(const std::vector<std::vector<double>>& basis, std::size_t count,
-                   std::vector<double>& x, std::vector<double>& coeff) {
-  spectral_orthogonalize(basis, count, x, coeff);
-}
+using Basis = std::vector<std::vector<double>>;
 
 /// DGKS criterion: after one full Gram–Schmidt pass, re-orthogonalize
 /// again only when the pass removed a large fraction of the vector (norm
@@ -64,11 +59,10 @@ constexpr double kDgks = 0.70710678118654752;
 /// filter cut (DESIGN.md §10).
 constexpr int kFilterProbeIterations = 16;
 
-std::vector<std::vector<double>> normalize_deflation(
-    const std::vector<std::vector<double>>& deflation) {
-  std::vector<std::vector<double>> defl = deflation;
+Basis normalize_deflation(const Basis& deflation) {
+  Basis defl = deflation;
   for (auto& b : defl) {
-    const double nb = norm(b);
+    const double nb = spectral_norm(b);
     FNE_REQUIRE(nb > 0.0, "zero deflation vector");
     for (auto& x : b) x /= nb;
   }
@@ -97,7 +91,7 @@ struct FilterPlan {
 /// 10% of the way from θ to the upper bound keeps every wanted eigenvalue in
 /// the amplified region.  The auto degree grows as the wanted fraction of
 /// the spectrum shrinks (d ≈ 5/(2√r), r = relative cut position), clamped to
-/// [6, 24] so one surrogate apply stays a bounded number of base applies.
+/// [6, kMaxFilterDegree] so one surrogate apply stays a bounded number of base applies.
 FilterPlan plan_filter(const std::vector<double>& probe_values, int want, int requested_degree,
                        double upper) {
   FilterPlan plan;
@@ -204,7 +198,7 @@ class ChebyshevSurrogate {
 /// the current iterate is still a fixed function of the inputs.
 class ShiftInvertSurrogate {
  public:
-  ShiftInvertSurrogate(const LinearOperator& base, const std::vector<std::vector<double>>& defl,
+  ShiftInvertSurrogate(const LinearOperator& base, const Basis& defl,
                        double shift, double tolerance, int max_iterations)
       : base_(&base),
         defl_(&defl),
@@ -215,9 +209,9 @@ class ShiftInvertSurrogate {
   void apply(const std::vector<double>& b, std::vector<double>& out) const {
     const std::size_t n = b.size();
     r_ = b;
-    orthogonalize(*defl_, defl_->size(), r_, coeff_);
+    spectral_orthogonalize(*defl_, defl_->size(), r_, coeff_);
     x_.assign(n, 0.0);
-    const double nb = norm(r_);
+    const double nb = spectral_norm(r_);
     out.resize(n);
     if (!(nb > 0.0)) {
       std::fill(out.begin(), out.end(), 0.0);
@@ -228,14 +222,14 @@ class ShiftInvertSurrogate {
     double rs = nb * nb;
     for (int it = 0; it < max_iterations_; ++it) {
       (*base_)(p_, ap_);
-      if (shift_ != 0.0) axpy(-shift_, p_, ap_);
-      const double pap = dot(p_, ap_);
+      if (shift_ != 0.0) spectral_axpy(-shift_, p_, ap_);
+      const double pap = spectral_dot(p_, ap_);
       if (!(pap > 0.0)) break;  // curvature lost (kernel direction / rounding)
       const double a = rs / pap;
-      axpy(a, p_, x_);
-      axpy(-a, ap_, r_);
-      orthogonalize(*defl_, defl_->size(), r_, coeff_);
-      const double rs_new = dot(r_, r_);
+      spectral_axpy(a, p_, x_);
+      spectral_axpy(-a, ap_, r_);
+      spectral_orthogonalize(*defl_, defl_->size(), r_, coeff_);
+      const double rs_new = spectral_dot(r_, r_);
       if (std::sqrt(rs_new) <= tolerance_ * nb) break;
       const double beta = rs_new / rs;
       double* pp = p_.data();
@@ -260,7 +254,7 @@ class ShiftInvertSurrogate {
 
  private:
   const LinearOperator* base_;
-  const std::vector<std::vector<double>>* defl_;
+  const Basis* defl_;
   double shift_;
   double tolerance_;
   int max_iterations_;
@@ -268,43 +262,55 @@ class ShiftInvertSurrogate {
 };
 
 // ---------------------------------------------------------------------------
-// Transformed-mode convergence: surrogate Ritz pairs are only a basis
-// selection device.  Eigenvalues are recovered by Rayleigh quotient against
-// the ORIGINAL operator and convergence is the true residual ‖Lx − ρx‖ ≤
-// tolerance, so a converged result means the same thing in every mode.
+// Ritz extraction.  A body that iterates the base operator returns its Ritz
+// pairs as they stand.  A body that iterates a surrogate uses the surrogate
+// Ritz pairs only to select a basis direction: eigenvalues are recovered by
+// Rayleigh quotient against the ORIGINAL operator and convergence is the
+// true residual ‖Lx − ρx‖ ≤ tolerance, so a converged result means the same
+// thing in every mode.
 // ---------------------------------------------------------------------------
 
-struct TransformedCandidates {
-  std::vector<std::vector<double>> vectors;  ///< unit candidates, ascending by ρ
-  std::vector<double> values;                ///< matching Rayleigh quotients
-  bool all_converged = true;
-};
+/// Unit Ritz vector of pair e over basis[0..m); z is the row-major m×ld
+/// eigenvector matrix of the projected problem (column e = pair e).
+std::vector<double> ritz_vector(const Basis& basis, std::size_t m, const std::vector<double>& z,
+                                std::size_t ld, int e, std::size_t n) {
+  std::vector<double> vec(n, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    spectral_axpy(z[i * ld + static_cast<std::size_t>(e)], basis[i], vec);
+  }
+  const double nv = spectral_norm(vec);
+  if (nv > 0.0) {
+    for (auto& x : vec) x /= nv;
+  }
+  return vec;
+}
 
-/// Assemble the `want` smallest surrogate Ritz vectors from basis[0..m)
-/// (z is the row-major m×ld eigenvector matrix, column e = pair e), then
-/// Rayleigh-quotient and residual-test each against the base operator.
-TransformedCandidates rayleigh_candidates(const LinearOperator& base_op,
-                                          const std::vector<std::vector<double>>& basis,
-                                          std::size_t m, const std::vector<double>& z,
-                                          std::size_t ld, int want, double tolerance,
-                                          std::size_t n) {
-  TransformedCandidates out;
+/// The `want` smallest Ritz pairs as they stand (values ascending).
+void ritz_pairs(const Basis& basis, std::size_t m, const std::vector<double>& values,
+                const std::vector<double>& z, std::size_t ld, int want, std::size_t n,
+                LanczosResult& out) {
+  out.values.assign(values.begin(), values.begin() + want);
+  out.vectors.clear();
+  for (int e = 0; e < want; ++e) out.vectors.push_back(ritz_vector(basis, m, z, ld, e, n));
+}
+
+/// The `want` smallest surrogate Ritz vectors, Rayleigh-quotiented and
+/// residual-tested against the base operator; `converged` iff every
+/// residual is within tolerance.
+LanczosResult rayleigh_candidates(const LinearOperator& base_op, const Basis& basis,
+                                  std::size_t m, const std::vector<double>& z, std::size_t ld,
+                                  int want, double tolerance, std::size_t n) {
+  LanczosResult out;
+  out.converged = true;
   std::vector<double> tmp(n);
   std::vector<std::pair<double, int>> order;
-  std::vector<std::vector<double>> vecs;
+  Basis vecs;
   for (int e = 0; e < want; ++e) {
-    std::vector<double> vec(n, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      axpy(z[i * ld + static_cast<std::size_t>(e)], basis[i], vec);
-    }
-    const double nv = norm(vec);
-    if (nv > 0.0) {
-      for (auto& x : vec) x /= nv;
-    }
+    std::vector<double> vec = ritz_vector(basis, m, z, ld, e, n);
     base_op(vec, tmp);
-    const double rho = dot(vec, tmp);
-    axpy(-rho, vec, tmp);
-    if (norm(tmp) > tolerance) out.all_converged = false;
+    const double rho = spectral_dot(vec, tmp);
+    spectral_axpy(-rho, vec, tmp);
+    if (spectral_norm(tmp) > tolerance) out.converged = false;
     order.emplace_back(rho, e);
     vecs.push_back(std::move(vec));
   }
@@ -318,73 +324,85 @@ TransformedCandidates rayleigh_candidates(const LinearOperator& base_op,
   return out;
 }
 
+/// Pooled buffers of a solve: the caller's scratch, or a local one.
+struct BasisPool {
+  explicit BasisPool(LanczosScratch* scratch) : s(scratch != nullptr ? *scratch : local) {}
+  void push(const std::vector<double>& v) {
+    if (s.basis.size() <= count) s.basis.emplace_back();
+    s.basis[count] = v;
+    ++count;
+  }
+  LanczosScratch local;
+  LanczosScratch& s;
+  std::size_t count = 0;  ///< live basis vectors s.basis[0..count)
+};
+
 // ---------------------------------------------------------------------------
-// Rank-1 bodies.  rank1_plain is the pre-PR-6 solver, bit for bit; the
-// transformed body shares its recurrence but iterates the surrogate and
-// decides convergence through rayleigh_candidates.
+// The two Krylov bodies.  Each iterates `op` with full CGS2+DGKS
+// reorthogonalization.  With base == nullptr, `op` is the operator itself
+// and the body decides convergence from its own projected matrix; otherwise
+// `op` is a surrogate of *base and convergence goes through
+// rayleigh_candidates (the projected rows describe the surrogate, whose
+// residual scale has no relation to the base tolerance).
 // ---------------------------------------------------------------------------
 
-LanczosResult rank1_plain(const LinearOperator& op, std::size_t n,
-                          const std::vector<std::vector<double>>& defl, std::size_t usable,
-                          const LanczosOptions& options) {
-  LanczosResult result;
-  const int max_iter =
-      static_cast<int>(std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_iterations)));
-
-  LanczosScratch local_scratch;
-  LanczosScratch& scratch = options.scratch != nullptr ? *options.scratch : local_scratch;
-  std::vector<std::vector<double>>& basis = scratch.basis;  // Lanczos vectors q_1..q_j
-  std::vector<double>& coeff = scratch.coeff;
-  std::size_t basis_count = 0;
-  auto push_basis = [&](const std::vector<double>& v) {
-    if (basis.size() <= basis_count) basis.emplace_back();
-    basis[basis_count] = v;
-    ++basis_count;
-  };
+/// Rank-1 Lanczos: one three-term Krylov chain, Ritz pairs from the
+/// tridiagonal T, convergence checked every 10 steps.  `warm_start` is
+/// projected and normalized; a degenerate one falls back to the seeded
+/// random start.
+LanczosResult lanczos_rank1(const LinearOperator& op, const LinearOperator* base, std::size_t n,
+                            const Basis& defl, std::size_t usable, const LanczosOptions& options,
+                            const std::vector<double>* warm_start) {
+  const int max_iter = static_cast<int>(
+      std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_iterations)));
+  BasisPool pool(options.scratch);
+  const Basis& basis = pool.s.basis;  // Lanczos vectors q_1..q_j
+  std::vector<double>& coeff = pool.s.coeff;
   std::vector<double> alpha;
   std::vector<double> beta;
 
   Rng rng(options.seed);
-  std::vector<double>& q = scratch.q;
+  std::vector<double>& q = pool.s.q;
   q.resize(n);
-  bool warm = options.initial != nullptr && options.initial->size() == n;
+  const bool warm = warm_start != nullptr && warm_start->size() == n;
   if (warm) {
-    q = *options.initial;
+    q = *warm_start;
   } else {
     for (auto& x : q) x = rng.uniform01() - 0.5;
   }
-  orthogonalize(defl, defl.size(), q, coeff);
+  spectral_orthogonalize(defl, defl.size(), q, coeff);
   {
-    double nq = norm(q);
+    double nq = spectral_norm(q);
     if (warm && !(nq > 1e-12)) {
       // Degenerate warm start (e.g. orthogonal remnant): seeded random fallback.
       for (auto& x : q) x = rng.uniform01() - 0.5;
-      orthogonalize(defl, defl.size(), q, coeff);
-      nq = norm(q);
+      spectral_orthogonalize(defl, defl.size(), q, coeff);
+      nq = spectral_norm(q);
     }
     FNE_REQUIRE(nq > 0.0, "degenerate start vector");
     for (auto& x : q) x /= nq;
   }
-  push_basis(q);
+  pool.push(q);
 
-  std::vector<double>& w = scratch.w;
+  std::vector<double>& w = pool.s.w;
   w.resize(n);
   for (int j = 0; j < max_iter; ++j) {
-    op(basis[basis_count - 1], w);
-    const double a = dot(basis[basis_count - 1], w);
+    const std::vector<double>& qj = basis[pool.count - 1];
+    op(qj, w);
+    const double a = spectral_dot(qj, w);
     alpha.push_back(a);
     // w -= a*q_j + b_{j-1}*q_{j-1}; then full reorthogonalization.
-    axpy(-a, basis[basis_count - 1], w);
-    if (j > 0) axpy(-beta.back(), basis[basis_count - 2], w);
-    orthogonalize(defl, defl.size(), w, coeff);
-    const double before = norm(w);
-    orthogonalize(basis, basis_count, w, coeff);
-    double b = norm(w);
+    spectral_axpy(-a, qj, w);
+    if (j > 0) spectral_axpy(-beta.back(), basis[pool.count - 2], w);
+    spectral_orthogonalize(defl, defl.size(), w, coeff);
+    const double before = spectral_norm(w);
+    spectral_orthogonalize(basis, pool.count, w, coeff);
+    double b = spectral_norm(w);
     if (b < kDgks * before) {
-      orthogonalize(basis, basis_count, w, coeff);
-      b = norm(w);
+      spectral_orthogonalize(basis, pool.count, w, coeff);
+      b = spectral_norm(w);
     }
-    // Convergence check every few steps (or on breakdown).
+    // Convergence check every few steps, at the cap, or on breakdown.
     const bool last = (j + 1 == max_iter) || b < 1e-13;
     if (last || (j + 1) % 10 == 0) {
       std::vector<double> values;
@@ -392,142 +410,40 @@ LanczosResult rank1_plain(const LinearOperator& op, std::size_t n,
       tridiag_eigen(alpha, beta, values, &z);
       const std::size_t k = alpha.size();
       const int want = std::min<int>(options.num_eigenpairs, static_cast<int>(k));
-      bool all_converged = true;
-      for (int e = 0; e < want; ++e) {
-        const double resid = std::fabs(b * z[(k - 1) * k + static_cast<std::size_t>(e)]);
-        if (resid > options.tolerance) {
-          all_converged = false;
-          break;
-        }
-      }
-      if (all_converged || last) {
-        result.iterations = j + 1;
-        result.converged = all_converged || b < 1e-13;
-        result.values.assign(values.begin(), values.begin() + want);
-        result.vectors.assign(static_cast<std::size_t>(want), std::vector<double>(n, 0.0));
-        for (int e = 0; e < want; ++e) {
-          auto& vec = result.vectors[static_cast<std::size_t>(e)];
-          for (std::size_t i = 0; i < k; ++i) {
-            axpy(z[i * k + static_cast<std::size_t>(e)], basis[i], vec);
-          }
-          const double nv = norm(vec);
-          if (nv > 0.0) {
-            for (auto& x : vec) x /= nv;
+      LanczosResult pairs;
+      if (base != nullptr) {
+        pairs = rayleigh_candidates(*base, basis, k, z, k, want, options.tolerance, n);
+      } else {
+        // Ritz estimate: pair e's residual is |β·z_last,e|.  Breakdown
+        // (b ~ 0) means an invariant subspace, so its Ritz pairs are exact.
+        pairs.converged = true;
+        for (int e = 0; e < want && pairs.converged; ++e) {
+          if (std::fabs(b * z[(k - 1) * k + static_cast<std::size_t>(e)]) > options.tolerance) {
+            pairs.converged = false;
           }
         }
-        return result;
+        if (pairs.converged || last) ritz_pairs(basis, k, values, z, k, want, n, pairs);
+        pairs.converged = pairs.converged || b < 1e-13;
+      }
+      if (pairs.converged || last) {
+        pairs.iterations = j + 1;
+        return pairs;
       }
     }
-    if (b < 1e-13) break;  // invariant subspace exhausted
     beta.push_back(b);
     for (auto& x : w) x /= b;
-    push_basis(w);
+    pool.push(w);
   }
-
-  // max_iter loop exited without returning (shouldn't happen); mark failure.
-  result.converged = false;
-  return result;
+  return {};  // max_iterations <= 0: nothing ran, nothing converged
 }
 
-LanczosResult rank1_transformed(const LinearOperator& base_op, const LinearOperator& sur_op,
-                                std::size_t n, const std::vector<std::vector<double>>& defl,
-                                std::size_t usable, const LanczosOptions& options,
-                                const std::vector<double>* warm_start) {
-  LanczosResult result;
-  const int max_iter =
-      static_cast<int>(std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_iterations)));
-
-  LanczosScratch local_scratch;
-  LanczosScratch& scratch = options.scratch != nullptr ? *options.scratch : local_scratch;
-  std::vector<std::vector<double>>& basis = scratch.basis;
-  std::vector<double>& coeff = scratch.coeff;
-  std::size_t basis_count = 0;
-  auto push_basis = [&](const std::vector<double>& v) {
-    if (basis.size() <= basis_count) basis.emplace_back();
-    basis[basis_count] = v;
-    ++basis_count;
-  };
-  std::vector<double> alpha;
-  std::vector<double> beta;
-
-  Rng rng(options.seed);
-  std::vector<double>& q = scratch.q;
-  q.resize(n);
-  bool warm = warm_start != nullptr && warm_start->size() == n;
-  if (warm) {
-    q = *warm_start;
-  } else {
-    for (auto& x : q) x = rng.uniform01() - 0.5;
-  }
-  orthogonalize(defl, defl.size(), q, coeff);
-  {
-    double nq = norm(q);
-    if (warm && !(nq > 1e-12)) {
-      for (auto& x : q) x = rng.uniform01() - 0.5;
-      orthogonalize(defl, defl.size(), q, coeff);
-      nq = norm(q);
-    }
-    FNE_REQUIRE(nq > 0.0, "degenerate start vector");
-    for (auto& x : q) x /= nq;
-  }
-  push_basis(q);
-
-  std::vector<double>& w = scratch.w;
-  w.resize(n);
-  for (int j = 0; j < max_iter; ++j) {
-    sur_op(basis[basis_count - 1], w);
-    const double a = dot(basis[basis_count - 1], w);
-    alpha.push_back(a);
-    axpy(-a, basis[basis_count - 1], w);
-    if (j > 0) axpy(-beta.back(), basis[basis_count - 2], w);
-    orthogonalize(defl, defl.size(), w, coeff);
-    const double before = norm(w);
-    orthogonalize(basis, basis_count, w, coeff);
-    double b = norm(w);
-    if (b < kDgks * before) {
-      orthogonalize(basis, basis_count, w, coeff);
-      b = norm(w);
-    }
-    const bool last = (j + 1 == max_iter) || b < 1e-13;
-    if (last || (j + 1) % 10 == 0) {
-      std::vector<double> values;
-      std::vector<double> z;
-      tridiag_eigen(alpha, beta, values, &z);  // Ritz pairs of the SURROGATE
-      const std::size_t k = alpha.size();
-      const int want = std::min<int>(options.num_eigenpairs, static_cast<int>(k));
-      TransformedCandidates cands =
-          rayleigh_candidates(base_op, basis, k, z, k, want, options.tolerance, n);
-      if (cands.all_converged || last) {
-        result.iterations = j + 1;
-        result.converged = cands.all_converged;
-        result.values = std::move(cands.values);
-        result.vectors = std::move(cands.vectors);
-        return result;
-      }
-    }
-    if (b < 1e-13) break;
-    beta.push_back(b);
-    for (auto& x : w) x /= b;
-    push_basis(w);
-  }
-
-  result.converged = false;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Blocked bodies.  block_plain is the pre-PR-6 solver; the transformed body
-// shares its basis build (CGS2+DGKS, T assembly, geometric check cadence)
-// but iterates the surrogate, may seed the start block from probe Ritz
-// vectors, and replaces the coupling-row residual bound with the direct
-// base-operator residual of rayleigh_candidates (the T rows describe the
-// surrogate, whose residual scale has no relation to the base tolerance).
-// ---------------------------------------------------------------------------
-
-LanczosResult block_plain(const LinearOperator& op, std::size_t n,
-                          const std::vector<std::vector<double>>& defl, std::size_t usable,
-                          const BlockLanczosOptions& options) {
-  LanczosResult result;
+/// Block Lanczos: `block_size` start vectors expanded one operator apply
+/// at a time into one basis, Rayleigh–Ritz on the dense projected matrix.
+/// `warm_starts` (probe Ritz vectors) fill the start block first;
+/// degenerate ones are skipped and seeded random vectors fill the rest.
+LanczosResult lanczos_block(const LinearOperator& op, const LinearOperator* base, std::size_t n,
+                            const Basis& defl, std::size_t usable,
+                            const BlockLanczosOptions& options, const Basis* warm_starts) {
   const std::size_t max_basis =
       std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_basis));
   const std::size_t block = std::min<std::size_t>(
@@ -535,17 +451,9 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
       static_cast<std::size_t>(options.block_size > 0
                                    ? options.block_size
                                    : std::min(options.num_eigenpairs, 2)));
-
-  LanczosScratch local_scratch;
-  LanczosScratch& scratch = options.scratch != nullptr ? *options.scratch : local_scratch;
-  std::vector<std::vector<double>>& basis = scratch.basis;
-  std::vector<double>& coeff = scratch.coeff;
-  std::size_t basis_count = 0;
-  auto push_basis = [&](const std::vector<double>& v) {
-    if (basis.size() <= basis_count) basis.emplace_back();
-    basis[basis_count] = v;
-    ++basis_count;
-  };
+  BasisPool pool(options.scratch);
+  const Basis& basis = pool.s.basis;
+  std::vector<double>& coeff = pool.s.coeff;
 
   // Projected matrix T = Qᵀ A Q, stored dense row-major with leading
   // dimension max_basis.  Column j is filled from the FIRST CGS pass of
@@ -559,36 +467,48 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
   std::vector<double> tmat(max_basis * max_basis, 0.0);
 
   Rng rng(options.seed);
-  std::vector<double>& q = scratch.q;
+  std::vector<double>& q = pool.s.q;
   q.resize(n);
 
-  // Seed one deflation- and basis-orthonormal random vector; a few
-  // redraws tolerate unlucky draws, then the orthogonal complement is
-  // treated as numerically exhausted.
+  // Orthonormalize the current q against deflation and the basis so far;
+  // push it if anything survives.  The norm is measured after the final
+  // deflation sweep: a stale norm would normalize deflation noise into the
+  // basis.
+  const auto try_push_seed = [&]() -> bool {
+    spectral_orthogonalize(defl, defl.size(), q, coeff);
+    const double before = spectral_norm(q);
+    spectral_orthogonalize(basis, pool.count, q, coeff);
+    if (spectral_norm(q) < kDgks * before) spectral_orthogonalize(basis, pool.count, q, coeff);
+    spectral_orthogonalize(defl, defl.size(), q, coeff);
+    const double nq = spectral_norm(q);
+    if (!(nq > 1e-10)) return false;
+    for (auto& x : q) x /= nq;
+    pool.push(q);
+    return true;
+  };
+  // A few redraws tolerate unlucky random draws; then the orthogonal
+  // complement is treated as numerically exhausted.
   const auto seed_vector = [&]() -> bool {
     for (int attempt = 0; attempt < 4; ++attempt) {
       for (auto& x : q) x = rng.uniform01() - 0.5;
-      orthogonalize(defl, defl.size(), q, coeff);
-      const double before = norm(q);
-      orthogonalize(basis, basis_count, q, coeff);
-      if (norm(q) < kDgks * before) orthogonalize(basis, basis_count, q, coeff);
-      orthogonalize(defl, defl.size(), q, coeff);
-      const double nq = norm(q);  // post-sweep: the stale norm would
-                                  // normalize deflation noise into the basis
-      if (nq > 1e-10) {
-        for (auto& x : q) x /= nq;
-        push_basis(q);
-        return true;
-      }
+      if (try_push_seed()) return true;
     }
     return false;
   };
-  for (std::size_t i = 0; i < block; ++i) {
+  if (warm_starts != nullptr) {
+    for (const auto& ws : *warm_starts) {
+      if (pool.count >= block) break;
+      if (ws.size() != n) continue;
+      q = ws;
+      try_push_seed();
+    }
+  }
+  for (std::size_t i = pool.count; i < block; ++i) {
     if (!seed_vector()) break;
   }
-  FNE_REQUIRE(basis_count > 0, "degenerate start block");
+  FNE_REQUIRE(pool.count > 0, "degenerate start block");
 
-  std::vector<double>& w = scratch.w;
+  std::vector<double>& w = pool.s.w;
   w.resize(n);
   std::vector<double> tcol;
   std::vector<double> ritz_values;
@@ -606,31 +526,31 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
   std::size_t processed = 0;
   std::size_t next_check = block;
 
-  while (processed < basis_count) {
+  while (processed < pool.count) {
     const std::size_t j = processed;
     op(basis[j], w);
-    orthogonalize(defl, defl.size(), w, coeff);
-    const double before = norm(w);
-    orthogonalize(basis, basis_count, w, coeff);
-    tcol.assign(coeff.begin(), coeff.begin() + static_cast<std::ptrdiff_t>(basis_count));
-    if (norm(w) < kDgks * before) orthogonalize(basis, basis_count, w, coeff);
+    spectral_orthogonalize(defl, defl.size(), w, coeff);
+    const double before = spectral_norm(w);
+    spectral_orthogonalize(basis, pool.count, w, coeff);
+    tcol.assign(coeff.begin(), coeff.begin() + static_cast<std::ptrdiff_t>(pool.count));
+    if (spectral_norm(w) < kDgks * before) spectral_orthogonalize(basis, pool.count, w, coeff);
     // Final deflation sweep, then the norm is measured POST-sweep: the
     // basis passes leave an O(ε) deflation residue, and near exhaustion
     // that residue can dominate the true remainder — normalizing by a
     // pre-sweep norm would push a near-zero vector into the basis, which
     // surfaces as ghost copies of the deflated eigenvalues.
-    orthogonalize(defl, defl.size(), w, coeff);
-    const double bnorm = norm(w);
-    for (std::size_t i = 0; i < basis_count; ++i) {
+    spectral_orthogonalize(defl, defl.size(), w, coeff);
+    const double bnorm = spectral_norm(w);
+    for (std::size_t i = 0; i < pool.count; ++i) {
       tmat[i * max_basis + j] = tcol[i];
       tmat[j * max_basis + i] = tcol[i];
     }
     ++processed;
-    if (bnorm > 1e-13 && basis_count < max_basis) {
+    if (bnorm > 1e-13 && pool.count < max_basis) {
       for (auto& x : w) x /= bnorm;
-      tmat[basis_count * max_basis + j] = bnorm;
-      tmat[j * max_basis + basis_count] = bnorm;
-      push_basis(w);
+      tmat[pool.count * max_basis + j] = bnorm;
+      tmat[j * max_basis + pool.count] = bnorm;
+      pool.push(w);
     } else {
       // This Krylov direction is exhausted (bnorm ~ 0) or the cap is
       // reached; the band narrows and the loop drains the remaining
@@ -639,7 +559,7 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
       dropped[j] = bnorm;
     }
 
-    const bool no_more = processed == basis_count;
+    const bool no_more = processed == pool.count;
     if (processed < next_check && !no_more) continue;
     next_check = processed + std::max(block, processed / 2);
 
@@ -651,190 +571,56 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
     }
     sym_eigen(projected, m, ritz_values, &ritz_vectors);
 
-    // Residual of Ritz pair (θ_e, y_e): A Q_m y - θ Q_m y lies in
-    // span{q_m..q_{basis_count-1}} ∪ {un-appended remainders} (full
-    // reorthogonalization leaves nothing else).  The basis part has
-    // coefficient (T[i][0..m) · y_e) on q_i — stored above; the dropped
-    // remainders are bounded by the triangle inequality.  When the
-    // deflated space itself is exhausted both parts vanish and the Ritz
-    // values are exact, so the zero residual is the truth.
-    bool all_converged = true;
-    for (int e = 0; e < want && all_converged; ++e) {
-      double r2 = 0.0;
-      for (std::size_t i = m; i < basis_count; ++i) {
-        double s = 0.0;
+    LanczosResult pairs;
+    if (base != nullptr) {
+      pairs = rayleigh_candidates(*base, basis, m, ritz_vectors, m, want, options.tolerance, n);
+    } else {
+      // Residual of Ritz pair (θ_e, y_e): A Q_m y - θ Q_m y lies in
+      // span{q_m..q_{count-1}} ∪ {un-appended remainders} (full
+      // reorthogonalization leaves nothing else).  The basis part has
+      // coefficient (T[i][0..m) · y_e) on q_i — stored above; the dropped
+      // remainders are bounded by the triangle inequality.  When the
+      // deflated space itself is exhausted both parts vanish and the Ritz
+      // values are exact, so the zero residual is the truth.
+      pairs.converged = true;
+      for (int e = 0; e < want && pairs.converged; ++e) {
+        const auto y = [&](std::size_t c) {
+          return ritz_vectors[c * m + static_cast<std::size_t>(e)];
+        };
+        double r2 = 0.0;
+        for (std::size_t i = m; i < pool.count; ++i) {
+          double s = 0.0;
+          for (std::size_t c = 0; c < m; ++c) s += tmat[i * max_basis + c] * y(c);
+          r2 += s * s;
+        }
+        double resid = std::sqrt(r2);
         for (std::size_t c = 0; c < m; ++c) {
-          s += tmat[i * max_basis + c] * ritz_vectors[c * m + static_cast<std::size_t>(e)];
+          if (dropped[c] > 0.0) resid += dropped[c] * std::fabs(y(c));
         }
-        r2 += s * s;
+        if (resid > options.tolerance) pairs.converged = false;
       }
-      double resid = std::sqrt(r2);
-      for (std::size_t c = 0; c < m; ++c) {
-        if (dropped[c] > 0.0) {
-          resid += dropped[c] * std::fabs(ritz_vectors[c * m + static_cast<std::size_t>(e)]);
-        }
-      }
-      if (resid > options.tolerance) all_converged = false;
-    }
-    if (!all_converged && !no_more) continue;
-
-    result.iterations = static_cast<int>(m);
-    result.converged = all_converged;
-    result.values.assign(ritz_values.begin(), ritz_values.begin() + want);
-    result.vectors.assign(static_cast<std::size_t>(want), std::vector<double>(n, 0.0));
-    for (int e = 0; e < want; ++e) {
-      auto& vec = result.vectors[static_cast<std::size_t>(e)];
-      for (std::size_t i = 0; i < m; ++i) {
-        axpy(ritz_vectors[i * m + static_cast<std::size_t>(e)], basis[i], vec);
-      }
-      const double nv = norm(vec);
-      if (nv > 0.0) {
-        for (auto& x : vec) x /= nv;
+      if (pairs.converged || no_more) {
+        ritz_pairs(basis, m, ritz_values, ritz_vectors, m, want, n, pairs);
       }
     }
-    return result;
+    if (!pairs.converged && !no_more) continue;
+    pairs.iterations = static_cast<int>(m);
+    return pairs;
   }
-
-  // Unreachable: the drain loop always returns at no_more.
-  result.converged = false;
-  return result;
+  return {};  // unreachable: the drain loop always returns at no_more
 }
 
-LanczosResult block_transformed(const LinearOperator& base_op, const LinearOperator& sur_op,
-                                std::size_t n, const std::vector<std::vector<double>>& defl,
-                                std::size_t usable, const BlockLanczosOptions& options,
-                                const std::vector<std::vector<double>>* warm_starts) {
-  LanczosResult result;
-  const std::size_t max_basis =
-      std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_basis));
-  const std::size_t block = std::min<std::size_t>(
-      max_basis,
-      static_cast<std::size_t>(options.block_size > 0
-                                   ? options.block_size
-                                   : std::min(options.num_eigenpairs, 2)));
-
-  LanczosScratch local_scratch;
-  LanczosScratch& scratch = options.scratch != nullptr ? *options.scratch : local_scratch;
-  std::vector<std::vector<double>>& basis = scratch.basis;
-  std::vector<double>& coeff = scratch.coeff;
-  std::size_t basis_count = 0;
-  auto push_basis = [&](const std::vector<double>& v) {
-    if (basis.size() <= basis_count) basis.emplace_back();
-    basis[basis_count] = v;
-    ++basis_count;
-  };
-
-  std::vector<double> tmat(max_basis * max_basis, 0.0);
-
-  Rng rng(options.seed);
-  std::vector<double>& q = scratch.q;
-  q.resize(n);
-
-  // Orthonormalize the current q against deflation and the basis so far;
-  // push it if anything survives.  Shared by warm and random seeding.
-  const auto try_push_seed = [&]() -> bool {
-    orthogonalize(defl, defl.size(), q, coeff);
-    const double before = norm(q);
-    orthogonalize(basis, basis_count, q, coeff);
-    if (norm(q) < kDgks * before) orthogonalize(basis, basis_count, q, coeff);
-    orthogonalize(defl, defl.size(), q, coeff);
-    const double nq = norm(q);
-    if (!(nq > 1e-10)) return false;
-    for (auto& x : q) x /= nq;
-    push_basis(q);
-    return true;
-  };
-  const auto seed_vector = [&]() -> bool {
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      for (auto& x : q) x = rng.uniform01() - 0.5;
-      if (try_push_seed()) return true;
-    }
-    return false;
-  };
-  // Probe Ritz vectors already approximate the wanted invariant subspace —
-  // seeding the block with them lets the surrogate refine instead of
-  // rediscovering.  Degenerate warm vectors are simply skipped.
-  if (warm_starts != nullptr) {
-    for (const auto& ws : *warm_starts) {
-      if (basis_count >= block) break;
-      if (ws.size() != n) continue;
-      q = ws;
-      try_push_seed();
-    }
-  }
-  for (std::size_t i = basis_count; i < block; ++i) {
-    if (!seed_vector()) break;
-  }
-  FNE_REQUIRE(basis_count > 0, "degenerate start block");
-
-  std::vector<double>& w = scratch.w;
-  w.resize(n);
-  std::vector<double> tcol;
-  std::vector<double> ritz_values;
-  std::vector<double> ritz_vectors;
-  std::vector<double> projected;
-
-  std::size_t processed = 0;
-  std::size_t next_check = block;
-
-  while (processed < basis_count) {
-    const std::size_t j = processed;
-    sur_op(basis[j], w);
-    orthogonalize(defl, defl.size(), w, coeff);
-    const double before = norm(w);
-    orthogonalize(basis, basis_count, w, coeff);
-    tcol.assign(coeff.begin(), coeff.begin() + static_cast<std::ptrdiff_t>(basis_count));
-    if (norm(w) < kDgks * before) orthogonalize(basis, basis_count, w, coeff);
-    orthogonalize(defl, defl.size(), w, coeff);
-    const double bnorm = norm(w);
-    for (std::size_t i = 0; i < basis_count; ++i) {
-      tmat[i * max_basis + j] = tcol[i];
-      tmat[j * max_basis + i] = tcol[i];
-    }
-    ++processed;
-    if (bnorm > 1e-13 && basis_count < max_basis) {
-      for (auto& x : w) x /= bnorm;
-      tmat[basis_count * max_basis + j] = bnorm;
-      tmat[j * max_basis + basis_count] = bnorm;
-      push_basis(w);
-    }
-
-    const bool no_more = processed == basis_count;
-    if (processed < next_check && !no_more) continue;
-    next_check = processed + std::max(block, processed / 2);
-
-    const std::size_t m = processed;
-    const int want = std::min<int>(options.num_eigenpairs, static_cast<int>(m));
-    projected.assign(m * m, 0.0);
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t c = 0; c < m; ++c) projected[r * m + c] = tmat[r * max_basis + c];
-    }
-    sym_eigen(projected, m, ritz_values, &ritz_vectors);
-
-    TransformedCandidates cands =
-        rayleigh_candidates(base_op, basis, m, ritz_vectors, m, want, options.tolerance, n);
-    if (!cands.all_converged && !no_more) continue;
-
-    result.iterations = static_cast<int>(m);
-    result.converged = cands.all_converged;
-    result.values = std::move(cands.values);
-    result.vectors = std::move(cands.vectors);
-    return result;
-  }
-
-  result.converged = false;
-  return result;
-}
-
-}  // namespace
-
-LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
-                               const std::vector<std::vector<double>>& deflation,
-                               const LanczosOptions& options) {
+/// The mode dispatch both entry points share (DESIGN.md §10).
+/// `body(op, base, defl, usable, opts, probe)` runs one Krylov solve of
+/// `op`: base is nullptr when `op` is the operator itself, else the
+/// operator `op` is a surrogate of; probe is the filtered solve's plain
+/// probe when the body may warm-start from it, else nullptr.
+template <typename Options, typename Body>
+LanczosResult solve(const LinearOperator& op, std::size_t n, const Basis& deflation,
+                    const Options& options, const Options& probe_options, const Body& body) {
   FNE_REQUIRE(n >= 1, "empty operator");
   FNE_REQUIRE(options.num_eigenpairs >= 1, "need at least one eigenpair");
-
-  std::vector<std::vector<double>> defl = normalize_deflation(deflation);
+  const Basis defl = normalize_deflation(deflation);
   const std::size_t usable =
       n > defl.size() ? n - defl.size() : 0;  // dimension of the deflated space
   if (usable == 0) {
@@ -843,90 +629,70 @@ LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
     return result;
   }
 
-  const SpectralMode mode = options.accel.mode;
-  if (mode == SpectralMode::kPlain) return rank1_plain(op, n, defl, usable, options);
+  const SpectralAccel& accel = options.accel;
+  if (accel.mode == SpectralMode::kPlain) return body(op, nullptr, defl, usable, options, nullptr);
 
-  if (mode == SpectralMode::kShiftInvert) {
-    ShiftInvertSurrogate surrogate(op, defl, options.accel.shift, options.accel.cg_tolerance,
-                                   options.accel.cg_max_iterations);
+  if (accel.mode == SpectralMode::kShiftInvert) {
+    ShiftInvertSurrogate surrogate(op, defl, accel.shift, accel.cg_tolerance,
+                                   accel.cg_max_iterations);
     const LinearOperator sur = [&surrogate](const std::vector<double>& x,
                                             std::vector<double>& y) { surrogate.apply(x, y); };
-    return rank1_transformed(op, sur, n, defl, usable, options, options.initial);
+    return body(sur, &op, defl, usable, options, nullptr);
   }
 
   // kFiltered: probe with the plain solver first.  Cheap spectra converge
   // inside the probe budget and return directly; otherwise the probe's
-  // Ritz values place the filter cut and its vector warm-starts the
+  // Ritz values place the filter cut and its vectors warm-start the
   // accelerated solve.
-  FNE_REQUIRE(std::isfinite(options.accel.op_upper_bound),
+  FNE_REQUIRE(std::isfinite(accel.op_upper_bound),
               "filtered mode needs a finite accel.op_upper_bound (e.g. gershgorin_upper_bound)");
-  LanczosOptions probe_opts = options;
-  probe_opts.max_iterations = std::min(options.max_iterations, kFilterProbeIterations);
-  LanczosResult probe = rank1_plain(op, n, defl, usable, probe_opts);
+  LanczosResult probe = body(op, nullptr, defl, usable, probe_options, nullptr);
   if (probe.converged) return probe;
 
-  const FilterPlan plan = plan_filter(probe.values, options.num_eigenpairs,
-                                      options.accel.filter_degree, options.accel.op_upper_bound);
-  if (!plan.usable) return rank1_plain(op, n, defl, usable, options);
+  const FilterPlan plan =
+      plan_filter(probe.values, options.num_eigenpairs, accel.filter_degree, accel.op_upper_bound);
+  if (!plan.usable) return body(op, nullptr, defl, usable, options, nullptr);
 
   ChebyshevSurrogate surrogate(op, plan);
   const LinearOperator sur = [&surrogate](const std::vector<double>& x,
                                           std::vector<double>& y) { surrogate.apply(x, y); };
-  const std::vector<double>* warm =
-      !probe.vectors.empty() ? &probe.vectors.front() : options.initial;
-  LanczosResult result = rank1_transformed(op, sur, n, defl, usable, options, warm);
+  LanczosResult result = body(sur, &op, defl, usable, options, &probe);
   result.iterations += probe.iterations;
   return result;
 }
 
+}  // namespace
+
+LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n, const Basis& deflation,
+                               const LanczosOptions& options) {
+  LanczosOptions probe_options = options;
+  probe_options.max_iterations = std::min(options.max_iterations, kFilterProbeIterations);
+  return solve(op, n, deflation, options, probe_options,
+               [n](const LinearOperator& it, const LinearOperator* base, const Basis& defl,
+                   std::size_t usable, const LanczosOptions& opts, const LanczosResult* probe) {
+                 const std::vector<double>* warm = probe != nullptr && !probe->vectors.empty()
+                                                       ? &probe->vectors.front()
+                                                       : opts.initial;
+                 return lanczos_rank1(it, base, n, defl, usable, opts, warm);
+               });
+}
+
 LanczosResult lanczos_smallest_block(const LinearOperator& op, std::size_t n,
-                                     const std::vector<std::vector<double>>& deflation,
-                                     const BlockLanczosOptions& options) {
-  FNE_REQUIRE(n >= 1, "empty operator");
-  FNE_REQUIRE(options.num_eigenpairs >= 1, "need at least one eigenpair");
+                                     const Basis& deflation, const BlockLanczosOptions& options) {
   FNE_REQUIRE(options.max_basis >= options.num_eigenpairs,
               "max_basis must cover the wanted eigenpairs");
-
-  std::vector<std::vector<double>> defl = normalize_deflation(deflation);
-  const std::size_t usable = n > defl.size() ? n - defl.size() : 0;
-  if (usable == 0) {
-    LanczosResult result;
-    result.converged = true;
-    return result;
-  }
-
-  const SpectralMode mode = options.accel.mode;
-  if (mode == SpectralMode::kPlain) return block_plain(op, n, defl, usable, options);
-
-  if (mode == SpectralMode::kShiftInvert) {
-    ShiftInvertSurrogate surrogate(op, defl, options.accel.shift, options.accel.cg_tolerance,
-                                   options.accel.cg_max_iterations);
-    const LinearOperator sur = [&surrogate](const std::vector<double>& x,
-                                            std::vector<double>& y) { surrogate.apply(x, y); };
-    return block_transformed(op, sur, n, defl, usable, options, nullptr);
-  }
-
-  FNE_REQUIRE(std::isfinite(options.accel.op_upper_bound),
-              "filtered mode needs a finite accel.op_upper_bound (e.g. gershgorin_upper_bound)");
-  BlockLanczosOptions probe_opts = options;
-  probe_opts.max_basis = static_cast<int>(std::min<std::size_t>(
+  BlockLanczosOptions probe_options = options;
+  probe_options.max_basis = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(options.max_basis),
       std::max<std::size_t>(static_cast<std::size_t>(kFilterProbeIterations),
                             static_cast<std::size_t>(options.num_eigenpairs))));
-  LanczosResult probe = block_plain(op, n, defl, usable, probe_opts);
-  if (probe.converged) return probe;
-
-  const FilterPlan plan = plan_filter(probe.values, options.num_eigenpairs,
-                                      options.accel.filter_degree, options.accel.op_upper_bound);
-  if (!plan.usable) return block_plain(op, n, defl, usable, options);
-
-  ChebyshevSurrogate surrogate(op, plan);
-  const LinearOperator sur = [&surrogate](const std::vector<double>& x,
-                                          std::vector<double>& y) { surrogate.apply(x, y); };
-  LanczosResult result =
-      block_transformed(op, sur, n, defl, usable, options, &probe.vectors);
-  result.iterations += probe.iterations;
-  return result;
+  return solve(op, n, deflation, options, probe_options,
+               [n](const LinearOperator& it, const LinearOperator* base, const Basis& defl,
+                   std::size_t usable, const BlockLanczosOptions& opts,
+                   const LanczosResult* probe) {
+                 return lanczos_block(it, base, n, defl, usable, opts,
+                                      probe != nullptr ? &probe->vectors : nullptr);
+               });
 }
 
 }  // namespace fne

@@ -1,5 +1,14 @@
 // Lanczos iteration with full reorthogonalization for the smallest
-// eigenpairs of an implicit symmetric operator.
+// eigenpairs of an implicit symmetric operator (DESIGN.md §10).
+//
+// Two Krylov bodies serve every solve: a rank-1 three-term recurrence
+// (lanczos_smallest) and a block recurrence (lanczos_smallest_block).
+// Each iterates either the operator itself, deciding convergence from its
+// own projected matrix (the Ritz estimate |β·z_last| for rank 1, the
+// coupling-row bound for the block), or a surrogate of it (Chebyshev
+// filter, shift-invert), deciding convergence by the true residual
+// against the original operator.  One mode dispatch picks the operator
+// for both entry points.
 //
 // Full reorthogonalization is O(iter^2 · n) but rock solid; iteration
 // counts stay modest (<= 300) for the graph sizes this library handles.
@@ -27,8 +36,7 @@ namespace fne {
 
 /// Convergence-acceleration mode of a solve (DESIGN.md §10).
 ///
-///   kPlain       — Krylov recurrence directly on the operator (the
-///                  pre-PR-6 behavior, bit for bit).
+///   kPlain       — Krylov recurrence directly on the operator.
 ///   kFiltered    — Chebyshev polynomial filtering: the recurrence runs
 ///                  on s·T_d(ℓ(L)), an affine-mapped degree-d Chebyshev
 ///                  polynomial that damps [cut, upper] into [-1, 1] and
@@ -42,7 +50,10 @@ namespace fne {
 ///                  spectrum converges there and never pays for the filter.
 ///   kShiftInvert — the recurrence runs on -(L - σI)^{-1}, applied by a
 ///                  deterministic chunk-ordered CG inner solve; for the
-///                  near-singular cases filtering can't crack.
+///                  near-singular cases filtering can't crack.  Every
+///                  outer step costs a full CG solve, but it is the only
+///                  mode that clears bench_prune_engine's blocked k = 4
+///                  gate (DESIGN.md §10 has the measurements).
 ///
 /// In every accelerated mode eigenvalues are recovered by Rayleigh
 /// quotient against the ORIGINAL operator and convergence is decided by
@@ -57,11 +68,22 @@ enum class SpectralMode { kPlain, kFiltered, kShiftInvert };
 [[nodiscard]] SpectralMode spectral_mode_from_string(const std::string& name);
 [[nodiscard]] const char* spectral_mode_name(SpectralMode mode);
 
+/// Largest Chebyshev degree a filtered solve accepts; the auto degree is
+/// clamped to [6, kMaxFilterDegree] as well.  One surrogate apply costs
+/// `degree` base applies, and far higher degrees overflow the filtered
+/// spectrum until the tridiagonal QL step fails to converge.
+inline constexpr int kMaxFilterDegree = 24;
+
+/// Narrow a parsed filter_degree (campaign JSON, metric params, CLI flag)
+/// to int: REQUIREs 0 <= degree <= kMaxFilterDegree before the cast, so
+/// neither an oversized nor a wrapping value reaches the solver.
+[[nodiscard]] int filter_degree_from_int(std::int64_t degree);
+
 /// Acceleration knobs shared by the rank-1 and blocked solvers.
 struct SpectralAccel {
   SpectralMode mode = SpectralMode::kPlain;
   /// Chebyshev degree d; <= 0 picks a degree from the probe-estimated
-  /// cut ratio (clamped to [6, 24]).
+  /// cut ratio (clamped to [6, kMaxFilterDegree]).
   int filter_degree = 0;
   /// Upper bound on the operator spectrum (REQUIREd finite in filtered
   /// mode).  For a SubCsr Laplacian use gershgorin_upper_bound(); for -L
@@ -114,7 +136,7 @@ struct LanczosOptions {
   const std::vector<double>* initial = nullptr;
   /// Optional buffer pool; nullptr allocates locally.
   LanczosScratch* scratch = nullptr;
-  /// Acceleration mode; kPlain keeps the pre-PR-6 solve bit for bit.
+  /// Acceleration mode and its knobs.
   SpectralAccel accel;
 };
 
@@ -155,7 +177,7 @@ struct BlockLanczosOptions {
   double tolerance = 1e-9;  ///< residual bound per wanted pair
   std::uint64_t seed = 7;
   LanczosScratch* scratch = nullptr;  ///< optional buffer pool
-  /// Acceleration mode; kPlain keeps the pre-PR-6 solve bit for bit.
+  /// Acceleration mode and its knobs.
   SpectralAccel accel;
 };
 

@@ -13,10 +13,13 @@
 #include "api/registry.hpp"
 #include "api/runner.hpp"
 #include "api/scenario.hpp"
+#include "api/scenario_cli.hpp"
 #include "core/traversal.hpp"
 #include "graph_cases.hpp"
+#include "spectral/lanczos.hpp"
 #include "span/span.hpp"
 #include "topology/mesh.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
 
@@ -101,6 +104,11 @@ TEST(MetricsRegistry, CampaignJsonRejectsUnknownMetricsAndParams) {
                PreconditionError);
 }
 
+/// Out-of-range Chebyshev degrees: negative, just past kMaxFilterDegree,
+/// the degree that fails the tridiagonal QL, and two values that wrap to
+/// small ints when narrowed (2^32 + 8 -> 8, -2^32 + 1 -> 1).
+constexpr const char* kBadFilterDegrees[] = {"-2", "25", "600", "4294967304", "-4294967295"};
+
 TEST(MetricsRegistry, SpectralModeParamsValidatedAtCheckTime) {
   // Declared on both spectral metrics, value-checked by the entry's
   // validate hook — so a typo'd mode fails in check(), i.e. at campaign
@@ -117,15 +125,28 @@ TEST(MetricsRegistry, SpectralModeParamsValidatedAtCheckTime) {
       EXPECT_NE(what.find("cheby"), std::string::npos) << what;
       EXPECT_NE(what.find("shift_invert"), std::string::npos) << "must list valid modes";
     }
-    EXPECT_THROW(
-        MetricsRegistry::instance().check(metric, Params{{"filter_degree", "-2"}}),
-        PreconditionError);
+    // filter_degree is bounded to [0, kMaxFilterDegree] BEFORE it is
+    // narrowed to int: 600 fails the tridiagonal QL mid-solve, and
+    // 2^32 + 8 would otherwise wrap to 8.
+    MetricsRegistry::instance().check(metric, Params{{"filter_degree", "24"}});
+    for (const char* bad : kBadFilterDegrees) {
+      EXPECT_THROW(MetricsRegistry::instance().check(metric, Params{{"filter_degree", bad}}),
+                   PreconditionError)
+          << metric << " filter_degree=" << bad;
+    }
   }
   // Campaign JSON inherits the rejection through the same check() call.
   EXPECT_THROW((void)campaign_from_json(R"({"scenarios": [
       {"metrics": {"requests": [{"name": "embedding_quality",
                                  "params": {"spectral_mode": "cheby"}}]}}]})"),
                PreconditionError);
+  for (const char* bad : kBadFilterDegrees) {
+    EXPECT_THROW((void)campaign_from_json(std::string(R"({"scenarios": [
+        {"metrics": {"requests": [{"name": "expander_certificate",
+                                   "params": {"filter_degree": )") + bad + "}}]}}]}"),
+                 PreconditionError)
+        << bad;
+  }
 }
 
 TEST(MetricsRegistry, CampaignJsonParsesPruneSpectralMode) {
@@ -141,6 +162,32 @@ TEST(MetricsRegistry, CampaignJsonParsesPruneSpectralMode) {
   EXPECT_THROW((void)campaign_from_json(R"({"scenarios": [
       {"prune": {"filter_degree": -1}}]})"),
                PreconditionError);
+  EXPECT_EQ(campaign_from_json(R"({"scenarios": [{"prune": {"filter_degree": 24}}]})")
+                .entries[0].scenario.prune.finder.filter_degree,
+            kMaxFilterDegree);
+  for (const char* bad : kBadFilterDegrees) {
+    EXPECT_THROW((void)campaign_from_json(std::string(R"({"scenarios": [
+        {"prune": {"filter_degree": )") + bad + "}}]}"),
+                 PreconditionError)
+        << bad;
+  }
+}
+
+TEST(MetricsRegistry, CliFilterDegreeIsBounded) {
+  const auto parse = [](const std::string& degree) {
+    std::string prog = "scenario_runner";
+    std::string flag = "--filter-degree=" + degree;
+    std::string metrics = "--metrics=embedding_quality";
+    char* argv[] = {prog.data(), flag.data(), metrics.data()};
+    return scenario_overrides_from_cli(Scenario{}, Cli(3, argv));
+  };
+  const Scenario ok = parse("24");
+  EXPECT_EQ(ok.prune.finder.filter_degree, 24);
+  ASSERT_EQ(ok.metrics.requests.size(), 1u);
+  EXPECT_EQ(ok.metrics.requests[0].params.get_int("filter_degree", 0), 24);
+  for (const char* bad : kBadFilterDegrees) {
+    EXPECT_THROW((void)parse(bad), PreconditionError) << "--filter-degree=" << bad;
+  }
 }
 
 TEST(MetricsRegistry, RunnerValidatesRequestsEagerly) {

@@ -4,13 +4,18 @@
 // original operator in every mode), the default Fiedler solve must be
 // the filtered one at any dimension, the Gershgorin bound must dominate
 // the spectrum, and every mode must stay bit-identical for any OMP
-// thread count on both sides of kSpectralParallelDim.  The Slow suite
+// thread count on both sides of kSpectralParallelDim.  A pinned matrix
+// fixes iterations, convergence and eigenvalues of every driver path of
+// the rank-1 and block bodies.  The Slow suite
 // adds the clustered-spectrum regression the filter exists for: the
 // side-96 mesh, where the plain blocked solver cannot converge within
 // a 250-vector basis and the filtered solver must.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/runner.hpp"
 #include "core/traversal.hpp"
@@ -287,6 +292,173 @@ TEST(SpectralModes, FilteredParityOnCullSequence) {
     ASSERT_TRUE(filtered.converged);
     for (std::size_t e = 0; e < plain.values.size(); ++e) {
       EXPECT_NEAR(filtered.values[e], plain.values[e], 1e-5) << "pair " << e;
+    }
+  }
+}
+
+/// Every driver path of the two Krylov bodies — plain, filtered and
+/// shift-invert; rank 1 cold, warm, degenerate-warm and capped; block at
+/// widths 2 and 3 and capped; and the unshifted -L top solve of the
+/// expander certificate — on two small graphs.
+struct PinnedSolve {
+  std::string label;
+  int iterations;
+  bool converged;
+  std::vector<double> values;
+};
+
+[[nodiscard]] std::vector<PinnedSolve> run_pinned_solves() {
+  std::vector<PinnedSolve> out;
+  const auto record = [&out](std::string label, const LanczosResult& r) {
+    out.push_back({std::move(label), r.iterations, r.converged, r.values});
+  };
+  const std::pair<const char*, Graph> graphs[] = {{"mesh20", Mesh::cube(20, 2).graph()},
+                                                  {"rr300", random_regular(300, 4, 5)}};
+  for (const auto& [name, g] : graphs) {
+    SubCsr sub;
+    sub.build(g, VertexSet::full(g.num_vertices()));
+    const SubCsrLaplacian lap(sub);
+    const std::size_t n = lap.dim();
+    const LinearOperator neg = [&lap](const std::vector<double>& x, std::vector<double>& y) {
+      lap.apply(x, y);
+      for (auto& v : y) v = -v;
+    };
+    std::vector<double> warm(n);
+    for (std::size_t i = 0; i < n; ++i) warm[i] = static_cast<double>((i * 37) % 101) - 50.0;
+    const std::vector<double> degenerate(n, 1.0);  // deflated away entirely
+    for (const SpectralMode mode :
+         {SpectralMode::kPlain, SpectralMode::kFiltered, SpectralMode::kShiftInvert}) {
+      const std::string tag = std::string(name) + "/" + spectral_mode_name(mode) + "/";
+      const SpectralAccel accel = accel_for(mode, sub);
+      const auto rank1 = [&](const char* what, int k, int cap, const std::vector<double>* init) {
+        LanczosOptions o;
+        o.num_eigenpairs = k;
+        o.max_iterations = cap;
+        o.seed = 11;
+        o.initial = init;
+        o.accel = accel;
+        record(tag + what, lanczos_smallest(as_operator(lap), n, ones_deflation(n), o));
+      };
+      rank1("r1 k=1", 1, 400, nullptr);
+      rank1("r1 k=1 degenerate warm", 1, 400, &degenerate);
+      rank1("r1 k=2 warm", 2, 400, &warm);
+      rank1("r1 k=2 cap=40", 2, 40, nullptr);
+      const auto block = [&](const char* what, int k, int cap, int width) {
+        BlockLanczosOptions o;
+        o.num_eigenpairs = k;
+        o.max_basis = cap;
+        o.block_size = width;
+        o.tolerance = 1e-8;
+        o.seed = 5;
+        o.accel = accel;
+        record(tag + what, lanczos_smallest_block(as_operator(lap), n, ones_deflation(n), o));
+      };
+      block("blk k=2", 2, 400, 0);
+      block("blk k=4 width=3", 4, 400, 3);
+      block("blk k=4 cap=40", 4, 40, 0);
+      // The expander certificate's top solve: -L, no deflation, upper
+      // bound 0, shift-invert below -λmax(L).
+      SpectralAccel top = accel;
+      top.op_upper_bound = 0.0;
+      if (mode == SpectralMode::kShiftInvert) top.shift = -(accel.op_upper_bound + 1.0);
+      LanczosOptions o;
+      o.seed = 12;
+      o.accel = top;
+      record(tag + "-L r1", lanczos_smallest(neg, n, {}, o));
+      BlockLanczosOptions b;
+      b.seed = 12;
+      b.accel = top;
+      record(tag + "-L blk k=2", lanczos_smallest_block(neg, n, {}, b));
+    }
+  }
+  return out;
+}
+
+TEST(SpectralModes, DriverPathsPinnedAtEveryModeAndShape) {
+  // Iterations and convergence are pinned exactly and eigenvalues to
+  // 1e-12 relative, so a restructured solver body that changes a single
+  // operation order or check cadence shows here.  Vector bits are not
+  // pinned: SIMD reductions may round differently across compilers.
+  const std::vector<PinnedSolve> expected = {
+      {"mesh20/plain/r1 k=1", 90, true, {0.024623318809726073}},
+      {"mesh20/plain/r1 k=1 degenerate warm", 90, true, {0.024623318809726073}},
+      {"mesh20/plain/r1 k=2 warm", 90, true, {0.024623318809724508, 0.049246637619449335}},
+      {"mesh20/plain/r1 k=2 cap=40", 40, false, {0.024801544720381919, 0.056323147145354857}},
+      {"mesh20/plain/blk k=2", 211, true, {0.024623318809717933, 0.024623318809726374}},
+      {"mesh20/plain/blk k=4 width=3", 211, true,
+       {0.024623318809722523, 0.024623318809725805, 0.049246637619448405, 0.09788696740969928}},
+      {"mesh20/plain/blk k=4 cap=40", 40, false,
+       {0.033945695980174488, 0.069375454001080181, 0.13616354473886222, 0.20379029767519957}},
+      {"mesh20/plain/-L r1", 70, true, {-7.9507533623805511}},
+      {"mesh20/plain/-L blk k=2", 141, true, {-7.9507533623805502, -7.8774897137805828}},
+      {"mesh20/filtered/r1 k=1", 36, true, {0.024623318809724563}},
+      {"mesh20/filtered/r1 k=1 degenerate warm", 36, true, {0.024623318809724563}},
+      {"mesh20/filtered/r1 k=2 warm", 36, true, {0.024623318809724525, 0.049246637619449127}},
+      {"mesh20/filtered/r1 k=2 cap=40", 36, true, {0.02462331880972457, 0.04924663761944912}},
+      {"mesh20/filtered/blk k=2", 58, true, {0.024623318809724556, 0.024623318809724584}},
+      {"mesh20/filtered/blk k=4 width=3", 79, true,
+       {0.02462331880972456, 0.024623318809724567, 0.049246637619449085, 0.09788696740969291}},
+      {"mesh20/filtered/blk k=4 cap=40", 56, false,
+       {0.024623318809724661, 0.024623318809725122, 0.0492466376194605, 0.097886967409700057}},
+      {"mesh20/filtered/-L r1", 36, true, {-7.9507533623805511}},
+      {"mesh20/filtered/-L blk k=2", 44, true, {-7.9507533623805537, -7.8774897137805828}},
+      {"mesh20/shift_invert/r1 k=1", 30, true, {0.024623318809724581}},
+      {"mesh20/shift_invert/r1 k=1 degenerate warm", 30, true, {0.024623318809724581}},
+      {"mesh20/shift_invert/r1 k=2 warm", 30, true, {0.024623318809724522, 0.02462331880972457}},
+      {"mesh20/shift_invert/r1 k=2 cap=40", 30, true, {0.024623318809724577, 0.024623318809724581}},
+      {"mesh20/shift_invert/blk k=2", 19, true, {0.024623318809724543, 0.024623318809724543}},
+      {"mesh20/shift_invert/blk k=4 width=3", 42, true,
+       {0.024623318809724553, 0.02462331880972456, 0.049246637619449099, 0.097886967409692868}},
+      {"mesh20/shift_invert/blk k=4 cap=40", 40, true,
+       {0.024623318809724539, 0.024623318809724553, 0.049246637619449127, 0.09788696740969284}},
+      {"mesh20/shift_invert/-L r1", 30, true, {-7.9507533623805511}},
+      {"mesh20/shift_invert/-L blk k=2", 63, true, {-7.9507533623805529, -7.8774897137805828}},
+      {"rr300/plain/r1 k=1", 100, true, {0.59374588240985926}},
+      {"rr300/plain/r1 k=1 degenerate warm", 100, true, {0.59374588240985926}},
+      {"rr300/plain/r1 k=2 warm", 120, true, {0.59374588240985904, 0.6339133202655165}},
+      {"rr300/plain/r1 k=2 cap=40", 40, false, {0.59374932293235561, 0.63655686624916186}},
+      {"rr300/plain/blk k=2", 211, true, {0.59374588240985726, 0.6339133202655185}},
+      {"rr300/plain/blk k=4 width=3", 211, true,
+       {0.59374588240986359, 0.63391332026552294, 0.64066317647642035, 0.68869532692716706}},
+      {"rr300/plain/blk k=4 cap=40", 40, false,
+       {0.63026938688265544, 0.6423258062833711, 0.72472558852219704, 0.80553633096887511}},
+      {"rr300/plain/-L r1", 120, true, {-7.4071091297835201}},
+      {"rr300/plain/-L blk k=2", 211, true, {-7.4071091297835165, -7.3998339294884801}},
+      {"rr300/filtered/r1 k=1", 36, true, {0.59374588240986081}},
+      {"rr300/filtered/r1 k=1 degenerate warm", 36, true, {0.59374588240986081}},
+      {"rr300/filtered/r1 k=2 warm", 46, true, {0.59374588240986059, 0.63391332026551805}},
+      {"rr300/filtered/r1 k=2 cap=40", 46, true, {0.5937458824098607, 0.63391332026551817}},
+      {"rr300/filtered/blk k=2", 58, true, {0.59374588240986081, 0.63391332026551783}},
+      {"rr300/filtered/blk k=4 width=3", 79, true,
+       {0.59374588240986081, 0.63391332026551772, 0.64066317647642246, 0.68869532692716895}},
+      {"rr300/filtered/blk k=4 cap=40", 56, false,
+       {0.59374588240986059, 0.63391332026551883, 0.64066317647642268, 0.68869532692726176}},
+      {"rr300/filtered/-L r1", 46, true, {-7.4071091297835228}},
+      {"rr300/filtered/-L blk k=2", 58, true, {-7.4071091297835228, -7.3998339294884792}},
+      {"rr300/shift_invert/r1 k=1", 30, true, {0.59374588240986059}},
+      {"rr300/shift_invert/r1 k=1 degenerate warm", 30, true, {0.59374588240986059}},
+      {"rr300/shift_invert/r1 k=2 warm", 40, true, {0.5937458824098607, 0.63391332026551772}},
+      {"rr300/shift_invert/r1 k=2 cap=40", 40, true, {0.5937458824098607, 0.63391332026551783}},
+      {"rr300/shift_invert/blk k=2", 63, true, {0.59374588240986059, 0.63391332026551805}},
+      {"rr300/shift_invert/blk k=4 width=3", 94, true,
+       {0.59374588240986048, 0.63391332026551783, 0.64066317647642246, 0.68869532692716928}},
+      {"rr300/shift_invert/blk k=4 cap=40", 40, false,
+       {0.59374588241299453, 0.63391332082807927, 0.64066317649967863, 0.68869537025708005}},
+      {"rr300/shift_invert/-L r1", 60, true, {-7.4071091297835263}},
+      {"rr300/shift_invert/-L blk k=2", 94, true, {-7.4071091297835219, -7.3998339294884747}},
+  };
+  const std::vector<PinnedSolve> actual = run_pinned_solves();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const PinnedSolve& want = expected[i];
+    const PinnedSolve& got = actual[i];
+    SCOPED_TRACE(want.label);
+    ASSERT_EQ(got.label, want.label);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.converged, want.converged);
+    ASSERT_EQ(got.values.size(), want.values.size());
+    for (std::size_t e = 0; e < want.values.size(); ++e) {
+      EXPECT_NEAR(got.values[e], want.values[e], 1e-12 * std::fabs(want.values[e])) << "pair " << e;
     }
   }
 }
