@@ -159,7 +159,10 @@ class EngineCache {
   /// DISTINCT topology keys should set a byte budget (or clear() between
   /// studies); idle engines are additionally capped per key
   /// (kMaxIdlePerKey), so engine memory is bounded by the number of
-  /// distinct keys, not by past pool widths.
+  /// distinct keys, not by past pool widths.  On glibc, when the cache
+  /// held at least 4 MiB, the freed pages are handed back to the OS
+  /// (malloc_trim), so resident memory drops with the cache instead of
+  /// depending on where the allocator's live chunks happen to sit.
   void clear();
 
   /// Ceiling on pooled idle engines per key; releases beyond it destroy

@@ -291,6 +291,7 @@ void ritz_pairs(const Basis& basis, std::size_t m, const std::vector<double>& va
                 LanczosResult& out) {
   out.values.assign(values.begin(), values.begin() + want);
   out.vectors.clear();
+  out.vectors.reserve(static_cast<std::size_t>(want));
   for (int e = 0; e < want; ++e) out.vectors.push_back(ritz_vector(basis, m, z, ld, e, n));
 }
 
