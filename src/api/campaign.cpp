@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iostream>
 #include <utility>
 
 #include "api/metrics.hpp"
@@ -369,6 +370,15 @@ std::string CampaignReport::to_json(bool include_timing) const {
 // CampaignPlan
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Group-commit threshold (key + payload bytes queued).  It bounds what a
+// killed process can lose — at most one batch, which a resumed run
+// recomputes — while one write() carries hundreds of small cells.
+constexpr std::size_t kCommitBatchBytes = 64 * 1024;
+
+}  // namespace
+
 CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(campaign) {
   FNE_REQUIRE(!campaign_.entries.empty(), "campaign needs >= 1 entry");
   FNE_REQUIRE(threads >= 1, "campaign threads must be >= 1");
@@ -450,7 +460,6 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
   }
 
   job_done_.assign(jobs_.size(), 0);
-  served_.assign(jobs_.size(), 0);
   missing_metrics_.assign(jobs_.size(), 0);
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     missing_metrics_[i] = children_[i].size();
@@ -534,19 +543,40 @@ ScenarioRun CampaignPlan::parent_run(std::size_t metric_job) const {
   return results_[job.entry][cell_slot(job)];
 }
 
-void CampaignPlan::commit_locked(std::size_t cell) {
-  // Commit a COMPLETE cell (all split metrics merged) so a killed run
-  // resumed from the store never serves half-measured records.  Served
-  // cells came from the store and are never re-written (first write wins
-  // there anyway).
-  if (store_ == nullptr || served_[cell] != 0) return;
-  const CampaignJob& job = jobs_[cell];
-  const std::vector<ScenarioRun>& entry_runs = results_[job.entry];
-  if (job.kind == CampaignJob::Kind::kChain) {
-    store_->put(job.key, encode_runs(entry_runs));
-  } else {
-    store_->put(job.key, encode_runs({&entry_runs[cell_slot(job)], 1}));
+CampaignPlan::~CampaignPlan() {
+  // A cancelled or failed run unwinds through here without finish():
+  // commit the cells it did accept so a resubmission resumes from them.
+  // A write error cannot propagate out of a destructor, so it is reported
+  // on stderr; the lost cells recompute on resume like any miss.
+  try {
+    flush_commits();
+  } catch (const std::exception& e) {
+    std::cerr << "warning: campaign plan: queued cells not committed (" << e.what()
+              << "); a resumed run recomputes them\n";
   }
+}
+
+void CampaignPlan::commit(StoreRecord record) {
+  std::vector<StoreRecord> batch;
+  {
+    const std::lock_guard<std::mutex> lock(commit_mutex_);
+    commit_bytes_ += record.key.size() + record.payload.size();
+    commit_queue_.push_back(std::move(record));
+    if (commit_bytes_ < kCommitBatchBytes) return;
+    batch.swap(commit_queue_);
+    commit_bytes_ = 0;
+  }
+  store_.load()->put_many(batch);
+}
+
+void CampaignPlan::flush_commits() {
+  std::vector<StoreRecord> batch;
+  {
+    const std::lock_guard<std::mutex> lock(commit_mutex_);
+    batch.swap(commit_queue_);
+    commit_bytes_ = 0;
+  }
+  if (!batch.empty()) store_.load()->put_many(batch);
 }
 
 bool CampaignPlan::accept_cell(std::size_t i, std::vector<ScenarioRun> runs) {
@@ -554,16 +584,27 @@ bool CampaignPlan::accept_cell(std::size_t i, std::vector<ScenarioRun> runs) {
   FNE_REQUIRE(job.kind != CampaignJob::Kind::kMetric,
               "campaign plan: accept_cell on a metric job");
   if (runs.size() != expected_runs(i)) return false;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (job_done_[i] != 0) return false;  // duplicate completion: first write won
-  if (job.kind == CampaignJob::Kind::kChain) {
-    results_[job.entry] = std::move(runs);
-  } else {
-    results_[job.entry][cell_slot(job)] = std::move(runs.front());
+  // A childless cell is complete on acceptance, so it is encoded here,
+  // before the plan lock.  A cell with split metrics is committed by its
+  // last accept_metric instead: the store only ever holds complete cells,
+  // so a resumed run never serves a half-measured record.  Served cells
+  // are already done and never reach the commit.
+  std::optional<StoreRecord> record;
+  if (children_[i].empty() && store_.load() != nullptr) {
+    record = StoreRecord{job.key, encode_runs(runs)};
   }
-  job_done_[i] = 1;
-  --remaining_;
-  if (missing_metrics_[i] == 0) commit_locked(i);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (job_done_[i] != 0) return false;  // duplicate completion: first write won
+    if (job.kind == CampaignJob::Kind::kChain) {
+      results_[job.entry] = std::move(runs);
+    } else {
+      results_[job.entry][cell_slot(job)] = std::move(runs.front());
+    }
+    job_done_[i] = 1;
+    --remaining_;
+  }
+  if (record.has_value()) commit(std::move(*record));
   return true;
 }
 
@@ -573,13 +614,22 @@ bool CampaignPlan::accept_metric(std::size_t i, MetricRecord record) {
   const std::string& expected_name =
       campaign_.entries[job.entry].scenario.metrics.requests[job.request].name;
   if (record.name != expected_name) return false;  // wrong/forged record
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (job_done_[job.parent] == 0) return false;  // parent not merged yet
-  if (job_done_[i] != 0) return false;           // duplicate completion
-  results_[job.entry][cell_slot(job)].metrics[job.request] = std::move(record);
-  job_done_[i] = 1;
-  --remaining_;
-  if (--missing_metrics_[job.parent] == 0) commit_locked(job.parent);
+  std::optional<StoreRecord> cell;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (job_done_[job.parent] == 0) return false;  // parent not merged yet
+    if (job_done_[i] != 0) return false;           // duplicate completion
+    ScenarioRun& run = results_[job.entry][cell_slot(job)];
+    run.metrics[job.request] = std::move(record);
+    job_done_[i] = 1;
+    --remaining_;
+    // The parent's last metric completes it (a metric job carries its
+    // parent's key and slot).
+    if (--missing_metrics_[job.parent] == 0 && store_.load() != nullptr) {
+      cell = StoreRecord{job.key, encode_runs({&run, 1})};
+    }
+  }
+  if (cell.has_value()) commit(std::move(*cell));
   return true;
 }
 
@@ -597,8 +647,8 @@ bool CampaignPlan::all_done() const {
 std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
   store.refresh();  // pick up cells committed by other processes
   const std::lock_guard<std::mutex> lock(mutex_);
-  FNE_REQUIRE(store_ == nullptr, "campaign plan: store already attached");
-  store_ = &store;
+  FNE_REQUIRE(store_.load() == nullptr, "campaign plan: store already attached");
+  store_.store(&store);
   store_before_ = store.stats();
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const CampaignJob& job = jobs_[i];
@@ -616,7 +666,6 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
       results_[job.entry][cell_slot(job)] = std::move(runs->front());
     }
     job_done_[i] = 1;
-    served_[i] = 1;
     --remaining_;
     ++served_cells_;
     for (const std::size_t child : children_[i]) {
@@ -635,6 +684,7 @@ std::uint64_t CampaignPlan::cells_served() const {
 
 CampaignReport CampaignPlan::finish(int threads, double millis,
                                     const EngineCacheStats& cache_delta) {
+  flush_commits();
   const std::lock_guard<std::mutex> lock(mutex_);
   FNE_REQUIRE(remaining_ == 0, "campaign plan: finish() before all jobs merged");
   // Per-entry engine stats fold from the runs themselves (run.engine is
@@ -662,8 +712,8 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
   }
   report.millis = millis;
   report.cache = cache_delta;
-  if (store_ != nullptr) {
-    const StoreStats store_after = store_->stats();
+  if (ResultStore* store = store_.load()) {
+    const StoreStats store_after = store->stats();
     report.store_enabled = true;
     report.store.hits = served_cells_;
     report.store.misses = num_cells_ - served_cells_;

@@ -25,6 +25,7 @@
 // when include_timing is true.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -159,6 +160,14 @@ struct CampaignJob {
 ///     store;
 ///   finish                         — assemble the CampaignReport (once).
 ///
+/// Store commits are group commits.  A completed cell is encoded outside
+/// the plan lock where it can be (a childless cell, the common case) and
+/// queued; whichever accept pushes the queue past 64 KiB hands the whole
+/// batch to ResultStore::put_many (one write()).  finish()
+/// flushes the rest, and so does the destructor, so a cancelled or failed
+/// run still commits every cell it accepted.  A killed process loses at
+/// most the unflushed batch, which a resumed run recomputes.
+///
 /// Both CampaignRunner::run and the dist coordinator/workers (src/dist/)
 /// are thin schedulers over this class — which is what makes "the
 /// distributed payload is byte-identical to the local one" a structural
@@ -166,6 +175,8 @@ struct CampaignJob {
 class CampaignPlan {
  public:
   CampaignPlan(const Campaign& campaign, int threads);
+  /// Commits any cells still queued (see the class comment).
+  ~CampaignPlan();
 
   [[nodiscard]] const Campaign& campaign() const noexcept { return campaign_; }
   [[nodiscard]] std::size_t num_jobs() const noexcept { return jobs_.size(); }
@@ -206,14 +217,17 @@ class CampaignPlan {
   [[nodiscard]] std::uint64_t cells_served() const;
   [[nodiscard]] std::uint64_t num_cells() const noexcept { return num_cells_; }
 
-  /// Assemble the report (single use: moves the merged runs out).
-  /// REQUIREs all_done().
+  /// Commit the queued cells, then assemble the report (single use:
+  /// moves the merged runs out).  REQUIREs all_done().
   [[nodiscard]] CampaignReport finish(int threads, double millis,
                                       const EngineCacheStats& cache_delta);
 
  private:
   [[nodiscard]] std::size_t cell_slot(const CampaignJob& job) const;
-  void commit_locked(std::size_t cell);
+  /// Queue one encoded cell; hands the queue to the store once it holds
+  /// 64 KiB.
+  void commit(StoreRecord record);
+  void flush_commits();
 
   Campaign campaign_;
   std::vector<std::unique_ptr<ScenarioRunner>> runners_;
@@ -226,11 +240,15 @@ class CampaignPlan {
   mutable std::mutex mutex_;
   std::vector<char> job_done_;
   std::vector<std::size_t> missing_metrics_;  ///< per job (cells only)
-  std::vector<char> served_;                  ///< cell came from the store
   std::size_t remaining_ = 0;
   std::uint64_t served_cells_ = 0;
-  ResultStore* store_ = nullptr;
+  /// Set once by attach_store; read without mutex_ by accept_cell.
+  std::atomic<ResultStore*> store_{nullptr};
   StoreStats store_before_;  ///< snapshot at attach (byte deltas for finish)
+
+  std::mutex commit_mutex_;
+  std::vector<StoreRecord> commit_queue_;  ///< completed cells not yet written
+  std::size_t commit_bytes_ = 0;           ///< key + payload bytes queued
 };
 
 class CampaignRunner {
@@ -256,7 +274,8 @@ class CampaignRunner {
   /// `cancel` (optional) is the scenario service's abandonment hook
   /// (DESIGN.md §13): polled between jobs by both executor passes.  A
   /// cancelled run throws CancelledError; completed cells were still
-  /// committed to the store, so a resubmission resumes rather than
+  /// committed to the store (the plan's destructor flushes its commit
+  /// queue on the way out), so a resubmission resumes rather than
   /// restarts.
   [[nodiscard]] CampaignReport run(int threads, ResultStore* store,
                                    const CancelToken* cancel = nullptr);

@@ -533,7 +533,13 @@ struct DistCoordinator::Impl {
 
     {
       std::lock_guard<std::mutex> lk(m);
-      if (failure) std::rethrow_exception(failure);
+      if (failure) {
+        // Destroy the plan now, not with the coordinator: its destructor
+        // commits the cells that did complete, and the caller's store is
+        // only known to be alive during run().
+        plan.reset();
+        std::rethrow_exception(failure);
+      }
     }
     return plan->finish(local_threads, wall.millis(),
                         EngineCache::instance().stats() - cache_before);

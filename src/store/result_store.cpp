@@ -231,30 +231,64 @@ std::optional<std::string> ResultStore::load(const std::string& key) {
 }
 
 void ResultStore::put(const std::string& key, const std::string& payload) {
-  FNE_REQUIRE(!key.empty() && key.size() <= kMaxKeyLen,
-              "result store: key size out of range");
-  FNE_REQUIRE(payload.size() <= kMaxPayloadLen, "result store: payload too large");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.contains(key)) return;  // first write wins
+  const StoreRecord one[] = {{key, payload}};
+  put_many(one);
+}
 
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + key.size() + payload.size());
-  put_u32(frame, kFrameMagic);
-  put_u32(frame, static_cast<std::uint32_t>(key.size()));
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, kFrameFormat);
-  put_u64(frame, frame_checksum(key, payload));
-  frame += key;
-  frame += payload;
+void ResultStore::put_many(std::span<const StoreRecord> records) {
+  std::size_t frame_bytes = 0;
+  for (const StoreRecord& r : records) {
+    FNE_REQUIRE(!r.key.empty() && r.key.size() <= kMaxKeyLen,
+                "result store: key size out of range");
+    FNE_REQUIRE(r.payload.size() <= kMaxPayloadLen, "result store: payload too large");
+    frame_bytes += kFrameHeaderSize + r.key.size() + r.payload.size();
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+
+  // Frame every record whose key is new.  Indexing it right away (offset
+  // relative to the batch for now) is what drops a duplicate later in the
+  // same batch: first write wins.
+  std::string frames;
+  frames.reserve(frame_bytes);
+  std::vector<std::map<std::string, IndexEntry>::iterator> fresh;
+  std::uint64_t payload_bytes = 0;
+  for (const StoreRecord& r : records) {
+    const std::uint64_t checksum = frame_checksum(r.key, r.payload);
+    const auto [it, inserted] = index_.try_emplace(
+        r.key, IndexEntry{frames.size(), static_cast<std::uint32_t>(r.key.size()),
+                          static_cast<std::uint32_t>(r.payload.size()), checksum});
+    if (!inserted) continue;
+    fresh.push_back(it);
+    put_u32(frames, kFrameMagic);
+    put_u32(frames, static_cast<std::uint32_t>(r.key.size()));
+    put_u32(frames, static_cast<std::uint32_t>(r.payload.size()));
+    put_u32(frames, kFrameFormat);
+    put_u64(frames, checksum);
+    frames += r.key;
+    frames += r.payload;
+    payload_bytes += r.payload.size();
+  }
+  if (fresh.empty()) return;
 
   // ONE write() on an O_APPEND fd: atomic placement at the end even with
   // a concurrent writer, and a kill mid-call leaves only a torn tail.
-  const ssize_t n = ::write(fd_, frame.data(), frame.size());
-  FNE_REQUIRE(n == static_cast<ssize_t>(frame.size()),
-              "result store: append failed on " + log_path_);
-  stats_.bytes_committed += payload.size();
-  // Index our own frame — and any frames another process interleaved
-  // before it — by scanning forward from the last indexed offset.
+  const ssize_t n = ::write(fd_, frames.data(), frames.size());
+  if (n != static_cast<ssize_t>(frames.size())) {
+    for (const auto& it : fresh) index_.erase(it);
+    FNE_REQUIRE(false, "result store: append failed on " + log_path_);
+  }
+  stats_.bytes_committed += payload_bytes;
+  const off_t end = ::lseek(fd_, 0, SEEK_CUR);
+  if (end >= 0 && static_cast<std::uint64_t>(end) == scan_end_ + frames.size()) {
+    // The batch landed right at the indexed end: no other writer
+    // interleaved, so its frames are indexed from memory.
+    for (const auto& it : fresh) it->second.frame_off += scan_end_;
+    scan_end_ = static_cast<std::uint64_t>(end);
+    return;
+  }
+  // Another writer appended since the last indexed offset: index from the
+  // log instead, picking up its frames and ours in log order.
+  for (const auto& it : fresh) index_.erase(it);
   scan_tail(/*allow_truncate=*/false);
 }
 

@@ -15,27 +15,33 @@
 //
 // Crash safety: the header is created via write-temp + rename (a crash
 // mid-create leaves no half-header file); each append is ONE O_APPEND
-// write() of a fully framed record, so a killed process leaves at worst
-// a torn tail.  open() truncates a torn tail (frame incomplete, bad
-// frame magic, or absurd lengths) and skips — without dropping the rest
-// of the file — any framed record whose checksum does not verify.  A
-// file with a foreign magic rotates to cells.log.bad and a file with an
-// unknown schema version rotates to cells.log.v<N>; both then start
-// fresh.  Every degradation path ends in "miss -> recompute", never in
-// an exception or a wrong payload.
+// write() of a whole batch of fully framed records (put_many; put() is a
+// batch of one), so a killed process leaves at worst a torn tail — the
+// frames of a batch before the tear survive, the torn frame and those
+// after it are gone and recompute.  open() truncates a torn tail (frame
+// incomplete, bad frame magic, or absurd lengths) and skips — without
+// dropping the rest of the file — any framed record whose checksum does
+// not verify.  A file with a foreign magic rotates to cells.log.bad and
+// a file with an unknown schema version rotates to cells.log.v<N>; both
+// then start fresh.  Every degradation path ends in "miss -> recompute",
+// never in an exception or a wrong payload.
 //
 // Concurrency: one ResultStore is internally synchronized (the campaign
 // commits from pool threads).  Across processes the contract is one
 // writer + many readers, but the append path is defensive enough that
 // two concurrent runners on one directory stay consistent: appends are
-// single atomic write()s, and put() rescans the tail afterwards so
-// records interleaved by the other process enter the index too.
+// single atomic write()s.  After its write, put_many() asks the fd where
+// the write ended (lseek SEEK_CUR).  If that is exactly the indexed end
+// plus the batch, nobody interleaved and the new frames are indexed from
+// memory; otherwise it rescans the tail, so records appended by the
+// other process enter the index too.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 
 namespace fne {
@@ -61,6 +67,12 @@ struct StoreStats {
   std::uint64_t rotated_files = 0;    ///< foreign/versioned logs moved aside at open
 };
 
+/// One (key -> payload) record of a put_many() batch.
+struct StoreRecord {
+  std::string key;
+  std::string payload;
+};
+
 class ResultStore {
  public:
   /// Open (creating the directory and log as needed) the store at `dir`.
@@ -79,10 +91,14 @@ class ResultStore {
   /// re-verification is dropped from the index and counted corrupt.
   [[nodiscard]] std::optional<std::string> load(const std::string& key);
 
-  /// Append (key -> payload).  A key already present is NOT rewritten —
-  /// first write wins, matching the determinism contract (any two writers
-  /// of one key computed the same bytes).
+  /// Append (key -> payload): put_many() of one record.
   void put(const std::string& key, const std::string& payload);
+
+  /// Append every record whose key is not yet indexed, as ONE write().  A
+  /// key already present — or earlier in the same batch — is NOT written
+  /// again: first write wins, matching the determinism contract (any two
+  /// writers of one key computed the same bytes).
+  void put_many(std::span<const StoreRecord> records);
 
   /// Re-scan the log tail for records appended by other processes since
   /// open()/the last refresh.  Never truncates: an incomplete tail is

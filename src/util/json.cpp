@@ -253,6 +253,8 @@ double JsonValue::as_number() const {
 
 std::int64_t JsonValue::as_int() const {
   const double d = as_number();
+  // Range first: casting a double outside [-2^63, 2^63) is undefined.
+  FNE_REQUIRE(d >= -0x1p63 && d < 0x1p63, "json: integer out of range");
   const auto i = static_cast<std::int64_t>(d);
   FNE_REQUIRE(static_cast<double>(i) == d, "json: expected an integer, got a fraction");
   return i;

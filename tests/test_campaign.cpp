@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "api/campaign.hpp"
@@ -261,6 +263,20 @@ TEST(JsonValueParser, CoversTheGrammar) {
   EXPECT_THROW((void)v.at("missing"), PreconditionError);
   EXPECT_THROW((void)v.at("i").as_string(), PreconditionError);
   EXPECT_THROW((void)v.at("f").as_int(), PreconditionError);
+}
+
+TEST(JsonValueParser, AsIntRejectsOutOfRangeNumbersBeforeCasting) {
+  const JsonValue v = JsonValue::parse(
+      R"({"huge": 1e300, "tiny": -1e300, "over": 9.3e18, "edge": -9223372036854775808,
+          "fits": 9.2e18})");
+  EXPECT_THROW((void)v.at("huge").as_int(), PreconditionError);
+  EXPECT_THROW((void)v.at("tiny").as_int(), PreconditionError);
+  EXPECT_THROW((void)v.at("over").as_int(), PreconditionError);
+  EXPECT_EQ(v.at("edge").as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v.at("fits").as_int(), 9200000000000000000);
+  EXPECT_THROW(
+      (void)campaign_from_json(R"({"scenarios": [{"preset": "mesh-random", "repetitions": 1e300}]})"),
+      PreconditionError);
 }
 
 TEST(JsonValueParser, RejectsMalformedDocuments) {

@@ -2,18 +2,21 @@
 // total decode, content-key shape, log persistence and first-write-wins,
 // every corruption path degrading to recompute (torn tail, checksum
 // flip, foreign file, unknown schema version), cross-process dedup via
-// tail rescans, and the campaign-level story — the deterministic payload
-// is byte-identical for disabled / cold / warm / mixed store state at
-// any thread count, and a killed-then-resumed campaign recomputes only
-// the missing cells.
+// tail rescans, batched appends (put_many), and the campaign-level
+// story — the deterministic payload is byte-identical for disabled /
+// cold / warm / mixed store state at any thread count, and a killed or
+// cancelled campaign resumes recomputing only the missing cells.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "api/campaign.hpp"
+#include "api/executor.hpp"
+#include "api/metrics.hpp"
 #include "api/runner.hpp"
 #include "store/key.hpp"
 #include "store/record.hpp"
@@ -287,6 +290,100 @@ TEST(ResultStore, TwoStoresOnOneDirectoryDedupViaRefresh) {
   EXPECT_EQ(fresh.stats().records, 4u);
 }
 
+/// Bytes one frame of (key, payload) occupies in the log.
+[[nodiscard]] std::uint64_t frame_size(const std::string& key, const std::string& payload) {
+  return 24 + key.size() + payload.size();
+}
+
+TEST(ResultStore, PutManyWritesOneFramePerNewKeyFirstWriteWins) {
+  const std::string dir = fresh_dir("put-many-dupes");
+  ResultStore store(dir);
+  store.put("old", "indexed-first");
+  const std::uint64_t before = fs::file_size(log_of(dir));
+  const std::vector<StoreRecord> batch = {{"a", "a-first"},
+                                          {"old", "indexed-second"},
+                                          {"a", "a-second"},
+                                          {"b", "b-only"}};
+  store.put_many(batch);
+  EXPECT_EQ(store.load("a").value_or(""), "a-first") << "first write wins inside a batch";
+  EXPECT_EQ(store.load("old").value_or(""), "indexed-first") << "and against the index";
+  EXPECT_EQ(store.load("b").value_or(""), "b-only");
+  EXPECT_EQ(fs::file_size(log_of(dir)),
+            before + frame_size("a", "a-first") + frame_size("b", "b-only"))
+      << "exactly one frame per new key";
+  EXPECT_EQ(store.stats().bytes_committed,
+            std::string("indexed-first").size() + std::string("a-firstb-only").size());
+  store.put_many(batch);  // nothing new: no append at all
+  EXPECT_EQ(fs::file_size(log_of(dir)),
+            before + frame_size("a", "a-first") + frame_size("b", "b-only"));
+
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.stats().records, 3u);
+  EXPECT_EQ(reopened.stats().corrupt_records, 0u);
+  EXPECT_EQ(reopened.load("a").value_or(""), "a-first");
+}
+
+TEST(ResultStore, PutManyInterleavedWithAnotherStoreRescansTheTail) {
+  // Each store's batch lands after frames the other appended since its
+  // last scan, so neither can index its batch from memory: every put_many
+  // below takes the rescan path, and both stores still serve every key.
+  const std::string dir = fresh_dir("put-many-interleave");
+  ResultStore a(dir);
+  ResultStore b(dir);
+  a.put_many(std::vector<StoreRecord>{{"a1", "from-a"}, {"a2", "from-a"}});
+  b.put_many(std::vector<StoreRecord>{{"b1", "from-b"}, {"b2", "from-b"}});
+  EXPECT_EQ(b.load("a1").value_or(""), "from-a") << "b's rescan picked a's batch up";
+  // a has not seen b1 yet, so it appends its own copy; b's frame is
+  // earlier in the log and wins everywhere.
+  a.put_many(std::vector<StoreRecord>{{"a3", "from-a"}, {"b1", "from-b"}});
+  b.put_many(std::vector<StoreRecord>{{"b3", "from-b"}});
+  a.refresh();
+  for (ResultStore* store : {&a, &b}) {
+    for (const char* key : {"a1", "a2", "a3"}) {
+      EXPECT_EQ(store->load(key).value_or(""), "from-a") << key;
+    }
+    for (const char* key : {"b1", "b2", "b3"}) {
+      EXPECT_EQ(store->load(key).value_or(""), "from-b") << key;
+    }
+    EXPECT_EQ(store->stats().records, 6u);
+    EXPECT_EQ(store->stats().corrupt_records, 0u);
+  }
+  ResultStore fresh(dir);
+  EXPECT_EQ(fresh.stats().records, 6u);
+  EXPECT_EQ(fresh.stats().truncated_bytes, 0u);
+}
+
+TEST(ResultStore, TornMultiFrameBatchKeepsTheFramesBeforeTheTear) {
+  const std::string dir = fresh_dir("put-many-torn");
+  const std::vector<StoreRecord> batch = {
+      {"k1", "payload-1"}, {"k2", "payload-2"}, {"k3", "payload-3"}, {"k4", "payload-4"}};
+  std::uint64_t k3_frame = 0;
+  {
+    ResultStore store(dir);
+    k3_frame = fs::file_size(log_of(dir)) + frame_size("k1", "payload-1") +
+               frame_size("k2", "payload-2");
+    store.put_many(batch);
+  }
+  // A kill inside the batch's write(): the log ends 10 bytes into k3.
+  const std::string bytes = read_file(log_of(dir));
+  write_file(log_of(dir), bytes.substr(0, static_cast<std::size_t>(k3_frame) + 10));
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().records, 2u);
+  EXPECT_EQ(store.stats().truncated_bytes, 10u);
+  EXPECT_EQ(store.load("k1").value_or(""), "payload-1");
+  EXPECT_EQ(store.load("k2").value_or(""), "payload-2");
+  EXPECT_FALSE(store.load("k3").has_value()) << "the torn frame degrades to a miss";
+  EXPECT_FALSE(store.load("k4").has_value()) << "and so does everything after it";
+  store.put_many(batch);  // the resume recommits only the two missing cells
+  EXPECT_EQ(fs::file_size(log_of(dir)),
+            k3_frame + frame_size("k3", "payload-3") + frame_size("k4", "payload-4"));
+  ResultStore again(dir);
+  EXPECT_EQ(again.stats().records, 4u);
+  EXPECT_EQ(again.stats().truncated_bytes, 0u);
+  EXPECT_EQ(again.load("k4").value_or(""), "payload-4");
+}
+
 // ---------------------------------------------------------------------------
 // Campaign through the store
 // ---------------------------------------------------------------------------
@@ -445,6 +542,63 @@ TEST(CampaignStore, SchemaOneCellsAreMissesUnderSchemaTwo) {
   EXPECT_EQ(report.store.hits, 0u) << "a schema-1 cell must never be served";
   EXPECT_EQ(report.store.misses, static_cast<std::uint64_t>(s.repetitions));
   EXPECT_EQ(report.to_json(false), CampaignRunner(reps).run(1).to_json(false));
+}
+
+// A test-only metric that cancels `g_probe_token` in the cell that runs it
+// the kProbeCancelAfter-th time.  Each pool job computes a cell and then
+// accepts it, so once the run has drained, g_probe_cells is exactly the
+// number of cells the plan accepted.
+constexpr int kProbeCancelAfter = 5;
+std::atomic<int> g_probe_cells{0};
+CancelToken g_probe_token;
+
+void register_cancel_probe() {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  if (registry.contains("test_cancel_probe")) return;
+  registry.add({"test_cancel_probe",
+                "test only: cancels g_probe_token in its kProbeCancelAfter-th cell",
+                {},
+                [](const MetricContext&, const Params&) {
+                  if (g_probe_cells.fetch_add(1) + 1 == kProbeCancelAfter) g_probe_token.cancel();
+                  return MetricRecord{"test_cancel_probe", "{}", "probe"};
+                },
+                {}});
+}
+
+TEST(CampaignStore, CancelledRunCommitsEveryAcceptedCell) {
+  register_cancel_probe();
+  Campaign campaign;
+  campaign.name = "cancel-commit";
+  Scenario s;
+  s.name = "probed-reps";
+  s.topology = {"mesh", Params{{"side", "6"}, {"dims", "2"}}};
+  s.fault = {"random", Params{{"p", "0.2"}}};
+  s.prune.kind = ExpansionKind::Node;
+  s.repetitions = 40;
+  s.seed = 91;
+  s.metrics.requests.push_back({"test_cancel_probe", Params{}});
+  campaign.entries.push_back({s, std::nullopt});
+  CampaignRunner runner(campaign);
+
+  const std::string dir = fresh_dir("campaign-cancel");
+  g_probe_token = CancelToken{};
+  g_probe_cells = 0;
+  {
+    ResultStore store(dir);
+    EXPECT_THROW((void)runner.run(2, &store, &g_probe_token), CancelledError);
+  }
+  const int accepted = g_probe_cells.load();
+  ASSERT_GE(accepted, kProbeCancelAfter);
+  ASSERT_LT(accepted, s.repetitions) << "the cancel must land mid-run";
+
+  // Far fewer than a batch's worth of cells were accepted, so only the
+  // unwinding plan's flush can have committed them.
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.stats().records, static_cast<std::uint64_t>(accepted));
+  const CampaignReport resumed = runner.run(2, &reopened);
+  EXPECT_EQ(resumed.store.hits, static_cast<std::uint64_t>(accepted));
+  EXPECT_EQ(resumed.store.misses, static_cast<std::uint64_t>(s.repetitions - accepted));
+  EXPECT_EQ(resumed.to_json(false), runner.run(1).to_json(false));
 }
 
 TEST(CampaignStore, CorruptRecordDegradesToRecomputeNotCrash) {
