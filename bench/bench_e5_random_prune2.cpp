@@ -5,14 +5,15 @@
 // guarantee and the (much larger) practical margin.
 //
 // Scenario-layer version: one Scenario per mesh, the probability sweep
-// through ScenarioRunner::sweep_fault_param — every run of a mesh reuses
-// the same persistent engine (Krylov basis, BFS queues, degree tables).
+// as a one-entry campaign — every run of a mesh leases an engine from
+// the process-wide cache, reusing its workspace (Krylov basis, BFS
+// queues, degree tables) across the runs.
 #include "bench_common.hpp"
 
 #include <string>
 #include <vector>
 
-#include "api/runner.hpp"
+#include "api/campaign.hpp"
 #include "prune/prune2.hpp"
 #include "prune/verify.hpp"
 
@@ -51,16 +52,17 @@ int main(int argc, char** argv) {
     scenario.metrics.expansion = true;
     scenario.seed = seed + static_cast<std::uint64_t>(c.side * c.dims);
 
-    // One runner per mesh: its engine drives the whole probability sweep,
-    // reusing every workspace buffer across the runs.
-    ScenarioRunner runner(std::move(scenario));
-    const vid n = runner.graph().num_vertices();
-    const double delta = runner.graph().max_degree();
+    // The theorem's probability depends on the mesh's max degree.
+    const double delta = scenario_graph(scenario)->max_degree();
     const double sigma = 2.0;  // Theorem 3.6
     const double p_theorem = theorem34_fault_probability(delta, sigma);
 
     const std::vector<double> probes{p_theorem, 0.01, 0.03};
-    const std::vector<ScenarioRun> runs = runner.sweep_fault_param("p", probes);
+    const CampaignReport report =
+        CampaignRunner(Campaign{c.name, {{std::move(scenario), SweepSpec{"p", probes}}}}).run(1);
+    const ScenarioReport& sr = report.scenarios.front();
+    const vid n = sr.n;
+    const std::vector<ScenarioRun>& runs = sr.runs;
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const ScenarioRun& result = runs[i];
       std::string h_up = "-";
@@ -70,8 +72,8 @@ int main(int argc, char** argv) {
       table.row()
           .cell(c.name)
           .cell(std::size_t{n})
-          .cell(runner.alpha(), 3)
-          .cell(runner.epsilon(), 3)
+          .cell(sr.alpha, 3)
+          .cell(sr.epsilon, 3)
           .cell(probes[i], 3)
           .cell(probes[i] <= p_theorem ? "<= thm" : "beyond")
           .cell(std::size_t{result.prune.survivors.count()})

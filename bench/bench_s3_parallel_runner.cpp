@@ -1,10 +1,11 @@
-// S3 — sharded Scenario repetitions across an engine pool.
+// S3 — sharded Scenario repetitions across the executor pool.
 //
-// ScenarioRunner::run_all(threads) executes the embarrassingly-parallel
-// dimension of the paper's experiments — independent fault/prune
-// repetitions — on one persistent PruneEngine per worker.  Seeds derive
-// per repetition (never per thread) and every repetition starts from a
-// cold cross-run cache, so the outputs are bit-identical for ANY thread
+// A scenario's repetitions — the embarrassingly-parallel dimension of the
+// paper's experiments — run as a one-entry campaign: CampaignRunner
+// shards the independent fault/prune repetitions over its ExecutorPool,
+// each job on an engine leased from the process-wide EngineCache.  Seeds
+// derive per repetition (never per thread) and every lease drops the
+// engine's warm state, so the outputs are bit-identical for ANY thread
 // count; this bench verifies that contract on every run and measures the
 // scaling (target on >= 4 hardware threads: >= 3x at 4 threads vs 1).
 //
@@ -17,7 +18,7 @@
 
 #include <thread>
 
-#include "api/runner.hpp"
+#include "api/campaign.hpp"
 
 namespace fne {
 namespace {
@@ -57,12 +58,17 @@ int main(int argc, char** argv) {
   scenario.repetitions = reps;
   scenario.seed = seed;
 
-  ScenarioRunner runner(scenario);
-  std::cout << "graph: " << runner.graph().summary() << ", " << reps << " repetitions, "
-            << hw << " hardware threads\n\n";
+  const std::shared_ptr<const Graph> graph = scenario_graph(scenario);
+  std::cout << "graph: " << graph->summary() << ", " << reps << " repetitions, " << hw
+            << " hardware threads\n\n";
 
+  CampaignRunner runner(Campaign{"parallel-mesh", {{scenario, std::nullopt}}});
+  const auto run_reps = [&](int t) {
+    CampaignReport report = runner.run(t);
+    return std::move(report.scenarios.front().runs);
+  };
   Timer timer;
-  const std::vector<ScenarioRun> serial = runner.run_all(1);
+  const std::vector<ScenarioRun> serial = run_reps(1);
   const double serial_ms = timer.millis();
 
   Table table({"threads", "total ms", "ms/rep", "speedup", "bit-identical to 1 thread"});
@@ -73,7 +79,7 @@ int main(int argc, char** argv) {
       .put("workload",
            "mesh " + std::to_string(side) + "x" + std::to_string(side) + ", " +
                std::to_string(reps) + " reps, fast prune")
-      .put("n", std::size_t{runner.graph().num_vertices()})
+      .put("n", std::size_t{graph->num_vertices()})
       .put("reps", reps)
       .put("hardware_threads", static_cast<std::int64_t>(hw));
   json.record("scaling").put("threads", 1).put("millis", serial_ms).put("speedup", 1.0);
@@ -84,7 +90,7 @@ int main(int argc, char** argv) {
   if (threads > 2) counts.push_back(threads);
   for (int t : counts) {
     timer.reset();
-    const std::vector<ScenarioRun> parallel = runner.run_all(t);
+    const std::vector<ScenarioRun> parallel = run_reps(t);
     const double ms = timer.millis();
     bool same = parallel.size() == serial.size();
     for (std::size_t i = 0; same && i < serial.size(); ++i) {

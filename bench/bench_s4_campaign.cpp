@@ -5,8 +5,8 @@
 //
 //   1. Throughput: running the full scenario catalog through
 //      CampaignRunner at T threads beats the serial per-scenario loop
-//      (fresh ScenarioRunner + run_all(1) per scenario — the pre-campaign
-//      driver shape) by >= 2.5x at 4 threads on 4+ cores, while the
+//      (one one-entry campaign per scenario at 1 thread — the
+//      pre-campaign driver shape) by >= 2.5x at 4 threads on 4+ cores, while the
 //      report's deterministic payload stays BYTE-identical for any
 //      thread count (verified on every run).
 //
@@ -27,7 +27,6 @@
 #include <thread>
 
 #include "api/campaign.hpp"
-#include "api/runner.hpp"
 #include "store/result_store.hpp"
 
 int main(int argc, char** argv) {
@@ -67,8 +66,8 @@ int main(int argc, char** argv) {
   Timer timer;
   std::size_t serial_runs = 0;
   for (const CampaignEntry& e : catalog.entries) {
-    ScenarioRunner runner(e.scenario);
-    serial_runs += runner.run_all(1).size();
+    const CampaignReport one = CampaignRunner(Campaign{e.scenario.name, {e}}).run(1);
+    serial_runs += one.scenarios.front().runs.size();
   }
   const double serial_ms = timer.millis();
 
@@ -126,18 +125,25 @@ int main(int argc, char** argv) {
   const std::vector<double> values = cli.get_double_list(
       "sweep-values", "0.05,0.1,0.15,0.2,0.25,0.3,0.35");
 
-  ScenarioRunner indep_runner(sweep);
-  timer.reset();
-  const std::vector<ScenarioRun> indep = indep_runner.sweep_fault_param("p", values);
-  const double indep_ms = timer.millis();
-  const EngineStats indep_stats = indep_runner.total_engine_stats();
-
-  ScenarioRunner mono_runner(sweep);
-  timer.reset();
-  const std::vector<ScenarioRun> mono =
-      mono_runner.sweep_fault_param("p", values, 1, SweepMode::kMonotone);
-  const double mono_ms = timer.millis();
-  const EngineStats mono_stats = mono_runner.total_engine_stats();
+  // Each mode as a one-entry campaign; cull work is Σ run.engine of its
+  // points (ScenarioReport::engine).  The graph is built outside the
+  // timed runs.
+  (void)scenario_graph(sweep);
+  const auto run_sweep = [&](SweepMode mode, double& ms) {
+    timer.reset();
+    CampaignReport report =
+        CampaignRunner(Campaign{sweep.name, {{sweep, SweepSpec{"p", values, mode}}}}).run(1);
+    ms = timer.millis();
+    return std::move(report.scenarios.front());
+  };
+  double indep_ms = 0.0;
+  double mono_ms = 0.0;
+  const ScenarioReport indep_report = run_sweep(SweepMode::kIndependent, indep_ms);
+  const ScenarioReport mono_report = run_sweep(SweepMode::kMonotone, mono_ms);
+  const std::vector<ScenarioRun>& indep = indep_report.runs;
+  const std::vector<ScenarioRun>& mono = mono_report.runs;
+  const EngineStats& indep_stats = indep_report.engine;
+  const EngineStats& mono_stats = mono_report.engine;
 
   bool parity = indep.size() == mono.size();
   for (std::size_t i = 0; parity && i < indep.size(); ++i) {

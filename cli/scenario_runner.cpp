@@ -2,9 +2,11 @@
 // Campaign from the command line.
 //
 // The CLI face of the scenario/campaign layers (DESIGN.md §6, §8): every
-// topology and fault model in the registries is reachable from flags,
-// and a JSON campaign file runs the full batch pipeline — scenario×rep
-// jobs on an ExecutorPool over the process-wide EngineCache.
+// topology and fault model in the registries is reachable from flags.
+// Every batch runs through the one campaign pipeline — scenario×rep
+// jobs on an ExecutorPool over the process-wide EngineCache: a JSON
+// campaign file as is, a single scenario (its repetitions or one --sweep)
+// as a one-entry campaign.
 //
 //   scenario_runner --list
 //       show registered topologies, fault models, and named scenarios
@@ -36,7 +38,7 @@
 //       (reproduce/validate.sh).  All four are campaign-only flags.
 //   scenario_runner --scenario=can-churn --churn-steps=40
 //       additionally drive ongoing churn, re-pruning every round through
-//       the runner's persistent engine
+//       one persistent engine (a standalone ScenarioRunner)
 //   scenario_runner --campaign=FILE --serve[=PORT] [--workers=N]
 //       distributed execution (DESIGN.md §12): serve the campaign's jobs
 //       to TCP workers (bare --serve picks an ephemeral port, printed to
@@ -87,8 +89,8 @@
 // --spectral-mode=plain|filtered|shift_invert|auto --filter-degree=D
 // (eigensolver acceleration for the prune engine's spectral stage and
 // for any requested metric that declares the knob; see DESIGN.md §10),
-// --threads=N (shard jobs across the engine pool; results are
-// bit-identical for any N — see DESIGN.md §7/§8), --csv (emit CSV
+// --threads=N (shard the campaign's jobs across the executor pool;
+// results are bit-identical for any N — see DESIGN.md §7/§8), --csv (emit CSV
 // instead of the aligned table), --json[=path] (machine-readable runs:
 // bare --json replaces ALL tables on stdout with one JSON document,
 // --json=path keeps the tables and writes the file), --stats (engine
@@ -552,55 +554,49 @@ int run(const Cli& cli) {
                 std::string("--") + flag + " only applies to --campaign runs");
   }
 
-  Scenario scenario = scenario_from_cli(cli);
   const int threads = cli.get_threads(1);
   // Bare `--json` parses as the value "1": JSON replaces the table on
   // stdout.  `--json=path` keeps the table and writes the file.
   const std::string json_path = cli.get("json", "");
   const bool json_to_stdout = json_path == "1";
 
-  ScenarioRunner runner(std::move(scenario));
-  const Scenario& s = runner.scenario();
+  // Either a fault-param sweep (--sweep=key) or the scenario's own
+  // repetitions, run as a one-entry campaign.
+  CampaignEntry entry{scenario_from_cli(cli), std::nullopt};
+  const bool sweeping = cli.has("sweep");
+  if (sweeping) {
+    SweepSpec sweep{cli.get("sweep", ""), cli.get_double_list("sweep-values", "")};
+    FNE_REQUIRE(!sweep.values.empty(), "--sweep needs --sweep-values=a,b,c");
+    const std::string mode_name = cli.get("sweep-mode", "independent");
+    FNE_REQUIRE(mode_name == "independent" || mode_name == "monotone",
+                "--sweep-mode must be independent or monotone");
+    if (mode_name == "monotone") sweep.mode = SweepMode::kMonotone;
+    entry.sweep = std::move(sweep);
+  }
+  const CampaignReport report =
+      CampaignRunner(Campaign{entry.scenario.name, {std::move(entry)}}).run(threads);
+  const ScenarioReport& sr = report.scenarios.front();
+  const Scenario& s = sr.scenario;
+
   if (!json_to_stdout) {
     std::cout << "scenario: " << s.name << "\n"
               << "topology: " << s.topology.name
               << (s.topology.params.empty() ? "" : " (" + s.topology.params.to_string() + ")")
-              << " — " << runner.graph().summary() << "\n"
+              << " — " << scenario_graph(s)->summary() << "\n"
               << "fault:    " << s.fault.name
               << (s.fault.params.empty() ? "" : " (" + s.fault.params.to_string() + ")") << "\n"
               << "prune:    " << (s.prune.kind == ExpansionKind::Node ? "Prune (node)"
                                                                       : "Prune2 (edge)")
-              << "  alpha=" << runner.alpha() << "  eps=" << runner.epsilon()
-              << "  threshold=" << runner.alpha() * runner.epsilon()
-              << (s.prune.fast ? "  [fast]" : "")
+              << "  alpha=" << sr.alpha << "  eps=" << sr.epsilon
+              << "  threshold=" << sr.alpha * sr.epsilon << (s.prune.fast ? "  [fast]" : "")
               << (threads > 1 ? "  threads=" + std::to_string(threads) : "") << "\n\n";
-  }
-
-  // Either a fault-param sweep (--sweep=key) or the scenario's own
-  // repetitions.
-  std::vector<ScenarioRun> runs;
-  std::vector<std::string> labels;
-  std::vector<double> sweep_values;
-  const bool sweeping = cli.has("sweep");
-  const std::string sweep_key = cli.get("sweep", "");
-  if (sweeping) {
-    sweep_values = cli.get_double_list("sweep-values", "");
-    FNE_REQUIRE(!sweep_values.empty(), "--sweep needs --sweep-values=a,b,c");
-    const std::string mode_name = cli.get("sweep-mode", "independent");
-    FNE_REQUIRE(mode_name == "independent" || mode_name == "monotone",
-                "--sweep-mode must be independent or monotone");
-    const SweepMode mode =
-        mode_name == "monotone" ? SweepMode::kMonotone : SweepMode::kIndependent;
-    runs = runner.sweep_fault_param(sweep_key, sweep_values, threads, mode);
-    for (const double v : sweep_values) {
-      labels.push_back(sweep_key + "=" + std::to_string(v).substr(0, 6));
+    std::vector<std::string> labels;
+    if (sweeping) {
+      for (const double v : sr.sweep->values) {
+        labels.push_back(sr.sweep->param + "=" + std::to_string(v).substr(0, 6));
+      }
     }
-  } else {
-    runs = runner.run_all(threads);
-  }
-
-  if (!json_to_stdout) {
-    const Table table = runner.metrics_table(runs, labels);
+    const Table table = metrics_table(s, sr.n, sr.runs, labels);
     if (cli.has("csv")) {
       table.write_csv(std::cout);
     } else {
@@ -609,27 +605,27 @@ int run(const Cli& cli) {
   }
 
   if (!json_path.empty()) {
-    JsonReport report("scenario_runner");
-    report.top()
+    JsonReport json("scenario_runner");
+    json.top()
         .put("scenario", s.name)
         .put("topology", s.topology.name)
         .put("fault", s.fault.name)
         .put("kind", s.prune.kind == ExpansionKind::Node ? "node" : "edge")
-        .put("n", std::size_t{runner.graph().num_vertices()})
-        .put("alpha", runner.alpha())
-        .put("epsilon", runner.epsilon())
+        .put("n", std::size_t{sr.n})
+        .put("alpha", sr.alpha)
+        .put("epsilon", sr.epsilon)
         .put("fast", s.prune.fast)
         .put("repetitions", s.repetitions)
         .put("threads", threads)
         .put("seed", s.seed);
     if (sweeping) {
-      report.top().put("sweep", sweep_key).put_numbers("sweep_values", sweep_values);
+      json.top().put("sweep", sr.sweep->param).put_numbers("sweep_values", sr.sweep->values);
     }
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const ScenarioRun& r = runs[i];
-      auto& record = report.record("runs");
+    for (std::size_t i = 0; i < sr.runs.size(); ++i) {
+      const ScenarioRun& r = sr.runs[i];
+      auto& record = json.record("runs");
       // Sweep rows carry their x-axis value; repetition rows their rep.
-      if (sweeping) record.put("value", sweep_values[i]);
+      if (sweeping) record.put("value", sr.sweep->values[i]);
       record.put("rep", r.repetition)
           .put("fault_seed", r.fault_seed)
           .put("finder_seed", r.finder_seed)
@@ -646,20 +642,28 @@ int run(const Cli& cli) {
       }
     }
     if (json_to_stdout) {
-      std::cout << report.dump() << "\n";
+      std::cout << json.dump() << "\n";
     } else {
-      report.write(json_path);
+      json.write(json_path);
     }
   }
 
+  // Churn rounds are serially dependent: one standalone runner's engine
+  // runs them, given the report's resolved α/ε so α is measured once.
+  EngineStats churn_work;
   const auto churn_steps = static_cast<int>(cli.get_int("churn-steps", 0));
   if (churn_steps > 0 && !json_to_stdout) {
+    Scenario churn_scenario = s;
+    churn_scenario.prune.alpha = sr.alpha;
+    churn_scenario.prune.epsilon = sr.epsilon;
+    ScenarioRunner runner(std::move(churn_scenario));
     ChurnOptions copts;
     copts.steps = churn_steps;
     copts.p_leave = cli.get_double("p-leave", copts.p_leave);
     copts.p_join = cli.get_double("p-join", copts.p_join);
     copts.seed = s.seed + 17;
     const ChurnRunTrace trace = runner.run_churn(copts);
+    churn_work = runner.engine_stats();
     std::cout << "\nchurn (" << churn_steps << " rounds, p_leave=" << copts.p_leave
               << ", p_join=" << copts.p_join << "), re-pruned per round on one engine:\n";
     Table churn({"round", "alive", "gamma", "|H|", "culled", "iters", "prune ms"});
@@ -681,9 +685,10 @@ int run(const Cli& cli) {
   }
 
   if (cli.has("stats") && !json_to_stdout) {
-    // Pooled total: the runner's primary engine plus every per-job lease
-    // — the same work total regardless of --threads.
-    const EngineStats st = runner.total_engine_stats();
+    // Σ run.engine over the report's runs plus the churn rounds — the
+    // same work total regardless of --threads.
+    EngineStats st = report.total_engine_stats();
+    st += churn_work;
     std::cout << "\nengine telemetry (cumulative, " << threads
               << (threads == 1 ? " thread):\n" : " threads, pooled):\n");
     Table stats({"threads", "runs", "iters", "eigensolves", "stale sweeps", "stale hits",

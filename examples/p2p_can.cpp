@@ -3,9 +3,9 @@
 // losing too much in its expansion properties."
 //
 // Scenario-layer version: one Scenario per dimension (topology "can" from
-// the registry), a fault-probability sweep through the runner's
-// persistent engine, then ongoing churn re-pruned every round through the
-// same engine (run_churn).
+// the registry), a fault-probability sweep as a one-entry campaign, then
+// ongoing churn re-pruned every round through one persistent engine
+// (ScenarioRunner::run_churn).
 //
 //   ./example_p2p_can [--peers=256] [--seed=42]
 #include <algorithm>
@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "api/runner.hpp"
+#include "api/campaign.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -39,24 +39,25 @@ int main(int argc, char** argv) {
     scenario.metrics.expansion = true;
     scenario.seed = seed + static_cast<std::uint64_t>(dims);
 
-    ScenarioRunner runner(scenario);
-    // Sweep the fault probability on the one persistent engine.
-    const std::vector<ScenarioRun> runs = runner.sweep_fault_param("p", churn_ps);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const ScenarioRun& run = runs[i];
+    // Sweep the fault probability: one run per value, same seed.
+    const CampaignReport report =
+        CampaignRunner(Campaign{scenario.name, {{scenario, SweepSpec{"p", churn_ps}}}}).run(1);
+    const ScenarioReport& sr = report.scenarios.front();
+    for (std::size_t i = 0; i < sr.runs.size(); ++i) {
+      const ScenarioRun& run = sr.runs[i];
       std::string after = "-";
       double retention = 0.0;
       if (run.expansion.has_value()) {
         after = "[" + std::to_string(run.expansion->lower).substr(0, 5) + "," +
                 std::to_string(run.expansion->upper).substr(0, 5) + "]";
-        retention = runner.alpha() > 0 ? run.expansion->upper / runner.alpha() : 0.0;
+        retention = sr.alpha > 0 ? run.expansion->upper / sr.alpha : 0.0;
       }
       table.row()
           .cell(std::size_t(dims))
-          .cell(runner.graph().average_degree(), 3)
-          .cell(runner.alpha(), 3)
+          .cell(scenario_graph(scenario)->average_degree(), 3)
+          .cell(sr.alpha, 3)
           .cell(churn_ps[i], 2)
-          .cell(run.survivor_fraction(runner.graph().num_vertices()), 3)
+          .cell(run.survivor_fraction(sr.n), 3)
           .cell(after)
           .cell(retention, 3);
     }

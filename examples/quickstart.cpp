@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   // what the scenario_runner CLI prints for any registry-described
   // pipeline.
   std::cout << "\n";
-  runner.metrics_table(std::vector<ScenarioRun>{run}).print(std::cout);
+  metrics_table(runner.scenario(), runner.graph().num_vertices(), {&run, 1}).print(std::cout);
 
   // 6. Campaigns: a STUDY is a list of scenarios.  This one sweeps the
   //    fault probability around the value above (monotone mode: the

@@ -152,14 +152,9 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
           request.params =
               params_from_json(*p, "metrics.requests." + request.name + ".params");
         }
-        MetricsRegistry::instance().check(request.name, request.params);
-        for (const MetricRequest& prev : s.metrics.requests) {
-          FNE_REQUIRE(prev.name != request.name,
-                      "campaign: metrics.requests lists '" + request.name +
-                          "' twice (records are keyed by name)");
-        }
         s.metrics.requests.push_back(std::move(request));
       }
+      check_metric_requests(s);
     }
   }
 }
@@ -372,6 +367,38 @@ std::string CampaignReport::to_json(bool include_timing) const {
 
 namespace {
 
+/// Everything a campaign can get wrong in its entries, checked before any
+/// graph is built: registered names, metric requests, and each sweep.  A
+/// sweep's param must be one its fault model declares, and a monotone
+/// sweep additionally needs a declared-monotone param and strictly
+/// ascending values (the masks nest only then).  Left to the jobs, a bad
+/// sweep would fail only after every other cell had run and committed.
+void check_campaign(const Campaign& campaign) {
+  FNE_REQUIRE(!campaign.entries.empty(), "campaign needs >= 1 entry");
+  for (const CampaignEntry& e : campaign.entries) {
+    (void)TopologyRegistry::instance().at(e.scenario.topology.name);
+    const FaultModelEntry& model = FaultModelRegistry::instance().at(e.scenario.fault.name);
+    check_metric_requests(e.scenario);
+    if (!e.sweep.has_value()) continue;
+    const SweepSpec& sweep = *e.sweep;
+    const std::string who = "campaign entry '" + e.scenario.name + "': sweep over '" +
+                            sweep.param + "'";
+    FNE_REQUIRE(!sweep.values.empty(), who + " needs values");
+    const bool declared = std::any_of(model.params.begin(), model.params.end(),
+                                      [&](const ParamSpec& p) { return p.key == sweep.param; });
+    FNE_REQUIRE(declared, who + ": fault model '" + model.name + "' has no such param");
+    if (sweep.mode != SweepMode::kMonotone) continue;
+    const bool monotone = std::find(model.monotone_params.begin(), model.monotone_params.end(),
+                                    sweep.param) != model.monotone_params.end();
+    FNE_REQUIRE(monotone, who + ": fault model '" + model.name +
+                              "' does not declare the param monotone; use the independent mode");
+    const bool ascending =
+        std::adjacent_find(sweep.values.begin(), sweep.values.end(),
+                           [](double a, double b) { return !(a < b); }) == sweep.values.end();
+    FNE_REQUIRE(ascending, who + ": monotone sweep values must be strictly ascending");
+  }
+}
+
 // Group-commit threshold (key + payload bytes queued).  It bounds what a
 // killed process can lose — at most one batch, which a resumed run
 // recomputes — while one write() carries hundreds of small cells.
@@ -380,7 +407,7 @@ constexpr std::size_t kCommitBatchBytes = 64 * 1024;
 }  // namespace
 
 CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(campaign) {
-  FNE_REQUIRE(!campaign_.entries.empty(), "campaign needs >= 1 entry");
+  check_campaign(campaign_);
   FNE_REQUIRE(threads >= 1, "campaign threads must be >= 1");
 
   // Resolve every entry: graph build (cache-shared) and α/ε measurement,
@@ -502,22 +529,18 @@ std::size_t CampaignPlan::expected_runs(std::size_t i) const {
 std::vector<ScenarioRun> CampaignPlan::compute_cell(std::size_t i) const {
   const CampaignJob& job = this->job(i);
   const CampaignEntry& entry = campaign_.entries[job.entry];
-  ScenarioRunner& runner = *runners_[job.entry];
+  const ScenarioRunner& runner = *runners_[job.entry];
   switch (job.kind) {
     case CampaignJob::Kind::kChain:
-      return runner.sweep_fault_param(entry.sweep->param, entry.sweep->values, 1,
-                                      SweepMode::kMonotone);
+      return runner.run_monotone_chain(entry.sweep->param, entry.sweep->values);
     case CampaignJob::Kind::kSweepPoint: {
       FaultSpec fault = entry.scenario.fault;
       fault.params.set(entry.sweep->param,
                        entry.sweep->values[static_cast<std::size_t>(job.sweep_point)]);
-      return {children_[i].empty() ? runner.run_isolated(fault, 0)
-                                   : runner.run_isolated_deferred(fault, 0)};
+      return {runner.run_isolated(fault, 0, !children_[i].empty())};
     }
     case CampaignJob::Kind::kRep:
-      return {children_[i].empty() ? runner.run_isolated(entry.scenario.fault, job.rep)
-                                   : runner.run_isolated_deferred(entry.scenario.fault,
-                                                                  job.rep)};
+      return {runner.run_isolated(entry.scenario.fault, job.rep, !children_[i].empty())};
     case CampaignJob::Kind::kMetric:
       break;
   }
@@ -732,29 +755,8 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
 // ---------------------------------------------------------------------------
 
 CampaignRunner::CampaignRunner(Campaign campaign) : campaign_(std::move(campaign)) {
-  FNE_REQUIRE(!campaign_.entries.empty(), "campaign needs >= 1 entry");
-  for (const CampaignEntry& e : campaign_.entries) {
-    // Validate names eagerly so a typo fails at construction, not after
-    // half the campaign ran.
-    (void)TopologyRegistry::instance().at(e.scenario.topology.name);
-    (void)FaultModelRegistry::instance().at(e.scenario.fault.name);
-    const auto& requests = e.scenario.metrics.requests;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      MetricsRegistry::instance().check(requests[i].name, requests[i].params);
-      for (std::size_t j = 0; j < i; ++j) {
-        FNE_REQUIRE(requests[j].name != requests[i].name,
-                    "campaign entry '" + e.scenario.name + "': metric '" + requests[i].name +
-                        "' requested twice (records are keyed by name)");
-      }
-    }
-    if (e.sweep.has_value()) {
-      FNE_REQUIRE(!e.sweep->values.empty(),
-                  "campaign entry '" + e.scenario.name + "': sweep needs values");
-    }
-  }
+  check_campaign(campaign_);
 }
-
-CampaignReport CampaignRunner::run(int threads) { return run(threads, nullptr); }
 
 CampaignReport CampaignRunner::run(int threads, ResultStore* store, const CancelToken* cancel) {
   FNE_REQUIRE(threads >= 1, "campaign threads must be >= 1");

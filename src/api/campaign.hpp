@@ -11,6 +11,10 @@
 // CampaignRunner flattens every entry into scenario×repetition (or
 // sweep-point) jobs and runs ALL of them on one ExecutorPool: a campaign
 // with 40 one-rep scenarios parallelizes as well as one 40-rep scenario.
+// This is the only batch scheduler in the library (the dist coordinator
+// and the service drive the same CampaignPlan): a single scenario's
+// repetitions or one fault sweep run as a one-entry campaign, which is
+// what the CLI's --scenario/--sweep modes, the benches and the tests do.
 // Jobs lease engines from the EngineCache, so entries sharing a topology
 // share graphs and warm buffer pools, and the whole run produces one
 // aggregated CampaignReport: per-entry ScenarioRuns plus folded
@@ -40,7 +44,17 @@
 
 namespace fne {
 
-/// One fault-parameter sweep attached to a campaign entry.
+/// How a sweep walks its values.
+enum class SweepMode {
+  kIndependent,  ///< every point prunes the full fault-model mask
+  kMonotone,     ///< chained: point j starts from survivors(j-1) ∩ alive(j)
+};
+
+/// One fault-parameter sweep attached to a campaign entry: one run per
+/// value at repetition 0's seeds.  The param must be declared by the
+/// entry's fault model; kMonotone also needs it declared monotone and the
+/// values strictly ascending (ScenarioRunner::run_monotone_chain).  Both
+/// are checked when a CampaignRunner or CampaignPlan is constructed.
 struct SweepSpec {
   std::string param;
   std::vector<double> values;
@@ -146,11 +160,12 @@ struct CampaignJob {
 };
 
 /// The flattened, deterministic schedule of a campaign plus the merge
-/// state every executor shares.  Construction is a PURE function of the
-/// Campaign (entry resolution parallelizes over `threads` but cannot
-/// change a bit), so two plans of the same campaign — a coordinator and
-/// its workers, or two processes racing one store — agree on job
-/// indices, content keys and fingerprint().
+/// state every executor shares.  Construction validates the campaign
+/// like CampaignRunner's constructor does, then is a PURE function of it
+/// (entry resolution parallelizes over `threads` but cannot change a
+/// bit), so two plans of the same campaign — a coordinator and its
+/// workers, or two processes racing one store — agree on job indices,
+/// content keys and fingerprint().
 ///
 /// Split of responsibilities:
 ///   compute_cell / compute_metric  — pure, lock-free, any thread;
@@ -253,23 +268,22 @@ class CampaignPlan {
 
 class CampaignRunner {
  public:
+  /// Validates every entry (names, metric requests, sweeps) up front, so
+  /// a malformed campaign fails here, before any graph is built.
   explicit CampaignRunner(Campaign campaign);
-
-  [[nodiscard]] const Campaign& campaign() const noexcept { return campaign_; }
 
   /// Execute every entry's jobs on `threads` ExecutorPool workers.
   /// Entry construction (graph build, α measurement) is itself
   /// parallelized across entries.  May be called repeatedly; each call
   /// reports only its own work.
-  [[nodiscard]] CampaignReport run(int threads = 1);
-
-  /// Store-backed execution (DESIGN.md §11).  Every job is keyed
-  /// (store/key.hpp); a key already in `store` is served from disk —
-  /// bit-identical to fresh compute by the determinism contract — and a
-  /// miss is computed then committed, so a killed campaign resumed on
-  /// the same store recomputes only the missing cells.  The DETERMINISTIC
-  /// payload (to_json(false)) is byte-identical for any hit/miss split,
-  /// any thread count, and store == nullptr (which is exactly run(threads)).
+  ///
+  /// With a `store`, execution is store-backed (DESIGN.md §11).  Every
+  /// job is keyed (store/key.hpp); a key already in `store` is served
+  /// from disk — bit-identical to fresh compute by the determinism
+  /// contract — and a miss is computed then committed, so a killed
+  /// campaign resumed on the same store recomputes only the missing
+  /// cells.  The DETERMINISTIC payload (to_json(false)) is byte-identical
+  /// for any hit/miss split, any thread count, and no store at all.
   ///
   /// `cancel` (optional) is the scenario service's abandonment hook
   /// (DESIGN.md §13): polled between jobs by both executor passes.  A
@@ -277,7 +291,7 @@ class CampaignRunner {
   /// committed to the store (the plan's destructor flushes its commit
   /// queue on the way out), so a resubmission resumes rather than
   /// restarts.
-  [[nodiscard]] CampaignReport run(int threads, ResultStore* store,
+  [[nodiscard]] CampaignReport run(int threads = 1, ResultStore* store = nullptr,
                                    const CancelToken* cancel = nullptr);
 
  private:

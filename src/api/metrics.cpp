@@ -371,6 +371,18 @@ void MetricsRegistry::check(const std::string& name, const Params& params) const
   if (entry.validate) entry.validate(params);
 }
 
+void check_metric_requests(const Scenario& scenario) {
+  const std::vector<MetricRequest>& requests = scenario.metrics.requests;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    MetricsRegistry::instance().check(requests[i].name, requests[i].params);
+    for (std::size_t j = 0; j < i; ++j) {
+      FNE_REQUIRE(requests[j].name != requests[i].name,
+                  "scenario '" + scenario.name + "': metric '" + requests[i].name +
+                      "' requested twice (records are keyed by name)");
+    }
+  }
+}
+
 MetricRecord MetricsRegistry::compute(const std::string& name, const MetricContext& ctx,
                                       const Params& params) const {
   const MetricEntry& entry = at(name);

@@ -90,4 +90,10 @@ class MetricsRegistry {
   std::map<std::string, MetricEntry> entries_;
 };
 
+/// The one metric-request validator: every request of `scenario` must
+/// name a registered metric with declared params, and no name may repeat
+/// (records are keyed by name in report payloads, so a duplicate would
+/// silently emit duplicate JSON keys).
+void check_metric_requests(const Scenario& scenario);
+
 }  // namespace fne

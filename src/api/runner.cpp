@@ -1,6 +1,5 @@
 #include "api/runner.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "api/metrics.hpp"
@@ -29,6 +28,11 @@ std::uint64_t scenario_build_seed(const Scenario& scenario) {
   return derive_seed(scenario.seed, 0, 0);
 }
 
+std::shared_ptr<const Graph> scenario_graph(const Scenario& scenario) {
+  return EngineCache::instance().graph(scenario.topology.name, scenario.topology.params,
+                                       scenario_build_seed(scenario));
+}
+
 double ChurnRunTrace::total_prune_millis() const {
   double total = 0.0;
   for (const ChurnRoundRun& r : rounds) total += r.prune_millis;
@@ -36,23 +40,11 @@ double ChurnRunTrace::total_prune_millis() const {
 }
 
 ScenarioRunner::ScenarioRunner(Scenario scenario)
-    : scenario_(std::move(scenario)),
-      graph_(EngineCache::instance().graph(scenario_.topology.name, scenario_.topology.params,
-                                           derive_seed(scenario_.seed, 0, 0))) {
+    : scenario_(std::move(scenario)), graph_(scenario_graph(scenario_)) {
   FNE_REQUIRE(scenario_.repetitions >= 1, "scenario needs >= 1 repetition");
-  // Validate metric requests eagerly (names and declared params) so a
-  // typo fails at construction, not after the prune work ran.  Names
-  // must be unique: records are keyed by name in report payloads, and a
-  // duplicate would silently emit duplicate JSON keys.
-  for (std::size_t i = 0; i < scenario_.metrics.requests.size(); ++i) {
-    const MetricRequest& request = scenario_.metrics.requests[i];
-    MetricsRegistry::instance().check(request.name, request.params);
-    for (std::size_t j = 0; j < i; ++j) {
-      FNE_REQUIRE(scenario_.metrics.requests[j].name != request.name,
-                  "scenario '" + scenario_.name + "': metric '" + request.name +
-                      "' requested twice (records are keyed by name)");
-    }
-  }
+  // Validate metric requests eagerly so a typo fails at construction,
+  // not after the prune work ran.
+  check_metric_requests(scenario_);
 
   alpha_ = scenario_.prune.alpha;
   if (alpha_ <= 0.0) {
@@ -76,18 +68,12 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
 
 EngineLease ScenarioRunner::lease_engine() const {
   return EngineCache::instance().lease(scenario_.topology.name, scenario_.topology.params,
-                                       derive_seed(scenario_.seed, 0, 0),
-                                       scenario_.prune.kind);
+                                       scenario_build_seed(scenario_), scenario_.prune.kind);
 }
 
 PruneEngine& ScenarioRunner::primary_engine() {
   if (!primary_) primary_ = lease_engine();
   return primary_.engine();
-}
-
-void ScenarioRunner::fold_pool_stats(const EngineStats& delta) {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  pool_stats_ += delta;
 }
 
 PruneEngineOptions ScenarioRunner::engine_options(std::uint64_t finder_seed) const {
@@ -182,52 +168,10 @@ ScenarioRun ScenarioRunner::run_once(int rep) {
   return run_point(primary_engine(), scenario_.fault, rep);
 }
 
-ScenarioRun ScenarioRunner::run_isolated(const FaultSpec& fault, int rep) {
+ScenarioRun ScenarioRunner::run_isolated(const FaultSpec& fault, int rep,
+                                         bool defer_split_metrics) const {
   EngineLease lease = lease_engine();
-  ScenarioRun run = run_point(lease.engine(), fault, rep);
-  fold_pool_stats(lease.stats_delta());
-  return run;
-}
-
-ScenarioRun ScenarioRunner::run_isolated_deferred(const FaultSpec& fault, int rep) {
-  EngineLease lease = lease_engine();
-  ScenarioRun run = run_point(lease.engine(), fault, rep, nullptr,
-                              /*defer_split_metrics=*/true);
-  fold_pool_stats(lease.stats_delta());
-  return run;
-}
-
-void ScenarioRunner::run_pooled(std::span<const FaultSpec> faults, std::span<const int> reps,
-                                std::span<ScenarioRun> out, int threads) {
-  const std::size_t jobs = out.size();
-  FNE_REQUIRE(faults.size() == jobs && reps.size() == jobs, "pooled spans must align");
-  threads = std::clamp<int>(threads, 1, static_cast<int>(std::max<std::size_t>(jobs, 1)));
-
-  // Whatever executes job i, its result depends only on (scenario,
-  // faults[i], reps[i]): every job runs on an engine whose warm state was
-  // dropped (the one cross-run channel, the cached Fiedler ordering), so
-  // placement, claim order and cache-hit pattern cannot leak into the
-  // outputs.
-  if (threads == 1) {
-    PruneEngine& engine = primary_engine();
-    for (std::size_t i = 0; i < jobs; ++i) {
-      engine.drop_warm_state();
-      out[i] = run_point(engine, faults[i], reps[i]);
-    }
-    return;
-  }
-  ExecutorPool::run(jobs, threads,
-                    [&](std::size_t i) { out[i] = run_isolated(faults[i], reps[i]); });
-}
-
-std::vector<ScenarioRun> ScenarioRunner::run_all(int threads) {
-  const auto reps = static_cast<std::size_t>(scenario_.repetitions);
-  std::vector<ScenarioRun> runs(reps);
-  std::vector<FaultSpec> faults(reps, scenario_.fault);
-  std::vector<int> rep_ids(reps);
-  for (std::size_t i = 0; i < reps; ++i) rep_ids[i] = static_cast<int>(i);
-  run_pooled(faults, rep_ids, runs, threads);
-  return runs;
+  return run_point(lease.engine(), fault, rep, nullptr, defer_split_metrics);
 }
 
 void ScenarioRunner::set_fault(FaultSpec fault) {
@@ -236,43 +180,12 @@ void ScenarioRunner::set_fault(FaultSpec fault) {
   scenario_.fault = std::move(fault);
 }
 
-std::vector<ScenarioRun> ScenarioRunner::sweep_fault_param(const std::string& key,
-                                                           std::span<const double> values,
-                                                           int threads, SweepMode mode) {
-  if (mode == SweepMode::kMonotone) return sweep_monotone(key, values);
-
-  // Each point runs a COPY of the fault spec with the swept key set, so
-  // the runner's own spec is never touched: a bad key/value surfaces as a
-  // registry PreconditionError from run_pooled without poisoning later
-  // runs, and points are free to execute on any worker.
-  std::vector<FaultSpec> faults(values.size(), scenario_.fault);
-  for (std::size_t i = 0; i < values.size(); ++i) faults[i].params.set(key, values[i]);
-  const std::vector<int> rep_ids(values.size(), 0);
-  std::vector<ScenarioRun> runs(values.size());
-  run_pooled(faults, rep_ids, runs, threads);
-  return runs;
-}
-
-std::vector<ScenarioRun> ScenarioRunner::sweep_monotone(const std::string& key,
-                                                        std::span<const double> values) {
-  // Gate on the registry's declaration: chaining is only sound when the
-  // fault model's alive mask at value[j] is a SUBSET of the mask at
-  // value[j-1] under the same seed (the coupling random/high_degree
-  // provide).  Ascending values then make the masks nest.
-  const FaultModelEntry& entry = FaultModelRegistry::instance().at(scenario_.fault.name);
-  const bool declared = std::any_of(entry.monotone_params.begin(), entry.monotone_params.end(),
-                                    [&](const std::string& p) { return p == key; });
-  FNE_REQUIRE(declared, "fault model '" + scenario_.fault.name + "' does not declare param '" +
-                            key + "' monotone; use SweepMode::kIndependent");
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    FNE_REQUIRE(values[i - 1] < values[i],
-                "monotone sweep values must be strictly ascending");
-  }
-
+std::vector<ScenarioRun> ScenarioRunner::run_monotone_chain(
+    const std::string& key, std::span<const double> values) const {
   // The whole chain is ONE serial job on ONE lease: point j depends on
   // point j-1, and running it as a unit keeps campaign placement and
   // thread counts out of the result.  Every point runs at rep 0's seeds
-  // — exactly like the independent sweep, so both modes see the same
+  // — exactly like an independent sweep, so both modes see the same
   // fault masks and the parity checks are meaningful.
   EngineLease lease = lease_engine();
   std::vector<ScenarioRun> runs;
@@ -285,7 +198,6 @@ std::vector<ScenarioRun> ScenarioRunner::sweep_monotone(const std::string& key,
         run_point(lease.engine(), fault, 0, j == 0 ? nullptr : &prev_survivors));
     prev_survivors = runs.back().prune.survivors;
   }
-  fold_pool_stats(lease.stats_delta());
   return runs;
 }
 
@@ -312,22 +224,22 @@ ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
   return trace;
 }
 
-Table ScenarioRunner::metrics_table(std::span<const ScenarioRun> runs,
-                                    const std::vector<std::string>& labels) const {
+Table metrics_table(const Scenario& scenario, vid n, std::span<const ScenarioRun> runs,
+                    const std::vector<std::string>& labels) {
+  const MetricsSpec& metrics = scenario.metrics;
   std::vector<std::string> headers{"run", "n", "faults", "alive", "|H|", "|H|/n",
                                    "culled", "iters", "ms"};
-  if (scenario_.metrics.fragmentation) {
+  if (metrics.fragmentation) {
     headers.push_back("gamma(H)");
     headers.push_back("comps");
   }
-  if (scenario_.metrics.expansion) headers.push_back("exp(H) [lo,up]");
-  if (scenario_.metrics.verify_trace) headers.push_back("trace");
-  for (const MetricRequest& request : scenario_.metrics.requests) {
+  if (metrics.expansion) headers.push_back("exp(H) [lo,up]");
+  if (metrics.verify_trace) headers.push_back("trace");
+  for (const MetricRequest& request : metrics.requests) {
     headers.push_back(request.name);
   }
 
   Table table(std::move(headers));
-  const vid n = graph_->num_vertices();
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const ScenarioRun& r = runs[i];
     table.row()
@@ -340,10 +252,10 @@ Table ScenarioRunner::metrics_table(std::span<const ScenarioRun> runs,
         .cell(std::size_t{r.prune.total_culled})
         .cell(r.prune.iterations)
         .cell(format_fixed(r.millis, 1));
-    if (scenario_.metrics.fragmentation) {
+    if (metrics.fragmentation) {
       table.cell(r.fragmentation.gamma, 3).cell(r.fragmentation.num_components);
     }
-    if (scenario_.metrics.expansion) {
+    if (metrics.expansion) {
       if (r.expansion.has_value()) {
         // Appended, not "[" + ...: GCC 12 warns falsely (-Wrestrict) on the prepend.
         std::string bracket(1, '[');
@@ -354,10 +266,10 @@ Table ScenarioRunner::metrics_table(std::span<const ScenarioRun> runs,
         table.cell("-");
       }
     }
-    if (scenario_.metrics.verify_trace) {
+    if (metrics.verify_trace) {
       table.cell(r.trace.has_value() ? (r.trace->valid ? "valid" : "INVALID") : "-");
     }
-    for (std::size_t m = 0; m < scenario_.metrics.requests.size(); ++m) {
+    for (std::size_t m = 0; m < metrics.requests.size(); ++m) {
       table.cell(m < r.metrics.size() ? r.metrics[m].brief : "-");
     }
   }

@@ -56,7 +56,6 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
     std::string name;
     while (std::getline(list, name, ',')) {
       if (name.empty()) continue;
-      MetricsRegistry::instance().check(name, Params{});
       base.metrics.requests.push_back({name, Params{}});
     }
     FNE_REQUIRE(!base.metrics.requests.empty(), "--metrics needs at least one metric name");
@@ -71,9 +70,9 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
       if (has_filter_degree) {
         request.params.set("filter_degree", cli.get_int("filter-degree", 0));
       }
-      MetricsRegistry::instance().check(request.name, request.params);
     }
   }
+  check_metric_requests(base);
   base.repetitions = static_cast<int>(cli.get_int("reps", base.repetitions));
   base.seed = cli.get_seed(base.seed);
   return base;

@@ -111,9 +111,8 @@ class PruneEngine {
 
   /// Forget the cross-run warm state (the cached Fiedler ordering), making
   /// the next run() a pure function of (graph, alive, options) — the
-  /// repetition-isolation hook behind ScenarioRunner's thread-count-
-  /// independent run_all/sweep (DESIGN.md §7) and the lease-reset hook of
-  /// the process-wide EngineCache (DESIGN.md §8): called on every lease,
+  /// lease-reset hook of the process-wide EngineCache (DESIGN.md §7,
+  /// §8) behind thread-count-independent campaigns: called on every lease,
   /// it makes a cache-served engine indistinguishable from a fresh one,
   /// so cache-hit patterns cannot leak into results.  Deterministic mode
   /// never reads the cache, so this is a no-op for reference-parity runs.

@@ -127,14 +127,23 @@ TEST(EngineCache, LeaseDropsWarmStateSoHistoryCannotLeak) {
   return s;
 }
 
+/// `s` swept over fault param p as a one-entry campaign (one thread).
+[[nodiscard]] ScenarioReport run_sweep(const Scenario& s, std::vector<double> values,
+                                       SweepMode mode) {
+  Campaign campaign;
+  campaign.entries.push_back({s, SweepSpec{"p", std::move(values), mode}});
+  CampaignReport report = CampaignRunner(std::move(campaign)).run(1);
+  return std::move(report.scenarios.front());
+}
+
 TEST(MonotoneSweep, DeterministicModeMatchesIndependentPointsBitForBit) {
   const std::vector<double> values{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35};
-  ScenarioRunner indep_runner(sweep_scenario());
-  ScenarioRunner mono_runner(sweep_scenario());
-  const std::vector<ScenarioRun> indep = indep_runner.sweep_fault_param("p", values);
-  const std::vector<ScenarioRun> mono =
-      mono_runner.sweep_fault_param("p", values, 1, SweepMode::kMonotone);
-  ASSERT_EQ(indep.size(), mono.size());
+  const ScenarioReport indep_report = run_sweep(sweep_scenario(), values, SweepMode::kIndependent);
+  const ScenarioReport mono_report = run_sweep(sweep_scenario(), values, SweepMode::kMonotone);
+  const std::vector<ScenarioRun>& indep = indep_report.runs;
+  const std::vector<ScenarioRun>& mono = mono_report.runs;
+  ASSERT_EQ(indep.size(), values.size());
+  ASSERT_EQ(mono.size(), values.size());
   bool any_culled = false;
   for (std::size_t i = 0; i < values.size(); ++i) {
     SCOPED_TRACE(values[i]);
@@ -155,9 +164,9 @@ TEST(MonotoneSweep, DeterministicModeMatchesIndependentPointsBitForBit) {
 
   // The fast path must actually save cull work (the acceptance criterion
   // bench_s4_campaign measures at scale).
-  const EngineStats indep_stats = indep_runner.total_engine_stats();
-  const EngineStats mono_stats = mono_runner.total_engine_stats();
-  EXPECT_LT(mono_stats.iterations, indep_stats.iterations);
+  EXPECT_EQ(indep_report.engine.runs, values.size());
+  EXPECT_EQ(mono_report.engine.runs, values.size());
+  EXPECT_LT(mono_report.engine.iterations, indep_report.engine.iterations);
 }
 
 TEST(MonotoneSweep, MasksNestUnderTheSameSeed) {
@@ -179,20 +188,22 @@ TEST(MonotoneSweep, MasksNestUnderTheSameSeed) {
 }
 
 TEST(MonotoneSweep, RequiresADeclaredParamAndAscendingValues) {
-  Scenario s = sweep_scenario();
-  s.fault = {"sweep_cut", Params{}};
-  ScenarioRunner undeclared(s);
-  const std::vector<double> values{0.1, 0.2};
-  EXPECT_THROW((void)undeclared.sweep_fault_param("frac", values, 1, SweepMode::kMonotone),
-               PreconditionError);
+  Scenario undeclared = sweep_scenario();
+  undeclared.fault = {"sweep_cut", Params{}};
+  Campaign campaign;
+  campaign.entries.push_back({undeclared, SweepSpec{"frac", {0.1, 0.2}, SweepMode::kMonotone}});
+  EXPECT_THROW((void)CampaignRunner(campaign), PreconditionError);
+  // The same param swept independently is fine: sweep_cut declares it.
+  campaign.entries.front().sweep->mode = SweepMode::kIndependent;
+  EXPECT_NO_THROW((void)CampaignRunner(campaign));
 
-  ScenarioRunner runner(sweep_scenario());
-  const std::vector<double> descending{0.3, 0.2};
-  EXPECT_THROW((void)runner.sweep_fault_param("p", descending, 1, SweepMode::kMonotone),
-               PreconditionError);
-  // Still usable afterwards (errors fire before any engine work).
-  const std::vector<double> ok{0.1, 0.2};
-  EXPECT_EQ(runner.sweep_fault_param("p", ok, 1, SweepMode::kMonotone).size(), 2u);
+  for (const std::vector<double>& bad :
+       {std::vector<double>{0.3, 0.2}, std::vector<double>{0.2, 0.2}}) {
+    Campaign descending;
+    descending.entries.push_back({sweep_scenario(), SweepSpec{"p", bad, SweepMode::kMonotone}});
+    EXPECT_THROW((void)CampaignRunner(descending), PreconditionError);
+  }
+  EXPECT_EQ(run_sweep(sweep_scenario(), {0.1, 0.2}, SweepMode::kMonotone).runs.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -328,15 +339,61 @@ TEST(JsonValueParser, RejectsMalformedDocuments) {
   return campaign;
 }
 
+void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
+  EXPECT_EQ(a.repetition, b.repetition);
+  EXPECT_EQ(a.fault_seed, b.fault_seed);
+  EXPECT_EQ(a.finder_seed, b.finder_seed);
+  EXPECT_TRUE(a.alive == b.alive);
+  EXPECT_TRUE(a.prune.survivors == b.prune.survivors);
+  EXPECT_EQ(a.prune.iterations, b.prune.iterations);
+  ASSERT_EQ(a.prune.culled.size(), b.prune.culled.size());
+  for (std::size_t i = 0; i < a.prune.culled.size(); ++i) {
+    EXPECT_TRUE(a.prune.culled[i].set == b.prune.culled[i].set);
+    EXPECT_EQ(a.prune.culled[i].boundary, b.prune.culled[i].boundary);
+  }
+}
+
 TEST(Campaign, DeterministicPayloadIsByteIdenticalAcrossThreadCounts) {
-  CampaignRunner runner(determinism_campaign());
+  // determinism_campaign() plus the reps entry with fast mode off and an
+  // independent sweep: every cell kind, both prune modes.
+  Campaign campaign = determinism_campaign();
+  Scenario deterministic = campaign.entries[0].scenario;
+  deterministic.name = "reps-deterministic";
+  deterministic.prune.fast = false;
+  campaign.entries.push_back({deterministic, std::nullopt});
+  Scenario sweep = campaign.entries[0].scenario;
+  sweep.name = "independent-sweep";
+  campaign.entries.push_back(
+      {sweep, SweepSpec{"p", {0.05, 0.15, 0.25, 0.35}, SweepMode::kIndependent}});
+  const std::size_t runs = 5 + 3 + 2 + 5 + 4;
+
+  CampaignRunner runner(campaign);
   const CampaignReport serial = runner.run(1);
   const std::string payload = serial.to_json(/*include_timing=*/false);
   EXPECT_NE(payload.find("\"survivor_hash\""), std::string::npos);
+  EXPECT_EQ(serial.total_engine_stats().runs, runs);
+  for (const std::size_t e : {std::size_t{0}, std::size_t{3}}) {
+    bool any_culled = false;
+    for (const ScenarioRun& r : serial.scenarios[e].runs) {
+      any_culled = any_culled || r.prune.total_culled > 0;
+    }
+    EXPECT_TRUE(any_culled) << "workload too gentle to exercise the cull loop";
+  }
+  // A sweep runs copies of the fault spec; the entry keeps its own.
+  EXPECT_EQ(serial.scenarios[4].scenario.fault.params.get_double("p", 0.0), 0.25);
   for (const int threads : {2, 4}) {
     SCOPED_TRACE(threads);
     const CampaignReport parallel = runner.run(threads);
     EXPECT_EQ(payload, parallel.to_json(false));
+    EXPECT_EQ(parallel.total_engine_stats().runs, runs);
+    ASSERT_EQ(parallel.scenarios.size(), serial.scenarios.size());
+    for (std::size_t e = 0; e < serial.scenarios.size(); ++e) {
+      ASSERT_EQ(parallel.scenarios[e].runs.size(), serial.scenarios[e].runs.size());
+      for (std::size_t i = 0; i < serial.scenarios[e].runs.size(); ++i) {
+        SCOPED_TRACE(serial.scenarios[e].scenario.name + " run " + std::to_string(i));
+        expect_identical(serial.scenarios[e].runs[i], parallel.scenarios[e].runs[i]);
+      }
+    }
   }
 }
 
@@ -380,6 +437,36 @@ TEST(Campaign, ValidatesEntriesEagerly) {
   EXPECT_THROW((void)CampaignRunner(std::move(bad)), PreconditionError);
   Campaign empty;
   EXPECT_THROW((void)CampaignRunner(std::move(empty)), PreconditionError);
+
+  // A malformed sweep behind 40 good repetitions fails at construction —
+  // of the runner and of a bare plan — before any graph is built or any
+  // engine leased, so nothing runs and nothing reaches a store.
+  Scenario good = sweep_scenario();
+  good.name = "good";
+  good.repetitions = 40;
+  Scenario cut = sweep_scenario();
+  cut.name = "cut";
+  cut.fault = {"sweep_cut", Params{}};
+  Scenario random = sweep_scenario();
+  random.name = "random";
+  const std::vector<CampaignEntry> malformed{
+      {cut, SweepSpec{"frac", {0.1, 0.2}, SweepMode::kMonotone}},           // not monotone
+      {random, SweepSpec{"no_such_key", {0.1, 0.2}, SweepMode::kIndependent}},  // undeclared
+      {random, SweepSpec{"p", {0.2, 0.1}, SweepMode::kMonotone}},           // descending
+      {random, SweepSpec{"p", {}, SweepMode::kIndependent}},                // no values
+  };
+  for (const CampaignEntry& entry : malformed) {
+    SCOPED_TRACE(entry.scenario.name + " over " + entry.sweep->param);
+    Campaign campaign;
+    campaign.entries.push_back({good, std::nullopt});
+    campaign.entries.push_back(entry);
+    const EngineCacheStats before = EngineCache::instance().stats();
+    EXPECT_THROW((void)CampaignRunner(campaign), PreconditionError);
+    EXPECT_THROW((void)CampaignPlan(campaign, 2), PreconditionError);
+    const EngineCacheStats delta = EngineCache::instance().stats() - before;
+    EXPECT_EQ(delta.leases, 0u);
+    EXPECT_EQ(delta.graph_hits + delta.graph_builds, 0u);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
-// Parallel scenario execution contracts (DESIGN.md §7): run_all and
-// sweep_fault_param produce bit-identical ScenarioRuns for ANY thread
-// count (seeds per repetition, caches per-repetition cold), worker
-// telemetry folds into total_engine_stats, errors propagate without
-// poisoning the runner, and the percolation layer's chunk-merged stats
-// are thread-count independent.
+// Thread-count independence of the percolation layer (DESIGN.md §7):
+// its chunk-merged Monte-Carlo stats are bit-identical for any OpenMP
+// thread count.  The scheduler-level contract — campaign payloads are
+// byte-identical for any executor thread count — lives in
+// tests/test_campaign.cpp.
 #include <gtest/gtest.h>
 
-#include "api/runner.hpp"
 #include "percolation/percolation.hpp"
 #include "topology/mesh.hpp"
-#include "util/require.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -17,111 +14,6 @@
 
 namespace fne {
 namespace {
-
-[[nodiscard]] Scenario parallel_scenario(bool fast) {
-  Scenario s;
-  s.name = "parallel-test";
-  s.topology = {"mesh", Params{{"side", "12"}, {"dims", "2"}}};
-  s.fault = {"random", Params{{"p", "0.25"}}};
-  s.prune.kind = ExpansionKind::Edge;
-  s.prune.fast = fast;
-  s.repetitions = 6;
-  s.seed = 424242;
-  return s;
-}
-
-void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
-  EXPECT_EQ(a.repetition, b.repetition);
-  EXPECT_EQ(a.fault_seed, b.fault_seed);
-  EXPECT_EQ(a.finder_seed, b.finder_seed);
-  EXPECT_TRUE(a.alive == b.alive);
-  EXPECT_TRUE(a.prune.survivors == b.prune.survivors);
-  EXPECT_EQ(a.prune.iterations, b.prune.iterations);
-  ASSERT_EQ(a.prune.culled.size(), b.prune.culled.size());
-  for (std::size_t i = 0; i < a.prune.culled.size(); ++i) {
-    EXPECT_TRUE(a.prune.culled[i].set == b.prune.culled[i].set);
-    EXPECT_EQ(a.prune.culled[i].boundary, b.prune.culled[i].boundary);
-  }
-}
-
-TEST(ParallelRunner, RunAllIsBitIdenticalAcrossThreadCounts) {
-  for (const bool fast : {false, true}) {
-    SCOPED_TRACE(fast ? "fast" : "deterministic");
-    const Scenario s = parallel_scenario(fast);
-    const std::vector<ScenarioRun> serial = ScenarioRunner(s).run_all(1);
-    bool any_culled = false;
-    for (const ScenarioRun& r : serial) any_culled = any_culled || r.prune.total_culled > 0;
-    EXPECT_TRUE(any_culled) << "workload too gentle to exercise the cull loop";
-    for (const int threads : {2, 4}) {
-      SCOPED_TRACE(threads);
-      const std::vector<ScenarioRun> parallel = ScenarioRunner(s).run_all(threads);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE(i);
-        expect_identical(serial[i], parallel[i]);
-      }
-    }
-  }
-}
-
-TEST(ParallelRunner, RunAllOnOneRunnerMatchesFreshRunner) {
-  // A runner with prior history (warm engine from run_once/churn) must
-  // still produce the pure run_all results: every repetition starts cold.
-  const Scenario s = parallel_scenario(true);
-  ScenarioRunner warmed(s);
-  (void)warmed.run_once(0);  // leaves a warm Fiedler cache behind
-  const std::vector<ScenarioRun> after_history = warmed.run_all(1);
-  const std::vector<ScenarioRun> fresh = ScenarioRunner(s).run_all(3);
-  ASSERT_EQ(after_history.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(after_history[i], fresh[i]);
-  }
-}
-
-TEST(ParallelRunner, SweepIsBitIdenticalAcrossThreadCounts) {
-  Scenario s = parallel_scenario(true);
-  s.metrics.verify_trace = false;
-  ScenarioRunner runner(s);
-  const std::vector<double> ps{0.05, 0.15, 0.25, 0.35};
-  const std::vector<ScenarioRun> serial = runner.sweep_fault_param("p", ps, 1);
-  const std::vector<ScenarioRun> parallel = runner.sweep_fault_param("p", ps, 3);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(serial[i], parallel[i]);
-  }
-  // The runner's own fault spec is never mutated by a sweep.
-  EXPECT_EQ(runner.scenario().fault.params.get_double("p", 0.0), 0.25);
-}
-
-TEST(ParallelRunner, PooledStatsAccountForEveryRepetition) {
-  const Scenario s = parallel_scenario(true);
-  ScenarioRunner serial_runner(s);
-  (void)serial_runner.run_all(1);
-  const EngineStats serial_stats = serial_runner.total_engine_stats();
-  EXPECT_EQ(serial_stats.runs, static_cast<std::uint64_t>(s.repetitions));
-
-  ScenarioRunner pooled_runner(s);
-  (void)pooled_runner.run_all(3);
-  const EngineStats pooled_stats = pooled_runner.total_engine_stats();
-  EXPECT_EQ(pooled_stats.runs, static_cast<std::uint64_t>(s.repetitions));
-  // Work totals are placement-independent: same culls, same iterations.
-  EXPECT_EQ(serial_stats.iterations, pooled_stats.iterations);
-  EXPECT_EQ(serial_stats.disconnected_culls, pooled_stats.disconnected_culls);
-}
-
-TEST(ParallelRunner, WorkerErrorsPropagateWithoutPoisoningTheRunner) {
-  Scenario s = parallel_scenario(false);
-  s.metrics.verify_trace = false;
-  ScenarioRunner runner(s);
-  const std::vector<double> ps{0.1, 0.2};
-  EXPECT_THROW((void)runner.sweep_fault_param("no_such_key", ps, 2), PreconditionError);
-  EXPECT_FALSE(runner.scenario().fault.params.has("no_such_key"));
-  // Still usable afterwards.
-  const std::vector<ScenarioRun> runs = runner.sweep_fault_param("p", ps, 2);
-  EXPECT_EQ(runs.size(), ps.size());
-}
 
 TEST(ParallelRunner, PercolationStatsAreThreadCountIndependent) {
   const Mesh m = Mesh::cube(12, 2);

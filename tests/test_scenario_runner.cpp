@@ -1,8 +1,10 @@
-// ScenarioRunner contracts (DESIGN.md §6): determinism (a runner is a
-// pure function of its Scenario), churn-through-engine parity with the
-// old simulate_churn path, and engine-telemetry sanity.
+// Scenario-layer contracts (DESIGN.md §6): determinism (a run is a pure
+// function of its Scenario), churn-through-engine parity with the old
+// simulate_churn path, and engine-telemetry sanity.  Batches run as
+// one-entry campaigns, the library's one batch scheduler.
 #include <gtest/gtest.h>
 
+#include "api/campaign.hpp"
 #include "api/runner.hpp"
 #include "prune/prune.hpp"
 #include "prune/prune2.hpp"
@@ -37,12 +39,19 @@ void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
   EXPECT_EQ(a.fragmentation.largest, b.fragmentation.largest);
 }
 
+/// `s` (optionally swept) as a one-entry campaign on one thread.
+[[nodiscard]] ScenarioReport run_entry(const Scenario& s,
+                                       std::optional<SweepSpec> sweep = std::nullopt) {
+  Campaign campaign;
+  campaign.entries.push_back({s, std::move(sweep)});
+  CampaignReport report = CampaignRunner(std::move(campaign)).run(1);
+  return std::move(report.scenarios.front());
+}
+
 TEST(ScenarioRunner, SameScenarioAndSeedIsBitIdenticalTwice) {
   const Scenario s = culling_scenario();
-  ScenarioRunner first(s);
-  ScenarioRunner second(s);
-  const std::vector<ScenarioRun> a = first.run_all();
-  const std::vector<ScenarioRun> b = second.run_all();
+  const std::vector<ScenarioRun> a = run_entry(s).runs;
+  const std::vector<ScenarioRun> b = run_entry(s).runs;
   ASSERT_EQ(a.size(), b.size());
   bool any_culled = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -58,8 +67,8 @@ TEST(ScenarioRunner, SameScenarioAndSeedIsBitIdenticalTwice) {
 TEST(ScenarioRunner, FastModeIsDeterministicAndCertified) {
   Scenario s = culling_scenario();
   s.prune.fast = true;
-  const std::vector<ScenarioRun> a = ScenarioRunner(s).run_all();
-  const std::vector<ScenarioRun> b = ScenarioRunner(s).run_all();
+  const std::vector<ScenarioRun> a = run_entry(s).runs;
+  const std::vector<ScenarioRun> b = run_entry(s).runs;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
@@ -94,21 +103,19 @@ TEST(ScenarioRunner, DeterministicModeIsBitIdenticalToTheStatelessReference) {
 TEST(ScenarioRunner, SweepRunsOnOneEngineAndTracksTheParam) {
   Scenario s = culling_scenario();
   s.metrics.verify_trace = false;
-  ScenarioRunner runner(s);
   const std::vector<double> ps{0.05, 0.15, 0.3};
-  const std::vector<ScenarioRun> sweep = runner.sweep_fault_param("p", ps);
+  const ScenarioReport report = run_entry(s, SweepSpec{"p", ps});
+  const std::vector<ScenarioRun>& sweep = report.runs;
   ASSERT_EQ(sweep.size(), ps.size());
   // More faults -> fewer alive (same seed across the sweep).
   EXPECT_GT(sweep[0].alive.count(), sweep[2].alive.count());
-  EXPECT_GE(runner.engine_stats().runs, ps.size());
+  EXPECT_EQ(report.engine.runs, ps.size());
   // The sweep must not clobber the scenario's own fault params.
-  EXPECT_EQ(runner.scenario().fault.params.get_double("p", 0.0), 0.25);
-  // ...even when a probe throws (undeclared key): the spec is restored
-  // and the runner stays usable.
-  EXPECT_THROW((void)runner.sweep_fault_param("no_such_key", ps), PreconditionError);
-  EXPECT_EQ(runner.scenario().fault.params.get_double("p", 0.0), 0.25);
-  EXPECT_FALSE(runner.scenario().fault.params.has("no_such_key"));
-  (void)runner.run_once(0);
+  EXPECT_EQ(report.scenario.fault.params.get_double("p", 0.0), 0.25);
+  // An undeclared key is rejected before anything runs.
+  Campaign bad;
+  bad.entries.push_back({s, SweepSpec{"no_such_key", ps}});
+  EXPECT_THROW((void)CampaignRunner(std::move(bad)), PreconditionError);
 }
 
 TEST(ScenarioRunner, ChurnAliveStreamMatchesSimulateChurn) {
@@ -167,20 +174,16 @@ TEST(ScenarioRunner, EngineStatsAccumulateAcrossRuns) {
   Scenario s = culling_scenario();
   s.prune.fast = true;
   s.repetitions = 3;
-  ScenarioRunner runner(s);
-  (void)runner.run_all();
-  const EngineStats& st = runner.engine_stats();
+  const EngineStats st = run_entry(s).engine;
   EXPECT_EQ(st.runs, 3u);
   EXPECT_GT(st.eigensolves + st.stale_sweep_hits, 0u);
   EXPECT_LE(st.stale_sweep_hits, st.stale_sweeps);
 }
 
 TEST(ScenarioRunner, MetricsTableHasOneRowPerRun) {
-  Scenario s = culling_scenario();
-  ScenarioRunner runner(s);
-  const std::vector<ScenarioRun> runs = runner.run_all();
-  const Table table = runner.metrics_table(runs);
-  EXPECT_EQ(table.num_rows(), runs.size());
+  const ScenarioReport report = run_entry(culling_scenario());
+  const Table table = metrics_table(report.scenario, report.n, report.runs);
+  EXPECT_EQ(table.num_rows(), report.runs.size());
 }
 
 TEST(ScenarioRunner, NamedScenariosAllConstruct) {
