@@ -100,6 +100,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -133,13 +134,7 @@ void list_registries() {
   Table topo({"name", "params", "description"});
   for (const std::string& name : TopologyRegistry::instance().names()) {
     const TopologyEntry& e = TopologyRegistry::instance().at(name);
-    std::string params;
-    for (const ParamSpec& p : e.params) {
-      if (!params.empty()) params += ", ";
-      params += p.key;
-      if (!p.default_value.empty()) params += "=" + p.default_value;
-    }
-    topo.row().cell(name).cell(params.empty() ? "-" : params).cell(e.doc);
+    topo.row().cell(name).cell(param_summary(e.params)).cell(e.doc);
   }
   topo.print(std::cout);
 
@@ -147,21 +142,10 @@ void list_registries() {
   Table faults({"name", "params", "monotone", "description"});
   for (const std::string& name : FaultModelRegistry::instance().names()) {
     const FaultModelEntry& e = FaultModelRegistry::instance().at(name);
-    std::string params;
-    for (const ParamSpec& p : e.params) {
-      if (!params.empty()) params += ", ";
-      params += p.key;
-      if (!p.default_value.empty()) params += "=" + p.default_value;
-    }
-    std::string monotone;
-    for (const std::string& p : e.monotone_params) {
-      if (!monotone.empty()) monotone += ", ";
-      monotone += p;
-    }
     faults.row()
         .cell(name)
-        .cell(params.empty() ? "-" : params)
-        .cell(monotone.empty() ? "-" : monotone)
+        .cell(param_summary(e.params))
+        .cell(e.monotone_params.empty() ? "-" : join_list(e.monotone_params))
         .cell(e.doc);
   }
   faults.print(std::cout);
@@ -170,13 +154,7 @@ void list_registries() {
   Table metrics({"name", "params", "description"});
   for (const std::string& name : MetricsRegistry::instance().names()) {
     const MetricEntry& e = MetricsRegistry::instance().at(name);
-    std::string params;
-    for (const ParamSpec& p : e.params) {
-      if (!params.empty()) params += ", ";
-      params += p.key;
-      if (!p.default_value.empty()) params += "=" + p.default_value;
-    }
-    metrics.row().cell(name).cell(params.empty() ? "-" : params).cell(e.doc);
+    metrics.row().cell(name).cell(param_summary(e.params)).cell(e.doc);
   }
   metrics.print(std::cout);
 
@@ -382,9 +360,10 @@ int run_campaign(const Cli& cli) {
   FNE_REQUIRE(spec == "catalog" || !cli.has("reps"),
               "--reps only applies to --campaign=catalog; file campaigns declare "
               "repetitions per scenario");
-  Campaign campaign = spec == "catalog"
-                          ? catalog_campaign(static_cast<int>(cli.get_int("reps", 1)))
-                          : campaign_from_file(spec);
+  Campaign campaign =
+      spec == "catalog"
+          ? catalog_campaign(narrow_in_range<int>("--reps", cli.get_int("reps", 1), 1, INT_MAX))
+          : campaign_from_file(spec);
   if (cli.has("connect")) return run_worker(cli, std::move(campaign));
   FNE_REQUIRE(!cli.has("workers") || cli.has("serve"), "--workers needs --serve");
   const int threads = cli.get_threads(1);

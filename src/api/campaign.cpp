@@ -1,12 +1,14 @@
 #include "api/campaign.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <initializer_list>
 #include <iostream>
 #include <utility>
 
 #include "api/metrics.hpp"
 #include "api/registry.hpp"
+#include "expansion/exact.hpp"
 #include "spectral/lanczos.hpp"
 #include "store/key.hpp"
 #include "store/record.hpp"
@@ -32,15 +34,8 @@ void check_keys(const JsonValue& obj, const std::string& context,
     const bool known =
         std::any_of(allowed.begin(), allowed.end(),
                     [&](const char* a) { return key == a; });
-    if (!known) {
-      std::string list;
-      for (const char* a : allowed) {
-        if (!list.empty()) list += ", ";
-        list += a;
-      }
-      FNE_REQUIRE(false, "campaign: " + context + " has no key '" + key +
-                             "' (allowed: " + list + ")");
-    }
+    FNE_REQUIRE(known, "campaign: " + context + " has no key '" + key + "' (allowed: " +
+                           join_list({allowed.begin(), allowed.end()}) + ")");
   }
 }
 
@@ -80,7 +75,7 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
   if (const JsonValue* v = obj.find("name")) s.name = v->as_string();
   if (const JsonValue* v = obj.find("seed")) s.seed = static_cast<std::uint64_t>(v->as_int());
   if (const JsonValue* v = obj.find("repetitions")) {
-    s.repetitions = static_cast<int>(v->as_int());
+    s.repetitions = narrow_in_range<int>("campaign: repetitions", v->as_int(), 1, INT_MAX);
   }
   if (const JsonValue* v = obj.find("topology")) {
     check_keys(*v, "topology", {"name", "params"});
@@ -115,7 +110,8 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
     if (const JsonValue* e = v->find("epsilon")) s.prune.epsilon = e->as_number();
     if (const JsonValue* f = v->find("fast")) s.prune.fast = f->as_bool();
     if (const JsonValue* m = v->find("max_iterations")) {
-      s.prune.max_iterations = static_cast<int>(m->as_int());
+      s.prune.max_iterations =
+          narrow_in_range<int>("campaign: prune.max_iterations", m->as_int(), 0, INT_MAX);
     }
     // Eigensolver acceleration for the cut finder's spectral stage
     // (DESIGN.md §10).  A typo'd mode name fails here, at parse time,
@@ -135,7 +131,8 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
     if (const JsonValue* e = v->find("expansion")) s.metrics.expansion = e->as_bool();
     if (const JsonValue* t = v->find("verify_trace")) s.metrics.verify_trace = t->as_bool();
     if (const JsonValue* b = v->find("bracket_exact_limit")) {
-      s.metrics.bracket_exact_limit = static_cast<vid>(b->as_int());
+      s.metrics.bracket_exact_limit = narrow_in_range<vid>(
+          "campaign: metrics.bracket_exact_limit", b->as_int(), 0, kExactExpansionLimit);
     }
     if (const JsonValue* r = v->find("requests")) {
       // Registered-metric requests replace the preset's list wholesale
@@ -384,9 +381,8 @@ void check_campaign(const Campaign& campaign) {
     const std::string who = "campaign entry '" + e.scenario.name + "': sweep over '" +
                             sweep.param + "'";
     FNE_REQUIRE(!sweep.values.empty(), who + " needs values");
-    const bool declared = std::any_of(model.params.begin(), model.params.end(),
-                                      [&](const ParamSpec& p) { return p.key == sweep.param; });
-    FNE_REQUIRE(declared, who + ": fault model '" + model.name + "' has no such param");
+    FNE_REQUIRE(FaultModelRegistry::declares(model, sweep.param),
+                who + ": fault model '" + model.name + "' has no such param");
     if (sweep.mode != SweepMode::kMonotone) continue;
     const bool monotone = std::find(model.monotone_params.begin(), model.monotone_params.end(),
                                     sweep.param) != model.monotone_params.end();

@@ -1,6 +1,7 @@
 #include "api/metrics.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "api/runner.hpp"
 #include "core/traversal.hpp"
 #include "expansion/bracket.hpp"
+#include "expansion/exact.hpp"
 #include "prune/verify.hpp"
 #include "span/compact_sets.hpp"
 #include "span/mesh_span.hpp"
@@ -25,23 +27,6 @@
 namespace fne {
 
 namespace {
-
-/// Same declared-params hygiene as the other registries.
-void check_declared(const MetricEntry& entry, const Params& params) {
-  for (const auto& [key, value] : params.values()) {
-    const bool known = std::any_of(entry.params.begin(), entry.params.end(),
-                                   [&](const ParamSpec& s) { return s.key == key; });
-    if (!known) {
-      std::string declared;
-      for (const ParamSpec& s : entry.params) {
-        if (!declared.empty()) declared += ", ";
-        declared += s.key;
-      }
-      FNE_REQUIRE(false, "metric '" + entry.name + "' has no param '" + key +
-                             "' (declared: " + (declared.empty() ? "none" : declared) + ")");
-    }
-  }
-}
 
 /// Short fixed-point rendering for table briefs (payloads carry the full
 /// 12-digit values; briefs are for humans).
@@ -70,6 +55,13 @@ void check_declared(const MetricEntry& entry, const Params& params) {
 void validate_spectral_params(const Params& params) {
   (void)spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
   (void)filter_degree_from_int(params.get_int("filter_degree", 0));
+}
+
+/// expansion_bracket's exact_limit, checked at campaign parse time (its
+/// validate hook) and again at compute time.
+[[nodiscard]] vid bracket_exact_limit(const Params& params) {
+  return narrow_in_range<vid>("metric 'expansion_bracket': exact_limit",
+                              params.get_int("exact_limit", 14), 0, kExactExpansionLimit);
 }
 
 [[nodiscard]] SpectralAccel accel_from_params(const Params& params, const SubCsr& sub) {
@@ -115,7 +107,7 @@ void validate_spectral_params(const Params& params) {
     return undefined_record("expansion_bracket", "needs >= 2 survivors");
   }
   BracketOptions opts;
-  opts.exact_limit = static_cast<vid>(params.get_int("exact_limit", 14));
+  opts.exact_limit = bracket_exact_limit(params);
   opts.seed = ctx.seed;
   const ExpansionBracket b =
       expansion_bracket(ctx.graph, ctx.run.prune.survivors, ctx.scenario.prune.kind, opts);
@@ -148,8 +140,8 @@ void validate_spectral_params(const Params& params) {
               "metric 'mesh_span': Lemma 3.7 does not extend to tori (see span/mesh_span.hpp); "
               "use a 'mesh' topology");
   const vid n = mesh.num_vertices();
-  const auto samples = static_cast<int>(params.get_int("samples", 24));
-  FNE_REQUIRE(samples >= 1, "metric 'mesh_span': samples must be >= 1");
+  const int samples = narrow_in_range<int>("metric 'mesh_span': samples",
+                                          params.get_int("samples", 24), 1, INT_MAX);
   const bool exact = params.get_bool("exact", n <= kCompactEnumLimit);
 
   JsonObject obj;
@@ -191,8 +183,8 @@ void validate_spectral_params(const Params& params) {
 
 [[nodiscard]] MetricRecord metric_span_estimate(const MetricContext& ctx, const Params& params) {
   SpanEstimateOptions opts;
-  opts.samples_per_size = static_cast<int>(params.get_int("samples", 8));
-  FNE_REQUIRE(opts.samples_per_size >= 1, "metric 'span_estimate': samples must be >= 1");
+  opts.samples_per_size = narrow_in_range<int>("metric 'span_estimate': samples",
+                                               params.get_int("samples", 8), 1, INT_MAX);
   opts.seed = ctx.seed;
   const std::string fractions = params.get_str("fractions", "0.05,0.1,0.2,0.35,0.5");
   opts.size_fractions = parse_double_list(fractions);
@@ -210,8 +202,8 @@ void validate_spectral_params(const Params& params) {
 
 [[nodiscard]] MetricRecord metric_embedding_quality(const MetricContext& ctx,
                                                     const Params& params) {
-  const auto spectral_dims = static_cast<int>(params.get_int("spectral_dims", 2));
-  FNE_REQUIRE(spectral_dims >= 0, "metric 'embedding_quality': spectral_dims must be >= 0");
+  const int spectral_dims = narrow_in_range<int>("metric 'embedding_quality': spectral_dims",
+                                                params.get_int("spectral_dims", 2), 0, INT_MAX);
   if (ctx.run.prune.survivors.empty()) {
     return undefined_record("embedding_quality", "empty survivor set");
   }
@@ -248,8 +240,8 @@ void validate_spectral_params(const Params& params) {
 
 [[nodiscard]] MetricRecord metric_expander_certificate(const MetricContext& ctx,
                                                        const Params& params) {
-  const auto eigenpairs = static_cast<int>(params.get_int("eigenpairs", 2));
-  FNE_REQUIRE(eigenpairs >= 1, "metric 'expander_certificate': eigenpairs must be >= 1");
+  const int eigenpairs = narrow_in_range<int>("metric 'expander_certificate': eigenpairs",
+                                             params.get_int("eigenpairs", 2), 1, INT_MAX);
   if (ctx.run.prune.survivors.count() < 3) {
     return undefined_record("expander_certificate", "needs >= 3 survivors");
   }
@@ -276,8 +268,8 @@ void validate_spectral_params(const Params& params) {
   top_opts.tolerance = 1e-8;
   top_opts.max_iterations = 400;
   // The -L operator's spectrum lives in [-gershgorin, 0]: its upper bound
-  // is 0, and a useful shift must sit below -lambda_max (see
-  // spectral/expander_certificate.cpp for the same construction).
+  // is 0, and shift-invert needs a shift below -lambda_max so -L - shift*I
+  // stays positive definite — one below the Gershgorin bound does it.
   top_opts.accel = accel;
   top_opts.accel.op_upper_bound = 0.0;
   if (top_opts.accel.mode == SpectralMode::kShiftInvert) {
@@ -300,9 +292,9 @@ void validate_spectral_params(const Params& params) {
       .put("edge_expansion_lower", lambda2 / 2.0)
       .put("converged", bottom.converged && top.converged);
 
-  // d-regularity within the component unlocks the expander mixing lemma
-  // (spectral/expander_certificate.hpp): adjacency spectrum = d - L
-  // spectrum.
+  // d-regularity within the component unlocks the expander mixing lemma:
+  // the adjacency spectrum is d - L spectrum, and lambda_mixing =
+  // max(|lambda_2(A)|, |lambda_min(A)|) bounds edge counts between sets.
   vid degree = kInvalidVertex;
   bool regular = true;
   comp.for_each([&](vid v) {
@@ -336,38 +328,12 @@ MetricsRegistry& MetricsRegistry::instance() {
 }
 
 void MetricsRegistry::add(MetricEntry entry) {
-  FNE_REQUIRE(!entry.name.empty(), "metric entry needs a name");
   FNE_REQUIRE(static_cast<bool>(entry.compute), "metric '" + entry.name + "' needs a compute fn");
-  entries_[entry.name] = std::move(entry);
-}
-
-bool MetricsRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-const MetricEntry& MetricsRegistry::at(const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    std::string known;
-    for (const auto& [n, entry] : entries_) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    FNE_REQUIRE(false, "unknown metric '" + name + "' (registered: " + known + ")");
-  }
-  return it->second;
-}
-
-std::vector<std::string> MetricsRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
+  insert(std::move(entry));
 }
 
 void MetricsRegistry::check(const std::string& name, const Params& params) const {
-  const MetricEntry& entry = at(name);
-  check_declared(entry, params);
+  const MetricEntry& entry = at(name, params);
   if (entry.validate) entry.validate(params);
 }
 
@@ -385,15 +351,14 @@ void check_metric_requests(const Scenario& scenario) {
 
 MetricRecord MetricsRegistry::compute(const std::string& name, const MetricContext& ctx,
                                       const Params& params) const {
-  const MetricEntry& entry = at(name);
-  check_declared(entry, params);
+  const MetricEntry& entry = at(name, params);
   if (entry.validate) entry.validate(params);
   MetricRecord out = entry.compute(ctx, params);
   out.name = name;
   return out;
 }
 
-MetricsRegistry::MetricsRegistry() {
+MetricsRegistry::MetricsRegistry() : Registry("metric") {
   add({"fragmentation",
        "fragmentation profile of the survivor set (largest component, gamma)",
        {},
@@ -403,7 +368,7 @@ MetricsRegistry::MetricsRegistry() {
        "certified expansion bracket of the survivor set (costly: extra cut searches)",
        {{"exact_limit", "14", "exact enumeration cap"}},
        metric_expansion_bracket,
-       {},
+       [](const Params& params) { (void)bracket_exact_limit(params); },
        /*split_job=*/true});
   add({"verify_trace",
        "replay-verify the prune trace (prune/verify.hpp certification)",

@@ -14,10 +14,11 @@
 // deterministic parts of the run (survivors, masks, the scenario value,
 // a derived seed), so campaign reports splice it into the deterministic
 // payload byte-identically for any thread count and any cache state.
-// Contracts mirror the other registries: declared params only (typos
-// fail loudly with the declared keys listed), unknown metric names fail
-// naming the registered ones, REQUIRE-style errors for config mistakes
-// (e.g. mesh_span on a topology without mesh structure).  Data-dependent
+// It is the same Registry<Entry> core as the topology and fault-model
+// registries (api/registry.hpp): declared params only (typos fail loudly
+// with the declared keys listed), unknown metric names fail naming the
+// registered ones.  Config mistakes (e.g. mesh_span on a topology
+// without mesh structure) are REQUIRE-style errors.  Data-dependent
 // degeneracies (an empty or shattered survivor set) are NOT errors: the
 // payload carries "defined": false instead, so one collapsed repetition
 // cannot abort a campaign.
@@ -25,12 +26,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "api/params.hpp"
-#include "api/registry.hpp"  // ParamSpec
+#include "api/registry.hpp"  // ParamSpec, Registry
 #include "api/scenario.hpp"
 #include "core/graph.hpp"
 
@@ -67,15 +67,12 @@ struct MetricEntry {
   bool split_job = false;
 };
 
-class MetricsRegistry {
+class MetricsRegistry : public Registry<MetricEntry> {
  public:
   /// The process-wide registry, with all builtin metrics registered.
   [[nodiscard]] static MetricsRegistry& instance();
 
   void add(MetricEntry entry);
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] const MetricEntry& at(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Validate `params` against the entry's declaration without computing
   /// — the campaign parser's eager typo check.
@@ -87,7 +84,6 @@ class MetricsRegistry {
 
  private:
   MetricsRegistry();
-  std::map<std::string, MetricEntry> entries_;
 };
 
 /// The one metric-request validator: every request of `scenario` must

@@ -1,6 +1,5 @@
 #include "api/registry.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -24,32 +23,9 @@ namespace fne {
 
 namespace {
 
-/// Uniform declared-params check: every supplied key must be declared.
-template <typename Entry>
-void check_declared(const char* registry_kind, const Entry& entry, const Params& params) {
-  for (const auto& [key, value] : params.values()) {
-    const bool known = std::any_of(entry.params.begin(), entry.params.end(),
-                                   [&](const ParamSpec& s) { return s.key == key; });
-    if (!known) {
-      std::string declared;
-      for (const ParamSpec& s : entry.params) {
-        if (!declared.empty()) declared += ", ";
-        declared += s.key;
-      }
-      FNE_REQUIRE(false, std::string(registry_kind) + " '" + entry.name +
-                             "' has no param '" + key + "' (declared: " +
-                             (declared.empty() ? "none" : declared) + ")");
-    }
-  }
-}
-
 [[nodiscard]] vid require_vid(const std::string& who, const Params& p, const std::string& key,
                               std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
-  const std::int64_t v = p.get_int(key, fallback);
-  FNE_REQUIRE(v >= lo && v <= hi, who + ": " + key + "=" + std::to_string(v) +
-                                      " out of range [" + std::to_string(lo) + ", " +
-                                      std::to_string(hi) + "]");
-  return static_cast<vid>(v);
+  return narrow_in_range<vid>(who + ": " + key, p.get_int(key, fallback), lo, hi);
 }
 
 [[nodiscard]] double require_prob(const std::string& who, const Params& p,
@@ -179,6 +155,23 @@ const std::vector<ParamSpec> kBudgetParams = {
 
 }  // namespace
 
+std::string join_list(const std::vector<std::string>& items) {
+  std::string out;
+  for (const std::string& item : items) {
+    if (!out.empty()) out += ", ";
+    out += item;
+  }
+  return out;
+}
+
+std::string param_summary(const std::vector<ParamSpec>& params) {
+  std::vector<std::string> items;
+  for (const ParamSpec& p : params) {
+    items.push_back(p.default_value.empty() ? p.key : p.key + "=" + p.default_value);
+  }
+  return items.empty() ? "-" : join_list(items);
+}
+
 // ---------------------------------------------------------------------------
 // TopologyRegistry
 // ---------------------------------------------------------------------------
@@ -189,46 +182,18 @@ TopologyRegistry& TopologyRegistry::instance() {
 }
 
 void TopologyRegistry::add(TopologyEntry entry) {
-  FNE_REQUIRE(!entry.name.empty(), "topology entry needs a name");
   FNE_REQUIRE(static_cast<bool>(entry.build), "topology '" + entry.name + "' needs a factory");
   FNE_REQUIRE(static_cast<bool>(entry.expected_n),
               "topology '" + entry.name + "' needs a vertex-count contract");
-  entries_[entry.name] = std::move(entry);
-}
-
-bool TopologyRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-const TopologyEntry& TopologyRegistry::at(const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    std::string known;
-    for (const auto& [n, e] : entries_) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    FNE_REQUIRE(false, "unknown topology '" + name + "' (registered: " + known + ")");
-  }
-  return it->second;
-}
-
-std::vector<std::string> TopologyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
+  insert(std::move(entry));
 }
 
 vid TopologyRegistry::expected_n(const std::string& name, const Params& params) const {
-  const TopologyEntry& entry = at(name);
-  check_declared("topology", entry, params);
-  return entry.expected_n(params);
+  return at(name, params).expected_n(params);
 }
 
 Params TopologyRegistry::structure(const std::string& name, const Params& params) const {
-  const TopologyEntry& entry = at(name);
-  check_declared("topology", entry, params);
+  const TopologyEntry& entry = at(name, params);
   return entry.structure ? entry.structure(params) : Params{};
 }
 
@@ -253,8 +218,7 @@ std::string topology_cache_salt(const std::string& name, const Params& params) {
 
 Graph TopologyRegistry::build(const std::string& name, const Params& params,
                               std::uint64_t seed) const {
-  const TopologyEntry& entry = at(name);
-  check_declared("topology", entry, params);
+  const TopologyEntry& entry = at(name, params);
   const vid want = entry.expected_n(params);
   Graph g = entry.build(params, seed);
   FNE_REQUIRE(g.num_vertices() == want,
@@ -263,7 +227,7 @@ Graph TopologyRegistry::build(const std::string& name, const Params& params,
   return g;
 }
 
-TopologyRegistry::TopologyRegistry() {
+TopologyRegistry::TopologyRegistry() : Registry("topology") {
   // Deterministic families.  Contracts mirror the header docs: the
   // 2^dims-vertex families (hypercube/debruijn/shuffle_exchange) and the
   // side^dims meshes make the previously implicit size explicit.
@@ -540,47 +504,20 @@ FaultModelRegistry& FaultModelRegistry::instance() {
 }
 
 void FaultModelRegistry::add(FaultModelEntry entry) {
-  FNE_REQUIRE(!entry.name.empty(), "fault model entry needs a name");
-  FNE_REQUIRE(static_cast<bool>(entry.build),
-              "fault model '" + entry.name + "' needs a factory");
-  entries_[entry.name] = std::move(entry);
-}
-
-bool FaultModelRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-const FaultModelEntry& FaultModelRegistry::at(const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    std::string known;
-    for (const auto& [n, e] : entries_) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    FNE_REQUIRE(false, "unknown fault model '" + name + "' (registered: " + known + ")");
-  }
-  return it->second;
-}
-
-std::vector<std::string> FaultModelRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
+  FNE_REQUIRE(static_cast<bool>(entry.build), "fault model '" + entry.name + "' needs a factory");
+  insert(std::move(entry));
 }
 
 VertexSet FaultModelRegistry::build(const std::string& name, const Graph& g,
                                     const Params& params, std::uint64_t seed) const {
-  const FaultModelEntry& entry = at(name);
-  check_declared("fault model", entry, params);
+  const FaultModelEntry& entry = at(name, params);
   VertexSet alive = entry.build(g, params, seed);
   FNE_REQUIRE(alive.universe_size() == g.num_vertices(),
               "fault model '" + name + "' returned a mask over the wrong universe");
   return alive;
 }
 
-FaultModelRegistry::FaultModelRegistry() {
+FaultModelRegistry::FaultModelRegistry() : Registry("fault model") {
   add({"none",
        "no faults: everything alive (baseline rows)",
        {},

@@ -1,5 +1,6 @@
-// String-keyed registries normalizing every topology builder and fault
-// model behind uniform factory signatures (DESIGN.md §6).
+// String-keyed registries normalizing every topology builder, fault
+// model and analysis metric behind uniform factory signatures
+// (DESIGN.md §6, §9).
 //
 // The repo grew one API per module: free functions (hypercube(dims)),
 // result structs (ChainExpanderResult-style wrappers), the Mesh class,
@@ -8,31 +9,37 @@
 //
 //   TopologyRegistry :  name × Params × seed -> Graph
 //   FaultModelRegistry: name × Graph × Params × seed -> alive VertexSet
+//   MetricsRegistry  :  name × MetricContext × Params -> MetricRecord
+//                       (api/metrics.hpp)
 //
-// Contracts enforced uniformly for every registered entry:
-//   * declared params — build() rejects any key the entry did not
-//     declare (typos fail loudly, with the declared keys in the message);
-//   * vertex-count contract — every topology entry computes expected_n()
-//     from its params *before* building, and build() REQUIREs the built
-//     graph to match.  This pins down families like debruijn(dims) and
-//     shuffle_exchange(dims) whose size (2^dims) was previously implicit;
-//   * REQUIRE-style errors — range violations surface as
-//     PreconditionError naming the entry ("topology 'mesh': ...").
+// All three are one Registry<Entry> core plus their domain methods.  The
+// core owns lookup (at() fails naming the registered entries, names()
+// lists them sorted) and the declared-params check: at(name, params)
+// rejects any key the entry did not declare, listing the declared keys,
+// and every build/check/compute goes through it.  Topology entries also
+// honor a vertex-count contract: expected_n() is computed from the params
+// *before* building and build() REQUIREs the graph to match, which pins
+// e.g. debruijn(dims) and shuffle_exchange(dims) at 2^dims vertices.
+// Range violations are PreconditionErrors naming the entry
+// ("topology 'mesh': ...").
 //
 // Registries are process-wide singletons; builtins are registered in the
 // constructor (not by self-registering globals, which a static-library
 // link would dead-strip).  add() lets applications extend them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/params.hpp"
 #include "core/graph.hpp"
 #include "core/vertex_set.hpp"
+#include "util/require.hpp"
 
 namespace fne {
 
@@ -41,6 +48,73 @@ struct ParamSpec {
   std::string key;
   std::string default_value;  ///< display only; factories own the real default
   std::string doc;
+};
+
+/// "a, b, c": the one list format of registry messages and listings.
+[[nodiscard]] std::string join_list(const std::vector<std::string>& items);
+
+/// "key=default, key, ..." for listings; "-" when nothing is declared.
+[[nodiscard]] std::string param_summary(const std::vector<ParamSpec>& params);
+
+/// The shared core of every registry: entries keyed by name in one sorted
+/// map.  `Entry` needs `name` and `params` (its declared ParamSpecs).
+template <typename Entry>
+class Registry {
+ public:
+  [[nodiscard]] bool contains(const std::string& name) const {
+    return entries_.count(name) != 0;
+  }
+
+  /// The entry registered as `name`; REQUIRE-fails listing the registered
+  /// names otherwise.
+  [[nodiscard]] const Entry& at(const std::string& name) const {
+    const auto it = entries_.find(name);
+    FNE_REQUIRE(it != entries_.end(),
+                "unknown " + kind_ + " '" + name + "' (registered: " + join_list(names()) + ")");
+    return it->second;
+  }
+
+  /// at(name), after REQUIRing every key of `params` to be one the entry
+  /// declares; the message lists the declared keys.
+  [[nodiscard]] const Entry& at(const std::string& name, const Params& params) const {
+    const Entry& entry = at(name);
+    for (const auto& [key, value] : params.values()) {
+      if (declares(entry, key)) continue;
+      std::vector<std::string> keys;
+      for (const ParamSpec& s : entry.params) keys.push_back(s.key);
+      FNE_REQUIRE(false, kind_ + " '" + entry.name + "' has no param '" + key +
+                             "' (declared: " + (keys.empty() ? "none" : join_list(keys)) + ")");
+    }
+    return entry;
+  }
+
+  /// Whether `entry` declares the param `key`.
+  [[nodiscard]] static bool declares(const Entry& entry, const std::string& key) {
+    return std::any_of(entry.params.begin(), entry.params.end(),
+                       [&](const ParamSpec& s) { return s.key == key; });
+  }
+
+  /// Registered names, sorted.
+  [[nodiscard]] std::vector<std::string> names() const {
+    std::vector<std::string> out;
+    out.reserve(entries_.size());
+    for (const auto& [name, entry] : entries_) out.push_back(name);
+    return out;
+  }
+
+ protected:
+  /// `kind` names the registry in messages ("topology", "fault model").
+  explicit Registry(std::string kind) : kind_(std::move(kind)) {}
+
+  /// Register (or replace) `entry`; the derived add() checks its factory.
+  void insert(Entry entry) {
+    FNE_REQUIRE(!entry.name.empty(), kind_ + " entry needs a name");
+    entries_[entry.name] = std::move(entry);
+  }
+
+ private:
+  std::string kind_;
+  std::map<std::string, Entry> entries_;
 };
 
 struct TopologyEntry {
@@ -72,15 +146,12 @@ struct TopologyEntry {
   std::function<std::string(const Params&)> cache_salt = {};
 };
 
-class TopologyRegistry {
+class TopologyRegistry : public Registry<TopologyEntry> {
  public:
   /// The process-wide registry, with all builtin families registered.
   [[nodiscard]] static TopologyRegistry& instance();
 
   void add(TopologyEntry entry);
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] const TopologyEntry& at(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Validate params against the entry's declaration, build, and REQUIRE
   /// the result to honor the entry's vertex-count contract.
@@ -94,7 +165,6 @@ class TopologyRegistry {
 
  private:
   TopologyRegistry();
-  std::map<std::string, TopologyEntry> entries_;
 };
 
 class Mesh;  // topology/mesh.hpp
@@ -132,14 +202,11 @@ struct FaultModelEntry {
   std::vector<std::string> monotone_params;
 };
 
-class FaultModelRegistry {
+class FaultModelRegistry : public Registry<FaultModelEntry> {
  public:
   [[nodiscard]] static FaultModelRegistry& instance();
 
   void add(FaultModelEntry entry);
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] const FaultModelEntry& at(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Validate params and run the fault process; REQUIREs the returned
   /// alive mask to live in g's universe.
@@ -148,7 +215,6 @@ class FaultModelRegistry {
 
  private:
   FaultModelRegistry();
-  std::map<std::string, FaultModelEntry> entries_;
 };
 
 }  // namespace fne

@@ -1,6 +1,6 @@
 #include "api/scenario_cli.hpp"
 
-#include <algorithm>
+#include <climits>
 #include <sstream>
 #include <utility>
 
@@ -63,9 +63,7 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
   if (has_spectral_mode || has_filter_degree) {
     for (MetricRequest& request : base.metrics.requests) {
       const MetricEntry& entry = MetricsRegistry::instance().at(request.name);
-      const bool declares = std::any_of(entry.params.begin(), entry.params.end(),
-                                        [](const ParamSpec& p) { return p.key == "spectral_mode"; });
-      if (!declares) continue;
+      if (!MetricsRegistry::declares(entry, "spectral_mode")) continue;
       if (has_spectral_mode) request.params.set("spectral_mode", cli.get("spectral-mode", ""));
       if (has_filter_degree) {
         request.params.set("filter_degree", cli.get_int("filter-degree", 0));
@@ -73,7 +71,8 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
     }
   }
   check_metric_requests(base);
-  base.repetitions = static_cast<int>(cli.get_int("reps", base.repetitions));
+  base.repetitions = narrow_in_range<int>("--reps", cli.get_int("reps", base.repetitions), 1,
+                                         INT_MAX);
   base.seed = cli.get_seed(base.seed);
   return base;
 }

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <string_view>
 #include <thread>
@@ -42,12 +43,9 @@ double Cli::get_double(const std::string& key, double fallback) const {
 }
 
 int Cli::get_threads(int fallback) const {
-  auto threads = static_cast<int>(get_int("threads", fallback));
-  if (threads == 0) {
-    threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  FNE_REQUIRE(threads >= 1, "--threads must be >= 1");
-  return threads;
+  const int threads = narrow_in_range<int>("--threads", get_int("threads", fallback), 0, INT_MAX);
+  return threads != 0 ? threads
+                      : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 std::vector<double> Cli::get_double_list(const std::string& key,

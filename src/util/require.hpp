@@ -7,6 +7,7 @@
 // wrong science rather than a crash.
 #pragma once
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -37,3 +38,18 @@ namespace detail {
       ::fne::detail::require_failed(#expr, __FILE__, __LINE__, (msg));      \
     }                                                                       \
   } while (false)
+
+namespace fne {
+
+/// Range-checked narrowing of a parsed integer: REQUIREs lo <= v <= hi
+/// before the cast, so an oversized value fails ("field=v out of range
+/// [lo, hi]") instead of wrapping into a small one.
+template <typename T>
+[[nodiscard]] T narrow_in_range(const std::string& field, std::int64_t v, std::int64_t lo,
+                                std::int64_t hi) {
+  FNE_REQUIRE(v >= lo && v <= hi, field + "=" + std::to_string(v) + " out of range [" +
+                                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<T>(v);
+}
+
+}  // namespace fne

@@ -256,6 +256,40 @@ TEST(CampaignJson, RejectsUnknownKeysAndBadValues) {
       (void)campaign_from_json(R"({"scenarios": [{"sweep": {"param": "p", "values": []}}]})"),
       PreconditionError);
   EXPECT_THROW((void)campaign_from_file("/no/such/file.json"), PreconditionError);
+  // Integers are range-checked before they are narrowed: each of these
+  // once wrapped into a small valid value (2^32 + 1 repetitions ran one).
+  const auto bad_int = [](const std::string& field, const std::string& json) {
+    try {
+      (void)campaign_from_json(json);
+      ADD_FAILURE() << "expected PreconditionError for " << json;
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    }
+  };
+  const std::string mesh = R"("topology": {"name": "mesh", "params": {"side": 6}})";
+  bad_int("repetitions", R"({"scenarios": [{)" + mesh + R"(, "repetitions": 4294967297}]})");
+  bad_int("repetitions", R"({"scenarios": [{)" + mesh + R"(, "repetitions": 0}]})");
+  bad_int("prune.max_iterations",
+          R"({"scenarios": [{)" + mesh + R"(, "prune": {"max_iterations": 4294967296}}]})");
+  bad_int("prune.max_iterations",
+          R"({"scenarios": [{)" + mesh + R"(, "prune": {"max_iterations": -1}}]})");
+  bad_int("metrics.bracket_exact_limit",
+          R"({"scenarios": [{)" + mesh + R"(, "metrics": {"bracket_exact_limit": -1}}]})");
+  bad_int("metrics.bracket_exact_limit",
+          R"({"scenarios": [{)" + mesh + R"(, "metrics": {"bracket_exact_limit": 31}}]})");
+  bad_int("exact_limit", R"({"scenarios": [{)" + mesh +
+                             R"(, "metrics": {"requests": [{"name": "expansion_bracket",
+                                 "params": {"exact_limit": 4294967310}}]}}]})");
+  // The bounds themselves parse.
+  const Campaign edge = campaign_from_json(
+      R"({"scenarios": [{)" + mesh +
+      R"(, "repetitions": 1, "prune": {"max_iterations": 0},
+           "metrics": {"bracket_exact_limit": 30,
+                       "requests": [{"name": "expansion_bracket",
+                                     "params": {"exact_limit": 0}}]}}]})");
+  EXPECT_EQ(edge.entries[0].scenario.metrics.bracket_exact_limit, 30u);
 }
 
 TEST(JsonValueParser, CoversTheGrammar) {

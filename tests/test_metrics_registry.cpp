@@ -190,6 +190,26 @@ TEST(MetricsRegistry, CliFilterDegreeIsBounded) {
   }
 }
 
+TEST(ScenarioCli, CountFlagsAreRangeCheckedBeforeNarrowing) {
+  // 2^32 + 2 once wrapped to 2 repetitions, 2^32 + 1 to one thread.
+  const auto cli = [](const std::string& flag) {
+    std::string prog = "scenario_runner";
+    std::string arg = flag;
+    char* argv[] = {prog.data(), arg.data()};
+    return Cli(2, argv);
+  };
+  EXPECT_EQ(scenario_overrides_from_cli(Scenario{}, cli("--reps=3")).repetitions, 3);
+  for (const char* bad : {"--reps=4294967298", "--reps=0", "--reps=-1"}) {
+    EXPECT_THROW((void)scenario_overrides_from_cli(Scenario{}, cli(bad)), PreconditionError)
+        << bad;
+  }
+  EXPECT_EQ(cli("--threads=3").get_threads(), 3);
+  EXPECT_GE(cli("--threads=0").get_threads(), 1);
+  for (const char* bad : {"--threads=4294967297", "--threads=-1"}) {
+    EXPECT_THROW((void)cli(bad).get_threads(), PreconditionError) << bad;
+  }
+}
+
 TEST(MetricsRegistry, RunnerValidatesRequestsEagerly) {
   Scenario s;
   s.topology = {"mesh", Params{{"side", "8"}}};
@@ -352,6 +372,29 @@ TEST(MetricsDeterminismSlow, CampaignPayloadByteIdenticalWarmAndColdCache) {
   run.prune.survivors = std::move(mask);
   const MetricContext ctx{g, scenario, run, 0.5, 0.5, seed};
   return MetricsRegistry::instance().compute(metric, ctx, params);
+}
+
+TEST(MetricsRegistry, CountParamsAreRangeCheckedBeforeNarrowing) {
+  // 2^32 + 1 once wrapped to 1 and passed each metric's ">= 1" check.
+  Scenario s;
+  s.topology = {"mesh", Params{{"side", "4"}}};
+  const Graph g = TopologyRegistry::instance().build("mesh", s.topology.params, 1);
+  const VertexSet all = VertexSet::full(g.num_vertices());
+  const std::pair<const char*, const char*> counts[] = {{"mesh_span", "samples"},
+                                                        {"span_estimate", "samples"},
+                                                        {"embedding_quality", "spectral_dims"},
+                                                        {"expander_certificate", "eigenpairs"},
+                                                        {"expansion_bracket", "exact_limit"}};
+  for (const auto& [metric, key] : counts) {
+    EXPECT_THROW((void)compute_on_mask(metric, Params{{key, "4294967297"}}, s, g, all, 1),
+                 PreconditionError)
+        << metric;
+  }
+  // exact_limit is checked at parse time too, against the exact-search cap.
+  MetricsRegistry::instance().check("expansion_bracket", Params{{"exact_limit", "30"}});
+  EXPECT_THROW(
+      MetricsRegistry::instance().check("expansion_bracket", Params{{"exact_limit", "31"}}),
+      PreconditionError);
 }
 
 TEST(MeshSpanPropertySlow, ExactValuesOnTinyEnumerableMeshes) {

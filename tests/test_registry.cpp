@@ -10,6 +10,22 @@
 namespace fne {
 namespace {
 
+/// The message of the PreconditionError `fn` throws ("" if none).
+template <typename Fn>
+[[nodiscard]] std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected PreconditionError";
+  return "";
+}
+
+[[nodiscard]] bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
 TEST(TopologyRegistry, EveryRegisteredNameBuildsWithDefaults) {
   TopologyRegistry& reg = TopologyRegistry::instance();
   const std::vector<std::string> names = reg.names();
@@ -68,9 +84,18 @@ TEST(TopologyRegistry, SeededFamiliesAreDeterministicInTheSeed) {
 
 TEST(TopologyRegistry, RejectsUnknownNamesKeysAndBadValues) {
   TopologyRegistry& reg = TopologyRegistry::instance();
-  EXPECT_THROW((void)reg.build("no_such_family", Params{}, 1), PreconditionError);
+  const std::string unknown = error_of([&] { (void)reg.build("no_such_family", Params{}, 1); });
+  EXPECT_TRUE(contains(unknown, "unknown topology 'no_such_family' (registered: barbell, "
+                                "butterfly, can, chain_expander, complete, cycle, debruijn, "))
+      << unknown;
   // Undeclared key: the old free-function API silently ignored typos.
-  EXPECT_THROW((void)reg.build("hypercube", Params{{"dim", "6"}}, 1), PreconditionError);
+  const std::string typo = error_of([&] { (void)reg.build("hypercube", Params{{"dim", "6"}}, 1); });
+  EXPECT_TRUE(contains(typo, "topology 'hypercube' has no param 'dim' (declared: dims)")) << typo;
+  // Declared keys are listed in declaration order; every entry point checks.
+  const std::string sides =
+      error_of([&] { (void)reg.expected_n("mesh", Params{{"sides", "8"}}); });
+  EXPECT_TRUE(contains(sides, "topology 'mesh' has no param 'sides' (declared: side, dims)"))
+      << sides;
   // Out-of-range and malformed values.
   EXPECT_THROW((void)reg.build("hypercube", Params{{"dims", "99"}}, 1), PreconditionError);
   EXPECT_THROW((void)reg.build("hypercube", Params{{"dims", "six"}}, 1), PreconditionError);
@@ -105,8 +130,16 @@ TEST(FaultModelRegistry, BudgetAndFractionResolveConsistently) {
 TEST(FaultModelRegistry, RejectsUnknownNamesKeysAndBadValues) {
   FaultModelRegistry& reg = FaultModelRegistry::instance();
   const Graph g = TopologyRegistry::instance().build("mesh", Params{{"side", "6"}}, 5);
-  EXPECT_THROW((void)reg.build("no_such_model", g, Params{}, 1), PreconditionError);
-  EXPECT_THROW((void)reg.build("random", g, Params{{"prob", "0.1"}}, 1), PreconditionError);
+  const std::string unknown = error_of([&] { (void)reg.build("no_such_model", g, Params{}, 1); });
+  EXPECT_TRUE(contains(unknown, "unknown fault model 'no_such_model' (registered: bisection, "
+                                "high_degree, none, random, random_exact, separator, "
+                                "sweep_cut)"))
+      << unknown;
+  const std::string typo =
+      error_of([&] { (void)reg.build("random", g, Params{{"prob", "0.1"}}, 1); });
+  EXPECT_TRUE(contains(typo, "fault model 'random' has no param 'prob' (declared: p)")) << typo;
+  const std::string none = error_of([&] { (void)reg.build("none", g, Params{{"p", "0.1"}}, 1); });
+  EXPECT_TRUE(contains(none, "fault model 'none' has no param 'p' (declared: none)")) << none;
   EXPECT_THROW((void)reg.build("random", g, Params{{"p", "1.5"}}, 1), PreconditionError);
   EXPECT_THROW((void)reg.build("high_degree", g, Params{{"budget", "9999"}}, 1),
                PreconditionError);
