@@ -102,6 +102,7 @@
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -183,6 +184,12 @@ void list_registries() {
   return port;
 }
 
+/// --cache-budget=MB in bytes; the range check keeps the shift from
+/// overflowing or turning a negative count into a huge budget.
+[[nodiscard]] std::uint64_t cache_budget_bytes(const Cli& cli) {
+  return cli.get_int_in_range<std::uint64_t>("cache-budget", 0, 0, INT64_MAX >> 20) << 20;
+}
+
 /// --connect: serve as a pull worker for a coordinator running the same
 /// campaign.  The worker has no report of its own beyond a summary line;
 /// all result-shaping flags belong on the coordinator.
@@ -204,7 +211,8 @@ int run_worker(const Cli& cli, Campaign campaign) {
   }
   opts.name = cli.get("worker-name", opts.name);
   opts.plan_threads = cli.get_threads(1);
-  opts.connect_attempts = static_cast<int>(cli.get_int("connect-attempts", opts.connect_attempts));
+  opts.connect_attempts =
+      cli.get_int_in_range<int>("connect-attempts", opts.connect_attempts, 0, INT_MAX);
 
   DistWorker worker(std::move(campaign), opts);
   const WorkerReport report = worker.run();
@@ -233,18 +241,17 @@ int run_daemon(const Cli& cli) {
   const std::string spec = cli.get("daemon", "");
   if (spec != "1") opts.port = parse_port(spec, "--daemon");
   opts.bind = cli.get("bind", opts.bind);
-  opts.workers = static_cast<int>(cli.get_int("service-workers", opts.workers));
+  constexpr std::int64_t kMax = INT64_MAX;
+  opts.workers = cli.get_int_in_range<int>("service-workers", opts.workers, 1, INT_MAX);
   opts.exec_threads = cli.get_threads(1);
-  opts.queue_depth = static_cast<std::size_t>(
-      cli.get_int("queue-depth", static_cast<std::int64_t>(opts.queue_depth)));
-  opts.queue_deadline_ms = static_cast<std::uint64_t>(cli.get_int("queue-deadline-ms", 0));
-  opts.max_request_bytes = static_cast<std::size_t>(
-      cli.get_int("max-request-bytes", static_cast<std::int64_t>(opts.max_request_bytes)));
-  opts.retry_after_ms = static_cast<std::uint64_t>(
-      cli.get_int("retry-after-ms", static_cast<std::int64_t>(opts.retry_after_ms)));
-  if (cli.has("cache-budget")) {
-    opts.cache_budget_bytes = static_cast<std::uint64_t>(cli.get_int("cache-budget", 0)) << 20;
-  }
+  opts.queue_depth = cli.get_int_in_range<std::size_t>(
+      "queue-depth", static_cast<std::int64_t>(opts.queue_depth), 1, kMax);
+  opts.queue_deadline_ms = cli.get_int_in_range<std::uint64_t>("queue-deadline-ms", 0, 0, kMax);
+  opts.max_request_bytes = cli.get_int_in_range<std::size_t>(
+      "max-request-bytes", static_cast<std::int64_t>(opts.max_request_bytes), 0, kMax);
+  opts.retry_after_ms = cli.get_int_in_range<std::uint64_t>(
+      "retry-after-ms", static_cast<std::int64_t>(opts.retry_after_ms), 0, kMax);
+  if (cli.has("cache-budget")) opts.cache_budget_bytes = cache_budget_bytes(cli);
 
   ScenarioService service(opts);
   service.start();
@@ -287,7 +294,8 @@ int run_client(const Cli& cli) {
     host = target.substr(0, colon);
     port = parse_port(target.substr(colon + 1), "--send");
   }
-  const int timeout_ms = static_cast<int>(cli.get_int("timeout-ms", 120000));
+  const int timeout_ms = cli.get_int_in_range<int>("timeout-ms", 120000, 0, INT_MAX);
+  const int threads = cli.get_int_in_range<int>("threads", 0, 0, INT_MAX);
 
   try {
     ServiceClient client(host, port);
@@ -304,7 +312,7 @@ int run_client(const Cli& cli) {
       FNE_REQUIRE(static_cast<bool>(in), "cannot read campaign file " + path);
       std::ostringstream text;
       text << in.rdbuf();
-      resp = client.campaign(text.str(), static_cast<int>(cli.get_int("threads", 0)), timeout_ms);
+      resp = client.campaign(text.str(), threads, timeout_ms);
     }
     if (resp.rejected()) {
       std::cerr << "rejected: " << resp.message << " (retry_after_ms=" << resp.retry_after_ms
@@ -362,7 +370,7 @@ int run_campaign(const Cli& cli) {
               "repetitions per scenario");
   Campaign campaign =
       spec == "catalog"
-          ? catalog_campaign(narrow_in_range<int>("--reps", cli.get_int("reps", 1), 1, INT_MAX))
+          ? catalog_campaign(cli.get_int_in_range<int>("reps", 1, 1, INT_MAX))
           : campaign_from_file(spec);
   if (cli.has("connect")) return run_worker(cli, std::move(campaign));
   FNE_REQUIRE(!cli.has("workers") || cli.has("serve"), "--workers needs --serve");
@@ -398,12 +406,12 @@ int run_campaign(const Cli& cli) {
     dopts.local_threads = threads;
     dopts.job_timeout_ms = cli.get_double("job-timeout-ms", dopts.job_timeout_ms);
     dopts.lease_cap_ms = std::max(dopts.lease_cap_ms, dopts.job_timeout_ms);
-    dopts.retry_budget = static_cast<int>(cli.get_int("retry-budget", dopts.retry_budget));
+    dopts.retry_budget = cli.get_int_in_range<int>("retry-budget", dopts.retry_budget, 1, INT_MAX);
     dopts.backoff_base_ms = cli.get_double("backoff-base-ms", dopts.backoff_base_ms);
     dopts.backoff_max_ms = cli.get_double("backoff-max-ms", dopts.backoff_max_ms);
     dopts.heartbeat_ms = cli.get_double("heartbeat-ms", dopts.heartbeat_ms);
     dopts.idle_grace_ms = cli.get_double("idle-grace-ms", dopts.idle_grace_ms);
-    const int in_process = static_cast<int>(cli.get_int("workers", 0));
+    const int in_process = cli.get_int_in_range<int>("workers", 0, 0, INT_MAX);
 
     const Campaign worker_campaign = campaign;  // copied before the move
     DistCoordinator coordinator(std::move(campaign), dopts, store.get());
@@ -518,10 +526,7 @@ int run(const Cli& cli) {
   if (cli.has("daemon")) return run_daemon(cli);
   if (cli.has("send")) return run_client(cli);
   // Local runs honor the same budget flag as the daemon (MiB).
-  if (cli.has("cache-budget")) {
-    EngineCache::instance().set_budget_bytes(
-        static_cast<std::uint64_t>(cli.get_int("cache-budget", 0)) << 20);
-  }
+  if (cli.has("cache-budget")) EngineCache::instance().set_budget_bytes(cache_budget_bytes(cli));
   if (cli.has("campaign")) return run_campaign(cli);
 
   // The result store keys CAMPAIGN cells; a single-scenario run has no
@@ -630,7 +635,7 @@ int run(const Cli& cli) {
   // Churn rounds are serially dependent: one standalone runner's engine
   // runs them, given the report's resolved α/ε so α is measured once.
   EngineStats churn_work;
-  const auto churn_steps = static_cast<int>(cli.get_int("churn-steps", 0));
+  const int churn_steps = cli.get_int_in_range<int>("churn-steps", 0, 0, INT_MAX);
   if (churn_steps > 0 && !json_to_stdout) {
     Scenario churn_scenario = s;
     churn_scenario.prune.alpha = sr.alpha;

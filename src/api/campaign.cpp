@@ -190,10 +190,11 @@ void put_engine_stats(JsonObject& obj, const EngineStats& st) {
       .put("relabel_bfs_vertices", st.relabel_bfs_vertices);
 }
 
-[[nodiscard]] std::string run_record_json(const ScenarioRun& run, const MetricsSpec& metrics,
-                                          bool include_timing) {
-  JsonObject obj;
-  obj.put("rep", run.repetition)
+/// One run as the next element of the open "runs" array.
+void put_run_record(JsonObject& obj, const ScenarioRun& run, const MetricsSpec& metrics,
+                    bool include_timing) {
+  obj.open_object()
+      .put("rep", run.repetition)
       .put("fault_seed", run.fault_seed)
       .put("finder_seed", run.finder_seed)
       .put("faults", static_cast<std::uint64_t>(run.faults))
@@ -214,19 +215,19 @@ void put_engine_stats(JsonObject& obj, const EngineStats& st) {
   if (!run.metrics.empty()) {
     // Registered-metric payloads are deterministic by the MetricsRegistry
     // contract, so they belong to the thread-count-independent payload.
-    JsonObject metrics_obj;
-    for (const MetricRecord& m : run.metrics) metrics_obj.put_json(m.name, m.payload);
-    obj.put_json("metrics", metrics_obj.dump());
+    obj.open_object("metrics");
+    for (const MetricRecord& m : run.metrics) obj.put_json(m.name, m.payload);
+    obj.close();
   }
   if (include_timing) obj.put("millis", run.millis);
-  return obj.dump();
+  obj.close();
 }
 
-[[nodiscard]] std::string scenario_report_json(const ScenarioReport& report,
-                                               bool include_timing) {
-  JsonObject obj;
+/// One scenario as the next element of the open "scenarios" array.
+void put_scenario_report(JsonObject& obj, const ScenarioReport& report, bool include_timing) {
   const Scenario& s = report.scenario;
-  obj.put("name", s.name)
+  obj.open_object()
+      .put("name", s.name)
       .put("topology", s.topology.name)
       .put("topo_params", s.topology.params.to_string())
       .put("fault", s.fault.name)
@@ -253,17 +254,13 @@ void put_engine_stats(JsonObject& obj, const EngineStats& st) {
              report.sweep->mode == SweepMode::kMonotone ? "monotone" : "independent")
         .put_numbers("sweep_values", report.sweep->values);
   }
-  std::string runs = "[";
-  for (std::size_t i = 0; i < report.runs.size(); ++i) {
-    if (i > 0) runs += ", ";
-    runs += run_record_json(report.runs[i], s.metrics, include_timing);
-  }
-  obj.put_json("runs", runs + "]");
-  JsonObject engine;
-  put_engine_stats(engine, report.engine);
-  obj.put_json("engine", engine.dump());
+  obj.open_array("runs");
+  for (const ScenarioRun& run : report.runs) put_run_record(obj, run, s.metrics, include_timing);
+  obj.close().open_object("engine");
+  put_engine_stats(obj, report.engine);
+  obj.close();
   if (include_timing) obj.put("millis", report.millis);
-  return obj.dump();
+  obj.close();
 }
 
 }  // namespace
@@ -318,44 +315,44 @@ EngineStats CampaignReport::total_engine_stats() const {
 }
 
 std::string CampaignReport::to_json(bool include_timing) const {
+  // Capacity hint: a run record without metrics is about 230 bytes.
+  std::size_t num_runs = 0;
+  for (const ScenarioReport& s : scenarios) num_runs += s.runs.size();
   JsonObject top;
-  top.put("name", name).put("kind", "campaign_report");
-  std::string entries = "[";
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (i > 0) entries += ", ";
-    entries += scenario_report_json(scenarios[i], include_timing);
-  }
-  top.put_json("scenarios", entries + "]");
-  JsonObject engine;
-  put_engine_stats(engine, total_engine_stats());
-  top.put_json("engine_total", engine.dump());
+  top.reserve(1024 + 256 * num_runs).put("name", name).put("kind", "campaign_report");
+  top.open_array("scenarios");
+  for (const ScenarioReport& s : scenarios) put_scenario_report(top, s, include_timing);
+  top.close().open_object("engine_total");
+  put_engine_stats(top, total_engine_stats());
+  top.close();
   if (include_timing) {
-    top.put("threads", threads).put("millis", millis);
-    JsonObject cache_obj;
-    cache_obj.put("leases", cache.leases)
+    top.put("threads", threads)
+        .put("millis", millis)
+        .open_object("cache")
+        .put("leases", cache.leases)
         .put("engine_hits", cache.engine_hits)
         .put("engine_builds", cache.engine_builds)
         .put("graph_hits", cache.graph_hits)
         .put("graph_builds", cache.graph_builds)
         .put("evictions", cache.evictions)
         .put("bytes_resident", cache.bytes_resident)
-        .put("peak_bytes", cache.peak_bytes);
-    top.put_json("cache", cache_obj.dump());
+        .put("peak_bytes", cache.peak_bytes)
+        .close();
     if (store_enabled) {
       // The hit/miss split depends on store state, not on the campaign —
       // timing payload only, like the cache counters above.
-      JsonObject store_obj;
-      store_obj.put("hits", store.hits)
+      top.open_object("store")
+          .put("hits", store.hits)
           .put("misses", store.misses)
           .put("bytes_loaded", store.bytes_loaded)
           .put("bytes_committed", store.bytes_committed)
           .put("corrupt_records", store.corrupt_records)
           .put("truncated_bytes", store.truncated_bytes)
-          .put("rotated_files", store.rotated_files);
-      top.put_json("store", store_obj.dump());
+          .put("rotated_files", store.rotated_files)
+          .close();
     }
   }
-  return top.dump();
+  return std::move(top).dump();
 }
 
 // ---------------------------------------------------------------------------
@@ -471,12 +468,13 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
       }
     } else {
       results_[e].resize(static_cast<std::size_t>(entry.scenario.repetitions));
+      const std::string prefix = store_key_prefix(entry.scenario, entry.scenario.fault);
       for (int r = 0; r < entry.scenario.repetitions; ++r) {
         CampaignJob job;
         job.kind = CampaignJob::Kind::kRep;
         job.entry = e;
         job.rep = r;
-        job.key = store_cell_key(entry.scenario, entry.scenario.fault, r);
+        job.key = store_cell_key(prefix, r);
         push_cell(std::move(job));
       }
     }

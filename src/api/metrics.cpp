@@ -64,6 +64,28 @@ void validate_spectral_params(const Params& params) {
                               params.get_int("exact_limit", 14), 0, kExactExpansionLimit);
 }
 
+// The count params below, like exact_limit above, are checked at
+// campaign parse time (each metric's validate hook) and at compute time.
+[[nodiscard]] int mesh_span_samples(const Params& params) {
+  return narrow_in_range<int>("metric 'mesh_span': samples", params.get_int("samples", 24), 1,
+                              INT_MAX);
+}
+
+[[nodiscard]] int span_estimate_samples(const Params& params) {
+  return narrow_in_range<int>("metric 'span_estimate': samples", params.get_int("samples", 8),
+                              1, INT_MAX);
+}
+
+[[nodiscard]] int embedding_spectral_dims(const Params& params) {
+  return narrow_in_range<int>("metric 'embedding_quality': spectral_dims",
+                              params.get_int("spectral_dims", 2), 0, INT_MAX);
+}
+
+[[nodiscard]] int certificate_eigenpairs(const Params& params) {
+  return narrow_in_range<int>("metric 'expander_certificate': eigenpairs",
+                              params.get_int("eigenpairs", 2), 1, INT_MAX);
+}
+
 [[nodiscard]] SpectralAccel accel_from_params(const Params& params, const SubCsr& sub) {
   SpectralAccel accel;
   accel.mode = spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
@@ -140,8 +162,7 @@ void validate_spectral_params(const Params& params) {
               "metric 'mesh_span': Lemma 3.7 does not extend to tori (see span/mesh_span.hpp); "
               "use a 'mesh' topology");
   const vid n = mesh.num_vertices();
-  const int samples = narrow_in_range<int>("metric 'mesh_span': samples",
-                                          params.get_int("samples", 24), 1, INT_MAX);
+  const int samples = mesh_span_samples(params);
   const bool exact = params.get_bool("exact", n <= kCompactEnumLimit);
 
   JsonObject obj;
@@ -183,8 +204,7 @@ void validate_spectral_params(const Params& params) {
 
 [[nodiscard]] MetricRecord metric_span_estimate(const MetricContext& ctx, const Params& params) {
   SpanEstimateOptions opts;
-  opts.samples_per_size = narrow_in_range<int>("metric 'span_estimate': samples",
-                                               params.get_int("samples", 8), 1, INT_MAX);
+  opts.samples_per_size = span_estimate_samples(params);
   opts.seed = ctx.seed;
   const std::string fractions = params.get_str("fractions", "0.05,0.1,0.2,0.35,0.5");
   opts.size_fractions = parse_double_list(fractions);
@@ -202,8 +222,7 @@ void validate_spectral_params(const Params& params) {
 
 [[nodiscard]] MetricRecord metric_embedding_quality(const MetricContext& ctx,
                                                     const Params& params) {
-  const int spectral_dims = narrow_in_range<int>("metric 'embedding_quality': spectral_dims",
-                                                params.get_int("spectral_dims", 2), 0, INT_MAX);
+  const int spectral_dims = embedding_spectral_dims(params);
   if (ctx.run.prune.survivors.empty()) {
     return undefined_record("embedding_quality", "empty survivor set");
   }
@@ -240,8 +259,7 @@ void validate_spectral_params(const Params& params) {
 
 [[nodiscard]] MetricRecord metric_expander_certificate(const MetricContext& ctx,
                                                        const Params& params) {
-  const int eigenpairs = narrow_in_range<int>("metric 'expander_certificate': eigenpairs",
-                                             params.get_int("eigenpairs", 2), 1, INT_MAX);
+  const int eigenpairs = certificate_eigenpairs(params);
   if (ctx.run.prune.survivors.count() < 3) {
     return undefined_record("expander_certificate", "needs >= 3 survivors");
   }
@@ -381,13 +399,13 @@ MetricsRegistry::MetricsRegistry() : Registry("metric") {
        {{"samples", "24", "sampled compact sets"},
         {"exact", "auto", "exhaustive exact span (default: n <= 24)"}},
        metric_mesh_span,
-       {}});
+       [](const Params& params) { (void)mesh_span_samples(params); }});
   add({"span_estimate",
        "sampled span estimate of the fault-free topology (paper Eq. 1, the §4 conjecture)",
        {{"samples", "8", "samples per size fraction"},
         {"fractions", "0.05,0.1,0.2,0.35,0.5", "target sizes as fractions of n"}},
        metric_span_estimate,
-       {},
+       [](const Params& params) { (void)span_estimate_samples(params); },
        /*split_job=*/true});
   add({"embedding_quality",
        "load/congestion/dilation of embedding the fault-free guest into the largest "
@@ -396,7 +414,10 @@ MetricsRegistry::MetricsRegistry() : Registry("metric") {
         {"spectral_mode", "filtered", "eigensolver: plain|filtered|shift_invert (auto = filtered)"},
         {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
        metric_embedding_quality,
-       validate_spectral_params});
+       [](const Params& params) {
+         (void)embedding_spectral_dims(params);
+         validate_spectral_params(params);
+       }});
   add({"expander_certificate",
        "spectral expansion certificate of the largest surviving component (Cheeger lower "
        "bound; mixing-lemma fields when regular)",
@@ -404,7 +425,10 @@ MetricsRegistry::MetricsRegistry() : Registry("metric") {
         {"spectral_mode", "filtered", "eigensolver: plain|filtered|shift_invert (auto = filtered)"},
         {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
        metric_expander_certificate,
-       validate_spectral_params});
+       [](const Params& params) {
+         (void)certificate_eigenpairs(params);
+         validate_spectral_params(params);
+       }});
 }
 
 }  // namespace fne

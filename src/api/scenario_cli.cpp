@@ -71,8 +71,7 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
     }
   }
   check_metric_requests(base);
-  base.repetitions = narrow_in_range<int>("--reps", cli.get_int("reps", base.repetitions), 1,
-                                         INT_MAX);
+  base.repetitions = cli.get_int_in_range<int>("reps", base.repetitions, 1, INT_MAX);
   base.seed = cli.get_seed(base.seed);
   return base;
 }

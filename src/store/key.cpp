@@ -1,5 +1,6 @@
 #include "store/key.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <string>
 
@@ -58,8 +59,7 @@ void append_metrics(std::string& key, const MetricsSpec& metrics) {
 
 }  // namespace
 
-std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
-                           int rep, const SweepSpec* monotone) {
+std::string store_key_prefix(const Scenario& scenario, const FaultSpec& effective_fault) {
   std::string key = "fne-cell|schema=2";
   key += "|topo=" + scenario.topology.name;
   key += "|topo_params=" + scenario.topology.params.to_string();
@@ -83,7 +83,17 @@ std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_
   append_finder(key, scenario.prune.finder);
   append_metrics(key, scenario.metrics);
   key += "|seed=" + std::to_string(scenario.seed);
-  key += "|rep=" + std::to_string(rep);
+  key += "|rep=";
+  return key;
+}
+
+std::string store_cell_key(std::string_view prefix, int rep, const SweepSpec* monotone) {
+  char digits[16];
+  const std::to_chars_result r = std::to_chars(digits, digits + sizeof(digits), rep);
+  std::string key;
+  key.reserve(prefix.size() + static_cast<std::size_t>(r.ptr - digits));
+  key += prefix;
+  key.append(digits, r.ptr);
   if (monotone != nullptr) {
     key += "|sweep=" + monotone->param + ":monotone:";
     bool first = true;
@@ -94,6 +104,11 @@ std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_
     }
   }
   return key;
+}
+
+std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
+                           int rep, const SweepSpec* monotone) {
+  return store_cell_key(store_key_prefix(scenario, effective_fault), rep, monotone);
 }
 
 }  // namespace fne

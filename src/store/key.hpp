@@ -11,13 +11,15 @@
 // Keys are human-readable on purpose: the store hashes them for its
 // index but writes them in full into every record and verifies equality
 // on load, so a 64-bit index collision degrades to a miss, never to a
-// wrong result.  Anything that changes what a cell computes MUST change
+// wrong result.  A key is an entry prefix (everything up to "|rep=",
+// built once per campaign entry) plus the per-cell suffix.  Anything that changes what a cell computes MUST change
 // its key — that is enforced socially by routing every input through
-// this one function, and structurally by the schema field, which bumps
+// store_key_prefix, and structurally by the schema field, which bumps
 // with kStoreSchemaVersion.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "api/scenario.hpp"
 
@@ -25,10 +27,21 @@ namespace fne {
 
 struct SweepSpec;
 
-/// The canonical key for one campaign cell.  `effective_fault` is the
-/// job's fault spec (sweep points override one param of the entry's
-/// fault); `monotone` non-null marks a chain cell and appends the swept
-/// values.  Deterministic: same inputs -> same bytes, on any platform.
+/// Everything of a cell key up to and including "|rep=": the part all
+/// repetitions of one entry share, so a plan builds it once per entry.
+/// `effective_fault` is the job's fault spec (sweep points override one
+/// param of the entry's fault).
+[[nodiscard]] std::string store_key_prefix(const Scenario& scenario,
+                                           const FaultSpec& effective_fault);
+
+/// The canonical key for one campaign cell: `prefix` (store_key_prefix)
+/// plus the repetition; `monotone` non-null marks a chain cell and
+/// appends the swept values.  Deterministic: same inputs -> same bytes,
+/// on any platform.
+[[nodiscard]] std::string store_cell_key(std::string_view prefix, int rep,
+                                         const SweepSpec* monotone = nullptr);
+
+/// store_cell_key(store_key_prefix(scenario, effective_fault), rep, monotone).
 [[nodiscard]] std::string store_cell_key(const Scenario& scenario,
                                          const FaultSpec& effective_fault, int rep,
                                          const SweepSpec* monotone = nullptr);

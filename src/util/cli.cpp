@@ -43,7 +43,7 @@ double Cli::get_double(const std::string& key, double fallback) const {
 }
 
 int Cli::get_threads(int fallback) const {
-  const int threads = narrow_in_range<int>("--threads", get_int("threads", fallback), 0, INT_MAX);
+  const int threads = get_int_in_range<int>("threads", fallback, 0, INT_MAX);
   return threads != 0 ? threads
                       : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "util/require.hpp"
+
 namespace fne {
 
 class Cli {
@@ -21,6 +23,14 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// --key=N (absent: `fallback`) narrowed to T after a range check:
+  /// REQUIREs lo <= N <= hi, failing with "--key=N out of range [lo, hi]"
+  /// instead of wrapping an oversized value into a small one.
+  template <typename T>
+  [[nodiscard]] T get_int_in_range(const std::string& key, std::int64_t fallback,
+                                   std::int64_t lo, std::int64_t hi) const {
+    return narrow_in_range<T>("--" + key, get_int(key, fallback), lo, hi);
+  }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] std::uint64_t get_seed(std::uint64_t fallback = 42) const {
     return static_cast<std::uint64_t>(get_int("seed", static_cast<std::int64_t>(fallback)));

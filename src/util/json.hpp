@@ -12,101 +12,177 @@
 // so no third-party dependency is warranted.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/require.hpp"
+
 namespace fne {
 
-/// Flat JSON object: insertion-ordered key -> already-encoded value.
+/// JSON object writer: fields stream, in insertion order, into one buffer.
+/// Objects and arrays nest in place (open_object / open_array under a key,
+/// open_object() for an array element, close() to end the innermost), so
+/// a report of any depth is built in one buffer with no per-level copies.
+/// Numbers render with std::to_chars: integers exactly, doubles in the
+/// general format at precision 12, i.e. printf's "%.12g".
 class JsonObject {
  public:
-  JsonObject& put(const std::string& key, const std::string& value) {
-    // Append form: the operator+ chain trips GCC 12's bogus -Wrestrict
-    // diagnostic (PR 105329) at some inline sites.
-    std::string encoded = "\"";
-    encoded += escape(value);
-    encoded += "\"";
-    return raw(key, std::move(encoded));
+  JsonObject& put(std::string_view key, std::string_view value) {
+    begin_field(key);
+    buf_ += '"';
+    append_escaped(value);
+    buf_ += '"';
+    return *this;
   }
-  JsonObject& put(const std::string& key, const char* value) {
-    return put(key, std::string(value));
+  JsonObject& put(std::string_view key, const char* value) {
+    return put(key, std::string_view(value));
   }
-  JsonObject& put(const std::string& key, double value) {
-    std::ostringstream os;
-    os.precision(12);
-    os << value;
-    return raw(key, os.str());
+  JsonObject& put(std::string_view key, double value) {
+    begin_field(key);
+    append_number(value);
+    return *this;
   }
-  JsonObject& put(const std::string& key, bool value) {
-    return raw(key, value ? "true" : "false");
+  JsonObject& put(std::string_view key, bool value) {
+    begin_field(key);
+    buf_ += value ? "true" : "false";
+    return *this;
   }
-  JsonObject& put(const std::string& key, std::int64_t value) {
-    return raw(key, std::to_string(value));
+  JsonObject& put(std::string_view key, std::int64_t value) {
+    begin_field(key);
+    append_integer(value);
+    return *this;
   }
-  JsonObject& put(const std::string& key, std::uint64_t value) {
-    return raw(key, std::to_string(value));
+  JsonObject& put(std::string_view key, std::uint64_t value) {
+    begin_field(key);
+    append_integer(value);
+    return *this;
   }
-  JsonObject& put(const std::string& key, int value) {
+  JsonObject& put(std::string_view key, int value) {
     return put(key, static_cast<std::int64_t>(value));
   }
   /// Splice an ALREADY-ENCODED JSON value (an object/array dump) under
-  /// `key` — the nesting hook CampaignReport uses to compose sub-objects.
-  JsonObject& put_json(const std::string& key, std::string encoded) {
-    return raw(key, std::move(encoded));
+  /// `key`.
+  JsonObject& put_json(std::string_view key, std::string_view encoded) {
+    begin_field(key);
+    buf_ += encoded;
+    return *this;
   }
   /// Splice `values` as a JSON array of numbers.
-  JsonObject& put_numbers(const std::string& key, const std::vector<double>& values) {
-    std::string out = "[";
+  JsonObject& put_numbers(std::string_view key, const std::vector<double>& values) {
+    begin_field(key);
+    buf_ += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) out += ", ";
-      std::ostringstream os;
-      os.precision(12);
-      os << values[i];
-      out += os.str();
+      if (i > 0) buf_ += ", ";
+      append_number(values[i]);
     }
-    return raw(key, out + "]");
+    buf_ += ']';
+    return *this;
   }
 
-  [[nodiscard]] std::string dump() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += '"';
-      out += escape(fields_[i].first);
-      out += "\": ";
-      out += fields_[i].second;
-    }
-    return out + "}";
+  /// Open an object / array under `key`: what follows lands inside it
+  /// until the matching close().
+  JsonObject& open_object(std::string_view key) {
+    begin_field(key);
+    return open('{', '}');
+  }
+  JsonObject& open_array(std::string_view key) {
+    begin_field(key);
+    return open('[', ']');
+  }
+  /// Open an object as the next element of the innermost open array.
+  JsonObject& open_object() {
+    FNE_REQUIRE(!closers_.empty() && closers_.back() == ']',
+                "json: an unkeyed object needs an open array");
+    separate();
+    return open('{', '}');
+  }
+  /// Close the innermost open object or array.
+  JsonObject& close() {
+    FNE_REQUIRE(!closers_.empty(), "json: close() with nothing open");
+    buf_ += closers_.back();
+    closers_.pop_back();
+    first_ = false;
+    return *this;
+  }
+  /// Capacity hint for the whole document, in bytes.
+  JsonObject& reserve(std::size_t bytes) {
+    buf_.reserve(bytes);
+    return *this;
+  }
+
+  /// The finished document; REQUIREs every open_* to be closed.
+  [[nodiscard]] std::string dump() const& {
+    require_closed();
+    std::string out;
+    out.reserve(buf_.size() + 1);
+    out += buf_;
+    out += '}';
+    return out;
+  }
+  /// As above, handing over the buffer instead of copying it.
+  [[nodiscard]] std::string dump() && {
+    require_closed();
+    buf_ += '}';
+    return std::move(buf_);
   }
 
  private:
-  JsonObject& raw(const std::string& key, std::string encoded) {
-    fields_.emplace_back(key, std::move(encoded));
+  void separate() {
+    if (!first_) buf_ += ", ";
+    first_ = false;
+  }
+  void begin_field(std::string_view key) {
+    FNE_REQUIRE(closers_.empty() || closers_.back() == '}',
+                "json: a keyed field needs an open object");
+    separate();
+    buf_ += '"';
+    append_escaped(key);
+    buf_ += "\": ";
+  }
+  JsonObject& open(char opener, char closer) {
+    buf_ += opener;
+    closers_ += closer;
+    first_ = true;
     return *this;
   }
-  [[nodiscard]] static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (c == '\n') {
-        out += "\\n";
-      } else {
-        out += c;
-      }
-    }
-    return out;
+  void require_closed() const {
+    FNE_REQUIRE(closers_.empty(), "json: dump() with an object or array still open");
   }
-  std::vector<std::pair<std::string, std::string>> fields_;
+  void append_escaped(std::string_view s) {
+    std::size_t run = 0;  // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const char c = s[i];
+      if (c != '"' && c != '\\' && c != '\n') continue;
+      buf_ += s.substr(run, i - run);
+      buf_ += c == '\n' ? "\\n" : c == '"' ? "\\\"" : "\\\\";
+      run = i + 1;
+    }
+    buf_ += s.substr(run);
+  }
+  void append_number(double value) {
+    char text[32];  // "%.12g" needs at most 19: -d.ddddddddddde-ddd
+    const std::to_chars_result r =
+        std::to_chars(text, text + sizeof(text), value, std::chars_format::general, 12);
+    buf_.append(text, r.ptr);
+  }
+  template <typename Int>
+  void append_integer(Int value) {
+    char text[24];
+    const std::to_chars_result r = std::to_chars(text, text + sizeof(text), value);
+    buf_.append(text, r.ptr);
+  }
+
+  std::string buf_ = "{";  ///< the document so far, top-level '}' not yet written
+  std::string closers_;    ///< closing brackets of the open nested values, innermost last
+  bool first_ = true;      ///< no field or element yet at the innermost level
 };
 
 /// A report = one top-level object plus named arrays of flat records.

@@ -6,10 +6,15 @@
 // byte-identical across thread counts and cache-hit patterns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "api/campaign.hpp"
 #include "api/executor.hpp"
@@ -17,6 +22,7 @@
 #include "api/runner.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace fne {
 namespace {
@@ -330,6 +336,102 @@ TEST(JsonValueParser, RejectsMalformedDocuments) {
   EXPECT_THROW((void)JsonValue::parse(R"({"a": 1, "a": 2})"), PreconditionError);
   EXPECT_THROW((void)JsonValue::parse(R"({"a": 01x})"), PreconditionError);
   EXPECT_THROW((void)JsonValue::parse(R"(["unterminated)"), PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// JsonObject writer
+// ---------------------------------------------------------------------------
+
+/// What the payload printed before the one-buffer writer: an ostream at
+/// precision 12 (printf "%.12g").
+[[nodiscard]] std::string ostream_g12(double v) {
+  std::ostringstream os;
+  os.precision(12);
+  os << v;
+  return os.str();
+}
+
+TEST(JsonObject, NumbersRenderExactlyAsOstreamAtPrecision12) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                4.9406564584124654e-320,
+                                1e-7,
+                                0.1,
+                                1.0 / 3.0,
+                                9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+                                1e21,
+                                1e300,
+                                -123456789.123456789,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                -std::numeric_limits<double>::quiet_NaN()};
+  // A seeded sweep over raw bit patterns: every exponent, both signs,
+  // denormals, infinities and NaN payloads.
+  Rng rng(20260);
+  for (int i = 0; i < 100000; ++i) values.push_back(std::bit_cast<double>(rng.next()));
+
+  for (const double v : values) {
+    JsonObject obj;
+    obj.put("v", v);
+    ASSERT_EQ(obj.dump(), "{\"v\": " + ostream_g12(v) + "}") << std::hexfloat << v;
+  }
+  // put_numbers: the same formatter, ", "-joined.
+  for (std::size_t start = 0; start < values.size(); start += 1000) {
+    const std::vector<double> chunk(values.begin() + static_cast<std::ptrdiff_t>(start),
+                                    values.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                                         start + 1000, values.size())));
+    std::string expected = "{\"a\": [";
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      if (i > 0) expected += ", ";
+      expected += ostream_g12(chunk[i]);
+    }
+    JsonObject obj;
+    obj.put_numbers("a", chunk);
+    ASSERT_EQ(obj.dump(), expected + "]}") << "chunk at " << start;
+  }
+  JsonObject ints;
+  ints.put("i", std::numeric_limits<std::int64_t>::min())
+      .put("u", std::numeric_limits<std::uint64_t>::max())
+      .put("n", -7);
+  EXPECT_EQ(ints.dump(),
+            R"({"i": -9223372036854775808, "u": 18446744073709551615, "n": -7})");
+}
+
+TEST(JsonObject, NestsInPlaceAsTheSplicedDumpWould) {
+  JsonObject inner;
+  inner.put("a", 1).put("s", "q\"\\\n").put_numbers("xs", {0.5, 2.0});
+  JsonObject spliced;
+  spliced.put("x", true).put_json("o", inner.dump()).put_json("e", "[]");
+  JsonObject nested;
+  nested.put("x", true)
+      .open_object("o")
+      .put("a", 1)
+      .put("s", "q\"\\\n")
+      .put_numbers("xs", {0.5, 2.0})
+      .close()
+      .open_array("e")
+      .close();
+  EXPECT_EQ(nested.dump(), spliced.dump());
+  EXPECT_EQ(nested.dump(), R"({"x": true, "o": {"a": 1, "s": "q\"\\\n", "xs": [0.5, 2]}, "e": []})");
+
+  JsonObject rows;
+  rows.open_array("rows");
+  for (int i = 0; i < 2; ++i) rows.open_object().put("i", i).open_object("m").close().close();
+  rows.close();
+  EXPECT_EQ(rows.dump(), R"({"rows": [{"i": 0, "m": {}}, {"i": 1, "m": {}}]})");
+  EXPECT_EQ(std::move(rows).dump(), R"({"rows": [{"i": 0, "m": {}}, {"i": 1, "m": {}}]})");
+  EXPECT_EQ(JsonObject().dump(), "{}");
+
+  // Misuse fails loudly instead of writing malformed JSON.
+  EXPECT_THROW(JsonObject().close(), PreconditionError);
+  EXPECT_THROW(JsonObject().open_object(), PreconditionError) << "unkeyed object outside an array";
+  JsonObject open;
+  open.open_array("a");
+  EXPECT_THROW(open.put("k", 1), PreconditionError) << "keyed field inside an array";
+  EXPECT_THROW((void)open.dump(), PreconditionError) << "dump with an array still open";
 }
 
 // ---------------------------------------------------------------------------

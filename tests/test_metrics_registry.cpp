@@ -6,7 +6,10 @@
 // embedding_quality on the shared graph-family fixtures.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 
 #include "api/campaign.hpp"
 #include "api/metrics.hpp"
@@ -18,6 +21,7 @@
 #include "graph_cases.hpp"
 #include "spectral/lanczos.hpp"
 #include "span/span.hpp"
+#include "store/result_store.hpp"
 #include "topology/mesh.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -208,6 +212,31 @@ TEST(ScenarioCli, CountFlagsAreRangeCheckedBeforeNarrowing) {
   for (const char* bad : {"--threads=4294967297", "--threads=-1"}) {
     EXPECT_THROW((void)cli(bad).get_threads(), PreconditionError) << bad;
   }
+  // scenario_runner reads every other integer flag through the same
+  // accessor; 2^32 + 1 once ran as 1 (one churn round, one worker, ...).
+  for (const char* flag : {"connect-attempts", "service-workers", "queue-depth",
+                           "queue-deadline-ms", "max-request-bytes", "retry-after-ms",
+                           "timeout-ms", "threads", "retry-budget", "workers", "churn-steps"}) {
+    const std::string bad = std::string("--") + flag + "=4294967297";
+    try {
+      (void)cli(bad).get_int_in_range<int>(flag, 0, 0, INT_MAX);
+      ADD_FAILURE() << "expected PreconditionError for " << bad;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad + " out of range"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(cli(std::string("--") + flag + "=7").get_int_in_range<int>(flag, 0, 0, INT_MAX), 7);
+  }
+  EXPECT_EQ(cli("--reps=5").get_int_in_range<int>("churn-steps", 3, 0, INT_MAX), 3)
+      << "an absent flag reads its fallback";
+  // --cache-budget is MiB shifted left by 20: negative or shift-overflowing
+  // counts are refused before the shift.
+  const auto budget = [&](const std::string& flag) {
+    return cli(flag).get_int_in_range<std::uint64_t>("cache-budget", 0, 0, INT64_MAX >> 20);
+  };
+  EXPECT_EQ(budget("--cache-budget=64") << 20, 64ull << 20);
+  for (const char* bad : {"--cache-budget=-1", "--cache-budget=8796093022208"}) {
+    EXPECT_THROW((void)budget(bad), PreconditionError) << bad;
+  }
 }
 
 TEST(MetricsRegistry, RunnerValidatesRequestsEagerly) {
@@ -390,11 +419,51 @@ TEST(MetricsRegistry, CountParamsAreRangeCheckedBeforeNarrowing) {
                  PreconditionError)
         << metric;
   }
-  // exact_limit is checked at parse time too, against the exact-search cap.
+  // Every count is checked at parse time too (exact_limit against the
+  // exact-search cap).
   MetricsRegistry::instance().check("expansion_bracket", Params{{"exact_limit", "30"}});
   EXPECT_THROW(
       MetricsRegistry::instance().check("expansion_bracket", Params{{"exact_limit", "31"}}),
       PreconditionError);
+  for (const auto& [metric, key] : counts) {
+    EXPECT_THROW(MetricsRegistry::instance().check(metric, Params{{key, "4294967297"}}),
+                 PreconditionError)
+        << metric;
+  }
+  struct Below {
+    const char* metric;
+    const char* key;
+    const char* value;  ///< one under the lowest accepted count
+  };
+  for (const Below& b : {Below{"mesh_span", "samples", "0"}, Below{"span_estimate", "samples", "0"},
+                         Below{"embedding_quality", "spectral_dims", "-1"},
+                         Below{"expander_certificate", "eigenpairs", "0"},
+                         Below{"expansion_bracket", "exact_limit", "-1"}}) {
+    EXPECT_THROW(MetricsRegistry::instance().check(b.metric, Params{{b.key, b.value}}),
+                 PreconditionError)
+        << b.metric << " " << b.value;
+  }
+  MetricsRegistry::instance().check("embedding_quality", Params{{"spectral_dims", "0"}});
+
+  // So a bad count in a later entry fails the parse, before the first
+  // entry runs: the store keeps only its 16-byte header.
+  const std::string text = R"({"scenarios": [
+      {"topology": {"name": "mesh", "params": {"side": 4}}, "prune": {"alpha": 0.25}},
+      {"topology": {"name": "mesh", "params": {"side": 4}}, "prune": {"alpha": 0.25},
+       "metrics": {"requests": [{"name": "mesh_span", "params": {"samples": 0}}]}}]})";
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fne_metric_count_store";
+  std::filesystem::remove_all(dir);
+  {
+    ResultStore store(dir.string());
+    EXPECT_THROW(
+        {
+          CampaignRunner runner(campaign_from_json(text));
+          (void)runner.run(1, &store);
+        },
+        PreconditionError);
+  }
+  EXPECT_EQ(std::filesystem::file_size(dir / "cells.log"), 16u);
 }
 
 TEST(MeshSpanPropertySlow, ExactValuesOnTinyEnumerableMeshes) {

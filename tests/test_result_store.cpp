@@ -12,15 +12,20 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "api/campaign.hpp"
 #include "api/executor.hpp"
 #include "api/metrics.hpp"
 #include "api/runner.hpp"
+#include "core/csr_file.hpp"
+#include "core/graph.hpp"
 #include "store/key.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
+#include "util/json.hpp"
 
 namespace fne {
 namespace {
@@ -145,6 +150,17 @@ TEST(CellKey, NamesEveryInputAndSeparatesCells) {
   EXPECT_NE(chain_key, key);
   EXPECT_NE(chain_key.find("|sweep=p:monotone:"), std::string::npos);
   EXPECT_EQ(chain_key, store_cell_key(s, s.fault, 0, &sweep)) << "keys are deterministic";
+
+  // The bytes themselves are pinned: a stored cell is found only under
+  // exactly the key that wrote it.
+  EXPECT_EQ(store_cell_key(s, s.fault, 3),
+            "fne-cell|schema=2|topo=mesh|topo_params=dims=2,side=10|"
+            "build_seed=10555928141083241264|fault=random|fault_params=p=0.2|kind=edge|"
+            "alpha=0x1.999999999999ap-3|epsilon=0x0p+0|fast=0|max_iter=100000|"
+            "finder=exact_limit:20,ball_sources:12,refine_passes:6,use_spectral:1,use_balls:1,"
+            "use_exact:1,warm:0,stale:0,early:0,spectral_mode:filtered,filter_degree:0|"
+            "metrics=frag:1,exp:1,trace:1,bx:14|requests=|seed=404|rep=3");
+  EXPECT_EQ(store_cell_key(store_key_prefix(s, s.fault), 3), store_cell_key(s, s.fault, 3));
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +446,64 @@ TEST(ResultStore, TornMultiFrameBatchKeepsTheFramesBeforeTheTear) {
 
 constexpr std::uint64_t kStoreCampaignJobs = 6;  // 3 reps + 1 chain + 2 points
 
+TEST(CellKey, PlanKeysEqualDirectKeys) {
+  // CampaignPlan builds one key prefix per entry and appends each cell's
+  // suffix; every job must still carry exactly the direct key.
+  const std::string dir = fresh_dir("plan-keys");
+  fs::create_directories(dir);
+  const std::string csr = (fs::path(dir) / "g.csr").string();
+  CsrFile::write(csr, Graph::from_edges(8, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}}));
+
+  Campaign campaign = store_campaign();  // repetitions, a monotone chain, sweep points
+  Scenario metered = small_scenario();
+  metered.name = "metered";
+  metered.repetitions = 2;
+  metered.metrics.requests = {{"fragmentation", Params{}},
+                              {"span_estimate", Params{{"samples", "2"}}}};
+  campaign.entries.push_back({metered, std::nullopt});
+  Scenario file = small_scenario();
+  file.name = "file";
+  file.topology = {"file", Params{{"path", csr}}};
+  file.repetitions = 2;
+  campaign.entries.push_back({file, std::nullopt});
+
+  const CampaignPlan plan(campaign, 1);
+  std::size_t metric_jobs = 0;
+  std::set<std::string> cell_keys;
+  for (std::size_t i = 0; i < plan.num_jobs(); ++i) {
+    const CampaignJob& job = plan.job(i);
+    const CampaignEntry& entry = campaign.entries[job.entry];
+    const Scenario& s = entry.scenario;
+    std::string expected;
+    switch (job.kind) {
+      case CampaignJob::Kind::kRep:
+        expected = store_cell_key(s, s.fault, job.rep);
+        break;
+      case CampaignJob::Kind::kSweepPoint: {
+        FaultSpec fault = s.fault;
+        fault.params.set(entry.sweep->param,
+                         entry.sweep->values[static_cast<std::size_t>(job.sweep_point)]);
+        expected = store_cell_key(s, fault, 0);
+        break;
+      }
+      case CampaignJob::Kind::kChain:
+        expected = store_cell_key(s, s.fault, 0, &*entry.sweep);
+        break;
+      case CampaignJob::Kind::kMetric:
+        ++metric_jobs;
+        expected = plan.job(job.parent).key;
+        break;
+    }
+    EXPECT_EQ(job.key, expected) << "job " << i;
+    if (job.kind != CampaignJob::Kind::kMetric) cell_keys.insert(job.key);
+  }
+  EXPECT_EQ(plan.num_cells(), kStoreCampaignJobs + 4);
+  EXPECT_EQ(cell_keys.size(), plan.num_cells()) << "every cell has its own key";
+  EXPECT_EQ(metric_jobs, 2u) << "one split span_estimate job per metered repetition";
+  EXPECT_NE(plan.job(plan.num_jobs() - 1).key.find("|topo_salt=" + csr + "#"),
+            std::string::npos);
+}
+
 TEST(CampaignStore, PayloadIsByteIdenticalDisabledColdWarmAtAnyThreadCount) {
   const std::string dir = fresh_dir("campaign-payload");
   CampaignRunner runner(store_campaign());
@@ -455,6 +529,33 @@ TEST(CampaignStore, PayloadIsByteIdenticalDisabledColdWarmAtAnyThreadCount) {
   // Hit/miss telemetry lives in the timing payload only.
   EXPECT_EQ(cold.to_json(false).find("\"store\""), std::string::npos);
   EXPECT_NE(cold.to_json(true).find("\"store\""), std::string::npos);
+}
+
+TEST(CampaignStore, TimingPayloadParsesAsJson) {
+  // The timing payload nests cache and store objects and registered-metric
+  // payloads; all of it must stay one well-formed document.
+  Campaign campaign = store_campaign();
+  campaign.entries[0].scenario.metrics.requests = {{"fragmentation", Params{}}};
+  ResultStore store(fresh_dir("timing-json"));
+  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+  const JsonValue doc = JsonValue::parse(report.to_json(/*include_timing=*/true));
+  EXPECT_EQ(doc.at("kind").as_string(), "campaign_report");
+  const std::vector<JsonValue>& scenarios = doc.at("scenarios").items();
+  ASSERT_EQ(scenarios.size(), campaign.entries.size());
+  const JsonValue& reps = scenarios[0];
+  ASSERT_EQ(reps.at("runs").items().size(), 3u);
+  const JsonValue& run = reps.at("runs").items()[1];
+  EXPECT_EQ(run.at("rep").as_int(), 1);
+  EXPECT_TRUE(run.at("metrics").at("fragmentation").at("gamma").kind() ==
+              JsonValue::Kind::kNumber);
+  EXPECT_GE(run.at("millis").as_number(), 0.0);
+  EXPECT_EQ(scenarios[1].at("sweep_values").items().size(), 3u);
+  EXPECT_EQ(doc.at("engine_total").at("runs").as_int(),
+            static_cast<std::int64_t>(report.total_engine_stats().runs));
+  EXPECT_EQ(doc.at("threads").as_int(), 2);
+  EXPECT_TRUE(doc.at("cache").has("peak_bytes"));
+  EXPECT_EQ(doc.at("store").at("misses").as_int(), static_cast<std::int64_t>(kStoreCampaignJobs));
+  EXPECT_FALSE(JsonValue::parse(report.to_json(false)).has("store"));
 }
 
 TEST(CampaignStore, WarmRunPersistsAcrossProcessReopen) {
