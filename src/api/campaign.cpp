@@ -486,7 +486,9 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
     missing_metrics_[i] = children_[i].size();
   }
   remaining_ = jobs_.size();
+}
 
+std::uint64_t CampaignPlan::fingerprint() const {
   Fnv1a h;
   h.text(campaign_.name);
   for (const CampaignJob& job : jobs_) {
@@ -498,7 +500,7 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
     h.word(job.parent);
     h.text(job.key);
   }
-  fingerprint_ = h.value();
+  return h.value();
 }
 
 const CampaignJob& CampaignPlan::job(std::size_t i) const {

@@ -199,7 +199,9 @@ class CampaignPlan {
   /// FNV-1a over the schedule (campaign name, every job's identity and
   /// key).  The dist handshake compares fingerprints so a worker serving
   /// a DIFFERENT campaign is turned away instead of poisoning results.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+  /// Computed on each call (it hashes every key, megabytes on a large
+  /// plan), so a caller that needs it more than once keeps the value.
+  [[nodiscard]] std::uint64_t fingerprint() const;
 
   /// Expected run count of a cell job (chain: all sweep values, else 1).
   [[nodiscard]] std::size_t expected_runs(std::size_t i) const;
@@ -249,7 +251,6 @@ class CampaignPlan {
   std::vector<CampaignJob> jobs_;
   std::vector<std::vector<std::size_t>> children_;  ///< cell -> metric jobs
   std::vector<std::vector<ScenarioRun>> results_;   ///< per entry
-  std::uint64_t fingerprint_ = 0;
   std::size_t num_cells_ = 0;
 
   mutable std::mutex mutex_;

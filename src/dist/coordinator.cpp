@@ -54,6 +54,7 @@ struct DistCoordinator::Impl {
   Timer clock;
 
   std::unique_ptr<CampaignPlan> plan;
+  std::uint64_t fingerprint = 0;  ///< wire_fingerprint(plan), set before any session
   mutable std::mutex m;
   std::condition_variable cv;
   std::vector<JobSlot> slots;
@@ -304,7 +305,7 @@ struct DistCoordinator::Impl {
           drop_corrupt();
           break;
         }
-        if (hello->fingerprint != wire_fingerprint(plan->fingerprint())) {
+        if (hello->fingerprint != fingerprint) {
           (void)transport->send(encode_frame(
               {MsgType::kWelcome,
                encode_welcome({false, "campaign fingerprint mismatch: serving '" +
@@ -495,6 +496,7 @@ struct DistCoordinator::Impl {
     const Timer wall;
     const int local_threads = opts.local_threads;
     plan = std::make_unique<CampaignPlan>(campaign, local_threads);
+    fingerprint = wire_fingerprint(plan->fingerprint());
     if (store != nullptr) (void)plan->attach_store(*store);
 
     {

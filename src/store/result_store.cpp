@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +26,9 @@ constexpr std::uint32_t kFrameFormat = 1;
 // tail, not a big record.
 constexpr std::uint32_t kMaxKeyLen = 1u << 20;
 constexpr std::uint32_t kMaxPayloadLen = 1u << 30;
+// Read size of the log scan, and the size of one key arena.
+constexpr std::size_t kChunkBytes = 64 * 1024;
+constexpr std::size_t kArenaBytes = 64 * 1024;
 
 void put_u32(std::string& buf, std::uint32_t v) {
   for (int b = 0; b < 4; ++b) buf.push_back(static_cast<char>((v >> (8 * b)) & 0xFF));
@@ -63,12 +67,52 @@ std::size_t read_at(int fd, std::uint64_t off, void* out, std::size_t len) {
   return done;
 }
 
-std::uint64_t frame_checksum(std::string_view key, std::string_view payload) {
-  Fnv1a h;
-  h.text(key);
-  h.text(payload);
-  return h.value();
-}
+/// Reads the log sequentially from `off` up to `limit` (the size the
+/// scan started from), kChunkBytes per read.
+class LogReader {
+ public:
+  LogReader(int fd, std::uint64_t off, std::uint64_t limit)
+      : fd_(fd), next_(off), limit_(limit), buf_(kChunkBytes) {}
+
+  /// The next `n` bytes, contiguous and valid until the next call;
+  /// nullptr when the log ends first.  A frame longer than one read
+  /// grows the buffer to fit it.
+  const unsigned char* take(std::size_t n) {
+    if (end_ - pos_ < n && !refill(n)) return nullptr;
+    const unsigned char* p = buf_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+ private:
+  /// Keep the unread bytes, move them to the front and read behind them
+  /// until at least `need` bytes are buffered (or the log ends).
+  bool refill(std::size_t need) {
+    const std::size_t keep = end_ - pos_;
+    if (need > buf_.size()) {
+      std::vector<unsigned char> bigger(need);
+      std::memcpy(bigger.data(), buf_.data() + pos_, keep);
+      buf_.swap(bigger);
+    } else {
+      std::memmove(buf_.data(), buf_.data() + pos_, keep);
+    }
+    pos_ = 0;
+    end_ = keep;
+    const auto want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(buf_.size() - keep, limit_ - next_));
+    const std::size_t got = read_at(fd_, next_, buf_.data() + keep, want);
+    next_ += got;
+    end_ += got;
+    return end_ >= need;
+  }
+
+  int fd_;
+  std::uint64_t next_;  ///< log offset of the byte after the buffer
+  std::uint64_t limit_;
+  std::vector<unsigned char> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+};
 
 std::uint64_t file_size_of(int fd) {
   struct stat st {};
@@ -145,16 +189,15 @@ void ResultStore::open_log() {
 
 void ResultStore::scan_tail(bool allow_truncate) {
   const std::uint64_t size = file_size_of(fd_);
+  LogReader in(fd_, scan_end_, size);
   while (scan_end_ < size) {
-    unsigned char fh[kFrameHeaderSize];
-    bool torn = false;
+    const unsigned char* fh = in.take(kFrameHeaderSize);
     std::uint32_t key_len = 0;
     std::uint32_t payload_len = 0;
-    std::uint64_t checksum = 0;
     std::uint32_t format = 0;
-    if (read_at(fd_, scan_end_, fh, kFrameHeaderSize) < kFrameHeaderSize) {
-      torn = true;
-    } else {
+    std::uint64_t checksum = 0;
+    bool torn = fh == nullptr;
+    if (!torn) {
       key_len = get_u32(fh + 4);
       payload_len = get_u32(fh + 8);
       format = get_u32(fh + 12);
@@ -162,6 +205,11 @@ void ResultStore::scan_tail(bool allow_truncate) {
       torn = get_u32(fh) != kFrameMagic || key_len == 0 || key_len > kMaxKeyLen ||
              payload_len > kMaxPayloadLen ||
              scan_end_ + kFrameHeaderSize + key_len + payload_len > size;
+    }
+    const unsigned char* body = nullptr;
+    if (!torn) {
+      body = in.take(static_cast<std::size_t>(key_len) + payload_len);
+      torn = body == nullptr;
     }
     if (torn) {
       // A torn or garbage tail.  open() drops it (the writer died
@@ -174,22 +222,17 @@ void ResultStore::scan_tail(bool allow_truncate) {
       }
       return;
     }
-
-    std::string body(static_cast<std::size_t>(key_len) + payload_len, '\0');
-    if (read_at(fd_, scan_end_ + kFrameHeaderSize, body.data(), body.size()) < body.size()) {
-      if (allow_truncate) {
-        stats_.truncated_bytes += size - scan_end_;
-        FNE_REQUIRE(::ftruncate(fd_, static_cast<off_t>(scan_end_)) == 0,
-                    "result store: cannot truncate torn tail of " + log_path_);
-      }
-      return;
-    }
-    const std::string_view key(body.data(), key_len);
-    const std::string_view payload(body.data() + key_len, payload_len);
-    const std::uint64_t frame_off = scan_end_;
+    const std::string_view key(reinterpret_cast<const char*>(body), key_len);
+    Entry entry;
+    entry.frame_off = scan_end_;
+    entry.checksum = checksum;
+    entry.payload_len = payload_len;
     scan_end_ += kFrameHeaderSize + key_len + payload_len;
 
-    if (format != kFrameFormat || frame_checksum(key, payload) != checksum) {
+    Fnv1a h;
+    entry.key_state = h.text(key).value();
+    h.bytes(body + key_len, payload_len);
+    if (format != kFrameFormat || h.value() != checksum) {
       // Framing intact, content bad: skip just this record.  It is not
       // indexed, so a later put() of the same key appends a good copy.
       ++stats_.corrupt_records;
@@ -197,37 +240,66 @@ void ResultStore::scan_tail(bool allow_truncate) {
     }
     // First write wins; a duplicate frame (two processes racing the same
     // key) carries identical bytes by the determinism contract anyway.
-    index_.try_emplace(std::string(key),
-                       IndexEntry{frame_off, key_len, payload_len, checksum});
+    (void)add(key, entry);
   }
+}
+
+ResultStore::Entry* ResultStore::add(std::string_view key, const Entry& entry) {
+  // Copy the key into the arena first, so a new key is hashed once; a
+  // known key gives the bytes back at once.
+  const std::string_view stored = intern(key);
+  const auto [it, inserted] = index_.try_emplace(stored, entry);
+  if (!inserted) {
+    arena_next_ -= stored.size();
+    arena_left_ += stored.size();
+    if (it->second.live) return nullptr;
+    it->second = entry;
+  }
+  ++live_;
+  return &it->second;
+}
+
+void ResultStore::drop(Entry& entry) {
+  if (!entry.live) return;
+  entry.live = false;
+  --live_;
+}
+
+std::string_view ResultStore::intern(std::string_view key) {
+  if (arena_left_ < key.size()) {
+    const std::size_t bytes = std::max(kArenaBytes, key.size());
+    keys_.push_back(std::make_unique_for_overwrite<char[]>(bytes));
+    arena_next_ = keys_.back().get();
+    arena_left_ = bytes;
+  }
+  char* out = arena_next_;
+  std::memcpy(out, key.data(), key.size());
+  arena_next_ += key.size();
+  arena_left_ -= key.size();
+  return {out, key.size()};
 }
 
 std::optional<std::string> ResultStore::load(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() || !it->second.live) {
     ++stats_.misses;
     return std::nullopt;
   }
-  const IndexEntry entry = it->second;
-  std::string body(static_cast<std::size_t>(entry.key_len) + entry.payload_len, '\0');
-  const bool read_ok =
-      read_at(fd_, entry.frame_off + kFrameHeaderSize, body.data(), body.size()) ==
-      body.size();
-  const std::string_view stored_key(body.data(), entry.key_len);
-  const std::string_view payload(body.data() + entry.key_len, entry.payload_len);
-  if (!read_ok || stored_key != key ||
-      frame_checksum(stored_key, payload) != entry.checksum) {
-    // The log changed under us or the index entry is stale/colliding:
-    // drop it and miss.
-    index_.erase(it);
+  Entry& entry = it->second;
+  std::string payload(entry.payload_len, '\0');
+  const bool read_ok = read_at(fd_, entry.frame_off + kFrameHeaderSize + key.size(),
+                               payload.data(), payload.size()) == payload.size();
+  if (!read_ok || Fnv1a(entry.key_state).text(payload).value() != entry.checksum) {
+    // The log changed under us: drop the entry and miss.
+    drop(entry);
     ++stats_.corrupt_records;
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
   stats_.bytes_loaded += entry.payload_len;
-  return std::string(payload);
+  return payload;
 }
 
 void ResultStore::put(const std::string& key, const std::string& payload) {
@@ -236,12 +308,20 @@ void ResultStore::put(const std::string& key, const std::string& payload) {
 }
 
 void ResultStore::put_many(std::span<const StoreRecord> records) {
+  // Checksum every record before taking the lock.
   std::size_t frame_bytes = 0;
-  for (const StoreRecord& r : records) {
-    FNE_REQUIRE(!r.key.empty() && r.key.size() <= kMaxKeyLen,
+  std::vector<Entry> framed(records.size());
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const StoreRecord& rec = records[r];
+    FNE_REQUIRE(!rec.key.empty() && rec.key.size() <= kMaxKeyLen,
                 "result store: key size out of range");
-    FNE_REQUIRE(r.payload.size() <= kMaxPayloadLen, "result store: payload too large");
-    frame_bytes += kFrameHeaderSize + r.key.size() + r.payload.size();
+    FNE_REQUIRE(rec.payload.size() <= kMaxPayloadLen, "result store: payload too large");
+    frame_bytes += kFrameHeaderSize + rec.key.size() + rec.payload.size();
+    Entry& entry = framed[r];
+    Fnv1a h;
+    entry.key_state = h.text(rec.key).value();
+    entry.checksum = h.text(rec.payload).value();
+    entry.payload_len = static_cast<std::uint32_t>(rec.payload.size());
   }
   const std::lock_guard<std::mutex> lock(mutex_);
 
@@ -250,23 +330,23 @@ void ResultStore::put_many(std::span<const StoreRecord> records) {
   // same batch: first write wins.
   std::string frames;
   frames.reserve(frame_bytes);
-  std::vector<std::map<std::string, IndexEntry>::iterator> fresh;
+  std::vector<Entry*> fresh;
   std::uint64_t payload_bytes = 0;
-  for (const StoreRecord& r : records) {
-    const std::uint64_t checksum = frame_checksum(r.key, r.payload);
-    const auto [it, inserted] = index_.try_emplace(
-        r.key, IndexEntry{frames.size(), static_cast<std::uint32_t>(r.key.size()),
-                          static_cast<std::uint32_t>(r.payload.size()), checksum});
-    if (!inserted) continue;
-    fresh.push_back(it);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const StoreRecord& rec = records[r];
+    Entry entry = framed[r];
+    entry.frame_off = frames.size();
+    Entry* const added = add(rec.key, entry);
+    if (added == nullptr) continue;
+    fresh.push_back(added);
     put_u32(frames, kFrameMagic);
-    put_u32(frames, static_cast<std::uint32_t>(r.key.size()));
-    put_u32(frames, static_cast<std::uint32_t>(r.payload.size()));
+    put_u32(frames, static_cast<std::uint32_t>(rec.key.size()));
+    put_u32(frames, entry.payload_len);
     put_u32(frames, kFrameFormat);
-    put_u64(frames, checksum);
-    frames += r.key;
-    frames += r.payload;
-    payload_bytes += r.payload.size();
+    put_u64(frames, entry.checksum);
+    frames += rec.key;
+    frames += rec.payload;
+    payload_bytes += rec.payload.size();
   }
   if (fresh.empty()) return;
 
@@ -274,7 +354,7 @@ void ResultStore::put_many(std::span<const StoreRecord> records) {
   // a concurrent writer, and a kill mid-call leaves only a torn tail.
   const ssize_t n = ::write(fd_, frames.data(), frames.size());
   if (n != static_cast<ssize_t>(frames.size())) {
-    for (const auto& it : fresh) index_.erase(it);
+    for (Entry* const e : fresh) drop(*e);
     FNE_REQUIRE(false, "result store: append failed on " + log_path_);
   }
   stats_.bytes_committed += payload_bytes;
@@ -282,13 +362,13 @@ void ResultStore::put_many(std::span<const StoreRecord> records) {
   if (end >= 0 && static_cast<std::uint64_t>(end) == scan_end_ + frames.size()) {
     // The batch landed right at the indexed end: no other writer
     // interleaved, so its frames are indexed from memory.
-    for (const auto& it : fresh) it->second.frame_off += scan_end_;
+    for (Entry* const e : fresh) e->frame_off += scan_end_;
     scan_end_ = static_cast<std::uint64_t>(end);
     return;
   }
   // Another writer appended since the last indexed offset: index from the
   // log instead, picking up its frames and ours in log order.
-  for (const auto& it : fresh) index_.erase(it);
+  for (Entry* const e : fresh) drop(*e);
   scan_tail(/*allow_truncate=*/false);
 }
 
@@ -299,13 +379,14 @@ void ResultStore::refresh() {
 
 bool ResultStore::contains(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return index_.contains(key);
+  const auto it = index_.find(key);
+  return it != index_.end() && it->second.live;
 }
 
 StoreStats ResultStore::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   StoreStats out = stats_;
-  out.records = index_.size();
+  out.records = live_;
   return out;
 }
 

@@ -10,8 +10,8 @@
 //            | u64 fnv1a(key ‖ payload) | key bytes | payload bytes
 //
 // all integers little-endian.  The full key is stored in every frame and
-// compared on load, so the in-memory hash index can never serve a
-// colliding key's payload — a collision degrades to a miss.
+// kept in the index, which compares it on every lookup, so a hash
+// collision can never serve another key's payload.
 //
 // Crash safety: the header is created via write-temp + rename (a crash
 // mid-create leaves no half-header file); each append is ONE O_APPEND
@@ -26,6 +26,18 @@
 // then start fresh.  Every degradation path ends in "miss -> recompute",
 // never in an exception or a wrong payload.
 //
+// Reading: open() and refresh() scan the log in 64 KiB sequential reads
+// and verify each frame's checksum ONCE.  A verified frame enters an
+// unordered_map whose string_view keys point into 64 KiB key arenas; the
+// payload stays on disk, so the index costs the keys plus a hash node
+// per record, never the log.  The key bytes were verified at open and
+// are compared in memory on every lookup.  Each entry keeps the FNV-1a
+// state after its key bytes, so load() reads only the payload (one
+// pread) and re-checks it by continuing the same key ‖ payload checksum
+// from that state: a PAYLOAD byte that changed on disk after open
+// degrades to a miss.  A key or frame-header byte changed after open is
+// not re-read, so it goes unnoticed until the next open() rescans.
+//
 // Concurrency: one ResultStore is internally synchronized (the campaign
 // commits from pool threads).  Across processes the contract is one
 // writer + many readers, but the append path is defensive enough that
@@ -37,12 +49,16 @@
 // other process enter the index too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 namespace fne {
 
@@ -86,9 +102,10 @@ class ResultStore {
 
   [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
 
-  /// Serve `key`'s payload, or nullopt (counted as a miss).  Verifies the
-  /// frame checksum and the stored key on every hit; a record that fails
-  /// re-verification is dropped from the index and counted corrupt.
+  /// Serve `key`'s payload, or nullopt (counted as a miss).  Re-verifies
+  /// the frame checksum on every hit (the payload read from disk, the key
+  /// compared in memory); a record that fails is dropped from the index
+  /// and counted corrupt, so the next put() appends a good copy.
   [[nodiscard]] std::optional<std::string> load(const std::string& key);
 
   /// Append (key -> payload): put_many() of one record.
@@ -110,11 +127,15 @@ class ResultStore {
   [[nodiscard]] StoreStats stats() const;
 
  private:
-  struct IndexEntry {
+  /// One indexed frame.  `live` is false once load() found the frame
+  /// changed on disk: the entry then misses, and the next put() of its
+  /// key (or a rescan that meets a later copy) revives it in place.
+  struct Entry {
     std::uint64_t frame_off = 0;  ///< offset of the frame header
-    std::uint32_t key_len = 0;
+    std::uint64_t checksum = 0;   ///< the frame's fnv1a(key ‖ payload)
+    std::uint64_t key_state = 0;  ///< FNV-1a state after the key bytes
     std::uint32_t payload_len = 0;
-    std::uint64_t checksum = 0;
+    bool live = true;
   };
 
   void open_log();
@@ -123,11 +144,25 @@ class ResultStore {
   /// policy: open() truncates, refresh() leaves it for the writer.
   void scan_tail(bool allow_truncate);
 
+  /// Index `entry` under `key` unless a live entry holds it (first write
+  /// wins: returns nullptr).  A dead entry of the key is revived in
+  /// place; a new key is copied into the arenas.  The returned entry
+  /// stays put while the map grows.
+  Entry* add(std::string_view key, const Entry& entry);
+  /// Mark `entry` dead (it misses until add() revives it).
+  void drop(Entry& entry);
+  /// Copy `key` into the arenas: 64 KiB each, a longer key gets its own.
+  [[nodiscard]] std::string_view intern(std::string_view key);
+
   std::string dir_;
   std::string log_path_;
   int fd_ = -1;
   std::uint64_t scan_end_ = 0;  ///< log offset up to which frames are indexed
-  std::map<std::string, IndexEntry> index_;
+  std::unordered_map<std::string_view, Entry> index_;  ///< keys point into keys_
+  std::vector<std::unique_ptr<char[]>> keys_;          ///< key arenas
+  char* arena_next_ = nullptr;
+  std::size_t arena_left_ = 0;
+  std::uint64_t live_ = 0;
   StoreStats stats_;
   mutable std::mutex mutex_;
 };

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <string_view>
@@ -34,12 +35,24 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  FNE_REQUIRE(end != text && *end == '\0' && errno != ERANGE,
+              "--" + key + ": '" + it->second + "' is not an integer");
+  return v;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  FNE_REQUIRE(end != text && *end == '\0', "--" + key + ": '" + it->second + "' is not a number");
+  return v;
 }
 
 int Cli::get_threads(int fallback) const {

@@ -22,6 +22,8 @@ class Cli {
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
+  /// --key=N (absent: `fallback`).  REQUIREs the whole value to parse:
+  /// "2x", "abc" or "" fail instead of reading a numeric prefix or 0.
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   /// --key=N (absent: `fallback`) narrowed to T after a range check:
   /// REQUIREs lo <= N <= hi, failing with "--key=N out of range [lo, hi]"
@@ -31,6 +33,7 @@ class Cli {
                                    std::int64_t lo, std::int64_t hi) const {
     return narrow_in_range<T>("--" + key, get_int(key, fallback), lo, hi);
   }
+  /// --key=X (absent: `fallback`); REQUIREs the whole value to parse.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] std::uint64_t get_seed(std::uint64_t fallback = 42) const {
     return static_cast<std::uint64_t>(get_int("seed", static_cast<std::int64_t>(fallback)));

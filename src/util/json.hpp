@@ -12,6 +12,7 @@
 // so no third-party dependency is warranted.
 #pragma once
 
+#include <array>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
@@ -156,13 +157,32 @@ class JsonObject {
   void require_closed() const {
     FNE_REQUIRE(closers_.empty(), "json: dump() with an object or array still open");
   }
+  /// Per byte: 0 to copy it as is, else the character after its
+  /// backslash ('u' for \u00XX).  All of U+0000-U+001F is escaped.
+  static constexpr std::array<char, 256> kEscapes = [] {
+    std::array<char, 256> t{};
+    for (int c = 0; c < 0x20; ++c) t[c] = 'u';
+    t['\n'] = 'n';
+    t['\r'] = 'r';
+    t['\t'] = 't';
+    t['"'] = '"';
+    t['\\'] = '\\';
+    return t;
+  }();
   void append_escaped(std::string_view s) {
     std::size_t run = 0;  // start of the pending unescaped run
     for (std::size_t i = 0; i < s.size(); ++i) {
-      const char c = s[i];
-      if (c != '"' && c != '\\' && c != '\n') continue;
+      const auto c = static_cast<unsigned char>(s[i]);
+      const char e = kEscapes[c];
+      if (e == 0) continue;
       buf_ += s.substr(run, i - run);
-      buf_ += c == '\n' ? "\\n" : c == '"' ? "\\\"" : "\\\\";
+      buf_ += '\\';
+      buf_ += e;
+      if (e == 'u') {
+        buf_ += "00";
+        buf_ += "0123456789abcdef"[c >> 4];
+        buf_ += "0123456789abcdef"[c & 0xF];
+      }
       run = i + 1;
     }
     buf_ += s.substr(run);

@@ -434,6 +434,24 @@ TEST(JsonObject, NestsInPlaceAsTheSplicedDumpWould) {
   EXPECT_THROW((void)open.dump(), PreconditionError) << "dump with an array still open";
 }
 
+TEST(JsonObject, EscapesEveryControlCharacterAndRoundTrips) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all += static_cast<char>(c);
+  all += "\"\\/ plain \x7f\xc3\xa9";
+  JsonObject obj;
+  obj.put("s", all).put(std::string_view("k\x01\t", 3), 1);
+  const std::string text = obj.dump();
+  for (const char c : text) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << "raw control byte in " << text;
+  }
+  const JsonValue v = JsonValue::parse(text);
+  EXPECT_EQ(v.at("s").as_string(), all);
+  EXPECT_EQ(v.at(std::string("k\x01\t", 3)).as_int(), 1);
+  JsonObject tab;
+  tab.put("t", "a\tb\rc\nd\be");
+  EXPECT_EQ(tab.dump(), R"({"t": "a\tb\rc\nd\u0008e"})");
+}
+
 // ---------------------------------------------------------------------------
 // Campaign determinism
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 // total decode, content-key shape, log persistence and first-write-wins,
 // every corruption path degrading to recompute (torn tail, checksum
 // flip, foreign file, unknown schema version), cross-process dedup via
-// tail rescans, batched appends (put_many), and the campaign-level
+// tail rescans, batched appends (put_many), the chunked scan and key
+// index (a committed fixture log, frames across read chunks, a byte
+// flipped after open, a map oracle over 20,000 keys), and the campaign-level
 // story — the deterministic payload is byte-identical for disabled /
 // cold / warm / mixed store state at any thread count, and a killed or
 // cancelled campaign resumes recomputing only the missing cells.
@@ -10,8 +12,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -398,6 +402,265 @@ TEST(ResultStore, TornMultiFrameBatchKeepsTheFramesBeforeTheTear) {
   EXPECT_EQ(again.stats().records, 4u);
   EXPECT_EQ(again.stats().truncated_bytes, 0u);
   EXPECT_EQ(again.load("k4").value_or(""), "payload-4");
+}
+
+// ---------------------------------------------------------------------------
+// The chunked scan and the key index
+// ---------------------------------------------------------------------------
+
+/// The scan reads the log in 64 KiB chunks.
+constexpr std::uint64_t kChunk = 64 * 1024;
+
+/// A deterministic payload of `n` bytes (every byte value occurs).
+[[nodiscard]] std::string pattern_payload(std::size_t n, unsigned mul = 131, unsigned add = 7) {
+  std::string p(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<char>((i * mul + add) & 0xFF);
+  return p;
+}
+
+/// Flip one byte of the log in place (the inode stays, so an open store's
+/// fd sees the change).
+void flip_byte_in_place(const fs::path& path, std::uint64_t off) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(off));
+  char c = 0;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ 0x5A);
+  f.seekp(static_cast<std::streamoff>(off));
+  f.write(&c, 1);
+}
+
+TEST(ResultStore, ReplaysTheCommittedFixtureLogExactly) {
+  // tests/data/store_fixture.log was written by the per-frame pread
+  // reader this scan replaced: "fixture|small-0", "fixture|big" (a
+  // 65,600-byte payload, so its frame crosses the first 64 KiB chunk),
+  // "fixture|bad" with a flipped checksum bit, "fixture|small-1", then a
+  // good copy of "fixture|bad" and "fixture|small-2" appended on reopen.
+  const std::string dir = fresh_dir("fixture");
+  fs::create_directories(dir);
+  const fs::path fixture = fs::path(FNE_REPO_DIR) / "tests/data/store_fixture.log";
+  fs::copy_file(fixture, log_of(dir));
+  ResultStore store(dir);
+  const StoreStats st = store.stats();
+  EXPECT_EQ(st.records, 5u);
+  EXPECT_EQ(st.corrupt_records, 1u);
+  EXPECT_EQ(st.truncated_bytes, 0u);
+  EXPECT_EQ(st.rotated_files, 0u);
+  EXPECT_EQ(store.load("fixture|small-0").value_or(""), "payload-small-0");
+  EXPECT_EQ(store.load("fixture|big").value_or(""), pattern_payload(65600));
+  EXPECT_EQ(store.load("fixture|bad").value_or(""), "payload-bad")
+      << "the corrupt frame is skipped and the later good copy served";
+  EXPECT_EQ(store.load("fixture|small-1").value_or(""), "payload-small-1");
+  EXPECT_EQ(store.load("fixture|small-2").value_or(""), "payload-small-2");
+  EXPECT_EQ(store.stats().hits, 5u);
+  EXPECT_EQ(store.stats().corrupt_records, 1u);
+  EXPECT_EQ(read_file(log_of(dir)), read_file(fixture)) << "open() rewrote nothing";
+}
+
+TEST(ResultStore, FramesStraddlingReadChunksRoundTrip) {
+  // "fill" ends its frame 10 bytes before the first chunk edge, so the
+  // next frame's header straddles it; "huge" (200 KiB) is longer than a
+  // chunk, so the scan grows its read buffer for it.
+  const std::string dir = fresh_dir("chunk-straddle");
+  const std::string fill_key = "fill";
+  const std::uint64_t fill_frame = kChunk - 10 - 16;
+  const std::vector<StoreRecord> records = {
+      {fill_key, pattern_payload(fill_frame - 24 - fill_key.size())},
+      {"straddle", "header-across-the-edge"},
+      {"huge", pattern_payload(200 * 1024, 29, 3)},
+      {"after", "tail"}};
+  {
+    ResultStore store(dir);
+    store.put_many(records);
+  }
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().records, records.size());
+  EXPECT_EQ(store.stats().corrupt_records, 0u);
+  EXPECT_EQ(store.stats().truncated_bytes, 0u);
+  for (const StoreRecord& r : records) {
+    EXPECT_EQ(store.load(r.key).value_or(""), r.payload) << r.key;
+  }
+}
+
+TEST(ResultStore, TornFrameAcrossAChunkEdgeIsTruncated) {
+  // 1,033-byte frames: frame 63 spans [65095, 66128), across the edge.
+  const std::string dir = fresh_dir("chunk-torn");
+  std::vector<StoreRecord> records;
+  for (int i = 0; i < 80; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "edge-%04d", i);
+    records.push_back({key, pattern_payload(1000, 131, static_cast<unsigned>(i))});
+  }
+  const std::uint64_t frame = frame_size(records[0].key, records[0].payload);
+  const std::uint64_t straddler = (kChunk - 16) / frame;
+  const std::uint64_t start = 16 + straddler * frame;
+  ASSERT_LT(start, kChunk);
+  ASSERT_GT(start + frame, kChunk + 10);
+  {
+    ResultStore store(dir);
+    store.put_many(records);
+  }
+  const std::string bytes = read_file(log_of(dir));
+  write_file(log_of(dir), bytes.substr(0, static_cast<std::size_t>(kChunk + 10)));
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().records, straddler);
+  EXPECT_EQ(store.stats().truncated_bytes, kChunk + 10 - start);
+  EXPECT_EQ(fs::file_size(log_of(dir)), start);
+  for (std::uint64_t i = 0; i < straddler; ++i) {
+    EXPECT_EQ(store.load(records[i].key).value_or(""), records[i].payload);
+  }
+  EXPECT_FALSE(store.load(records[straddler].key).has_value());
+  store.put_many(records);  // recommits the torn frame and the rest
+  ResultStore again(dir);
+  EXPECT_EQ(again.stats().records, records.size());
+  EXPECT_EQ(again.load(records.back().key).value_or(""), records.back().payload);
+}
+
+TEST(ResultStore, CorruptFrameAtAChunkEdgeIsSkipped) {
+  // Flip the last byte of the first chunk (inside frame 63's payload) and
+  // the first byte of the second chunk of a later frame's payload.
+  const std::string dir = fresh_dir("chunk-corrupt");
+  std::vector<StoreRecord> records;
+  for (int i = 0; i < 200; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "edge-%04d", i);
+    records.push_back({key, pattern_payload(1000, 131, static_cast<unsigned>(i))});
+  }
+  const std::uint64_t frame = frame_size(records[0].key, records[0].payload);
+  const std::uint64_t header = 24 + records[0].key.size();
+  {
+    ResultStore store(dir);
+    store.put_many(records);
+  }
+  std::set<std::uint64_t> bad;
+  for (const std::uint64_t off : {kChunk - 1, 2 * kChunk}) {
+    const std::uint64_t i = (off - 16) / frame;
+    ASSERT_GE(off - 16 - i * frame, header) << "the flip must land in a payload";
+    bad.insert(i);
+    flip_byte_in_place(log_of(dir), off);
+  }
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().corrupt_records, 2u);
+  EXPECT_EQ(store.stats().truncated_bytes, 0u);
+  EXPECT_EQ(store.stats().records, records.size() - 2);
+  for (std::uint64_t i = 0; i < records.size(); ++i) {
+    const auto got = store.load(records[i].key);
+    if (bad.contains(i)) {
+      EXPECT_FALSE(got.has_value()) << i;
+    } else {
+      EXPECT_EQ(got.value_or(""), records[i].payload) << i;
+    }
+  }
+}
+
+TEST(ResultStore, PayloadFlippedAfterOpenMissesThenRecommits) {
+  const std::string dir = fresh_dir("flip-after-open");
+  std::uint64_t k2_frame = 0;
+  {
+    ResultStore store(dir);
+    store.put("k1", "aaaa");
+    k2_frame = fs::file_size(log_of(dir));
+    store.put("k2", "bbbb");
+    store.put("k3", "cccc");
+  }
+  ResultStore store(dir);
+  ASSERT_EQ(store.stats().records, 3u);
+  flip_byte_in_place(log_of(dir), k2_frame + 24 + 2 + 1);  // a payload byte of k2
+  const StoreStats before = store.stats();
+  EXPECT_FALSE(store.load("k2").has_value()) << "load() re-verifies what it reads";
+  EXPECT_EQ(store.stats().corrupt_records, before.corrupt_records + 1);
+  EXPECT_EQ(store.stats().misses, before.misses + 1);
+  EXPECT_EQ(store.stats().records, 2u);
+  EXPECT_FALSE(store.contains("k2"));
+  EXPECT_FALSE(store.load("k2").has_value()) << "the dropped entry stays a miss";
+  EXPECT_EQ(store.stats().corrupt_records, before.corrupt_records + 1) << "counted once";
+  const std::uint64_t size = fs::file_size(log_of(dir));
+  store.put("k2", "bbbb");
+  EXPECT_EQ(fs::file_size(log_of(dir)), size + frame_size("k2", "bbbb")) << "a good copy";
+  EXPECT_EQ(store.load("k2").value_or(""), "bbbb");
+  EXPECT_EQ(store.load("k1").value_or(""), "aaaa");
+  EXPECT_EQ(store.stats().records, 3u);
+
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.stats().records, 3u);
+  EXPECT_EQ(reopened.stats().corrupt_records, 1u) << "the flipped frame, skipped";
+  EXPECT_EQ(reopened.load("k2").value_or(""), "bbbb");
+}
+
+TEST(ResultStore, KeyFlippedAfterOpenIsCaughtByTheNextOpen) {
+  // load() reads only the payload: the key was verified at open and is
+  // compared in memory, so a key byte changed on disk afterwards still
+  // serves the payload the open verified.  The next open rescans the
+  // frame, finds its checksum wrong, and skips it.
+  const std::string dir = fresh_dir("key-flip-after-open");
+  std::uint64_t k2_frame = 0;
+  {
+    ResultStore store(dir);
+    store.put("k1", "aaaa");
+    k2_frame = fs::file_size(log_of(dir));
+    store.put("k2", "bbbb");
+  }
+  ResultStore store(dir);
+  flip_byte_in_place(log_of(dir), k2_frame + 24 + 1);  // the second key byte of k2
+  EXPECT_EQ(store.load("k2").value_or(""), "bbbb");
+  EXPECT_EQ(store.stats().corrupt_records, 0u);
+
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.stats().records, 1u);
+  EXPECT_EQ(reopened.stats().corrupt_records, 1u);
+  EXPECT_FALSE(reopened.load("k2").has_value());
+  EXPECT_EQ(reopened.load("k1").value_or(""), "aaaa");
+}
+
+TEST(ResultStore, IndexAgreesWithAMapOracleOverManyKeys) {
+  // 20,000 keys sharing long prefixes, put in batches of varied size with
+  // repeats (first write wins), so every rehash of the index is
+  // exercised; checked live, after each batch's keys, and on reopen.
+  const std::string dir = fresh_dir("oracle");
+  std::map<std::string, std::string> oracle;
+  std::uint64_t state = 2026;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  const std::string prefix(300, 'p');
+  const auto key_of = [&](std::uint64_t i) {
+    return prefix.substr(0, i % 300) + "|cell=" + std::to_string(i);
+  };
+  constexpr std::uint64_t kKeys = 20000;
+  {
+    ResultStore store(dir);
+    std::uint64_t made = 0;
+    while (made < kKeys) {
+      std::vector<StoreRecord> batch;
+      const std::uint64_t size = 1 + next() % 64;
+      for (std::uint64_t b = 0; b < size && made < kKeys; ++b) {
+        // One record in eight repeats an earlier key with other bytes.
+        const bool repeat = made > 0 && next() % 8 == 0;
+        const std::uint64_t id = repeat ? next() % made : made++;
+        batch.push_back({key_of(id), "v" + std::to_string(next() % 100000) + "/" +
+                                         std::to_string(id)});
+      }
+      store.put_many(batch);
+      for (const StoreRecord& r : batch) oracle.try_emplace(r.key, r.payload);
+      for (const StoreRecord& r : batch) {
+        ASSERT_EQ(store.load(r.key).value_or(""), oracle.at(r.key));
+      }
+    }
+    EXPECT_EQ(store.stats().records, oracle.size());
+    EXPECT_FALSE(store.load(key_of(kKeys)).has_value());
+    EXPECT_FALSE(store.contains(key_of(kKeys) + "x"));
+  }
+  ASSERT_EQ(oracle.size(), kKeys);
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.stats().records, kKeys);
+  EXPECT_EQ(reopened.stats().corrupt_records, 0u);
+  for (const auto& [key, payload] : oracle) {
+    ASSERT_EQ(reopened.load(key).value_or(""), payload) << key;
+  }
+  EXPECT_FALSE(reopened.load(key_of(kKeys + 1)).has_value());
+  EXPECT_EQ(reopened.stats().hits, kKeys);
 }
 
 // ---------------------------------------------------------------------------

@@ -68,6 +68,24 @@ TEST(Cli, ParsesKeyValueAndFlags) {
   EXPECT_EQ(cli.get("missing", "fallback"), "fallback");
 }
 
+TEST(Cli, NumericFlagsMustParseWhole) {
+  const char* argv[] = {"prog",    "--threads=2x", "--churn-steps=abc", "--empty=",
+                        "--p=0.5q", "--ok=-7",     "--x=2.5e-1",
+                        "--huge=99999999999999999999"};
+  Cli cli(8, const_cast<char**>(argv));
+  EXPECT_THROW((void)cli.get_int("threads", 1), PreconditionError);
+  EXPECT_THROW((void)cli.get_threads(), PreconditionError);
+  EXPECT_THROW((void)cli.get_int("churn-steps", 0), PreconditionError);
+  EXPECT_THROW((void)cli.get_int("empty", 0), PreconditionError);
+  EXPECT_THROW((void)cli.get_double("empty", 0.0), PreconditionError);
+  EXPECT_THROW((void)cli.get_double("p", 0.0), PreconditionError);
+  EXPECT_THROW((void)cli.get_int("x", 0), PreconditionError) << "a double is not an integer";
+  EXPECT_THROW((void)cli.get_int("huge", 0), PreconditionError);
+  EXPECT_EQ(cli.get_int("ok", 0), -7);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(cli.get_double("ok", 0.0), -7.0);
+}
+
 TEST(Cli, SeedHelper) {
   const char* argv[] = {"prog", "--seed=99"};
   Cli cli(2, const_cast<char**>(argv));
