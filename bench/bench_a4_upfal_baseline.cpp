@@ -49,8 +49,12 @@ int main(int argc, char** argv) {
   bopts.seed = seed;
 
   auto fmt_bracket = [](const ExpansionBracket& b) {
-    return "[" + std::to_string(b.lower).substr(0, 6) + "," +
-           std::to_string(b.upper).substr(0, 6) + "]";
+    std::string s = "[";
+    s += std::to_string(b.lower).substr(0, 6);
+    s += ',';
+    s += std::to_string(b.upper).substr(0, 6);
+    s += ']';
+    return s;
   };
 
   struct Case {

@@ -14,9 +14,9 @@
 //      via its local executor within --max-overhead of the plain local
 //      runner (default 2.0; the gap is scheduler polling, not compute).
 //
-// Flags: --reps=N (catalog repetitions, default 1), --threads=N
-// (coordinator local width, default: hardware), --workers=W (default 2),
-// --max-overhead=X, --seed=S, --json=out.json.
+// Flags: --reps=N (catalog repetitions, 1..1000, default 1), --threads=N
+// (coordinator local width, default: hardware), --workers=W (0..64,
+// default 2), --max-overhead=X, --seed=S, --json=out.json.
 #include "bench_common.hpp"
 
 #include <memory>
@@ -45,7 +45,6 @@ struct DistResult {
   opts.retry_budget = 3;
   opts.backoff_base_ms = 10;
   opts.backoff_max_ms = 200;
-  opts.idle_grace_ms = 100;
   opts.poll_ms = 10;
 
   EngineCache::instance().clear();
@@ -80,9 +79,9 @@ int main(int argc, char** argv) {
   using namespace fne;
   const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const int reps = static_cast<int>(cli.get_int("reps", 1));
+  const int reps = cli.get_int_in_range<int>("reps", 1, 1, 1000);
   const int threads = bench::threads_flag(cli);
-  const int workers = static_cast<int>(cli.get_int("workers", 2));
+  const int workers = cli.get_int_in_range<int>("workers", 2, 0, 64);
   const double max_overhead = cli.get_double("max-overhead", 2.0);
 
   bench::print_header("S5-DIST",

@@ -12,14 +12,14 @@
 //       show registered topologies, fault models, and named scenarios
 //   scenario_runner --scenario=mesh-random [--reps=3] [--seed=7]
 //       run a named preset (overrides apply on top)
-//   scenario_runner --topology=hypercube --topo-params=dims=8 \
-//       --fault=high_degree --fault-params=frac=0.1 \
+//   scenario_runner --topology=hypercube --topo-params=dims=8
+//       --fault=high_degree --fault-params=frac=0.1
 //       --kind=node --reps=3 --verify --expansion
 //       run an ad-hoc scenario
 //   scenario_runner --scenario=mesh-random --metrics=mesh_span,embedding_quality
 //       additionally compute registered metrics (api/metrics.hpp) at
 //       their default params; see --list for names
-//   scenario_runner --scenario=mesh-random --sweep=p \
+//   scenario_runner --scenario=mesh-random --sweep=p
 //       --sweep-values=0.05,0.15,0.25 [--sweep-mode=monotone]
 //       sweep one fault param (monotone mode chains survivors downward —
 //       the fault model must declare the param monotone, see --list)
@@ -44,10 +44,10 @@
 //       to TCP workers (bare --serve picks an ephemeral port, printed to
 //       stderr).  --workers=N additionally spawns N in-process workers —
 //       the one-command spelling of a distributed run.  --threads sets
-//       the coordinator's LOCAL fallback width; with zero connected
-//       workers the run degrades to exactly the local runner.  Knobs:
-//       --bind=HOST --job-timeout-ms --retry-budget --backoff-base-ms
-//       --backoff-max-ms --heartbeat-ms --idle-grace-ms.  Combines with
+//       how many coordinator threads compute jobs locally from the start;
+//       with zero connected workers the run degrades to exactly the local
+//       runner.  Knobs: --bind=HOST --job-timeout-ms --retry-budget
+//       --backoff-base-ms --backoff-max-ms --heartbeat-ms.  Combines with
 //       --store/--payload/--store-stats; the deterministic payload is
 //       byte-identical to a local run for any worker count or fault
 //       pattern.  A "dist:" telemetry line is printed after the run.
@@ -410,7 +410,6 @@ int run_campaign(const Cli& cli) {
     dopts.backoff_base_ms = cli.get_double("backoff-base-ms", dopts.backoff_base_ms);
     dopts.backoff_max_ms = cli.get_double("backoff-max-ms", dopts.backoff_max_ms);
     dopts.heartbeat_ms = cli.get_double("heartbeat-ms", dopts.heartbeat_ms);
-    dopts.idle_grace_ms = cli.get_double("idle-grace-ms", dopts.idle_grace_ms);
     const int in_process = cli.get_int_in_range<int>("workers", 0, 0, INT_MAX);
 
     const Campaign worker_campaign = campaign;  // copied before the move

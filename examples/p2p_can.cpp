@@ -48,8 +48,11 @@ int main(int argc, char** argv) {
       std::string after = "-";
       double retention = 0.0;
       if (run.expansion.has_value()) {
-        after = "[" + std::to_string(run.expansion->lower).substr(0, 5) + "," +
-                std::to_string(run.expansion->upper).substr(0, 5) + "]";
+        after = "[";
+        after += std::to_string(run.expansion->lower).substr(0, 5);
+        after += ',';
+        after += std::to_string(run.expansion->upper).substr(0, 5);
+        after += ']';
         retention = sr.alpha > 0 ? run.expansion->upper / sr.alpha : 0.0;
       }
       table.row()

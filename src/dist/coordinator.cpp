@@ -60,11 +60,8 @@ struct DistCoordinator::Impl {
   std::vector<JobSlot> slots;
   std::vector<std::vector<std::size_t>> children;  ///< cell -> metric jobs
   std::size_t open_jobs = 0;
-  int workers_connected = 0;
-  bool ever_worker = false;
   bool started = false;
   bool finished = false;
-  double last_activity = 0.0;  ///< last assignment or merge (starvation guard)
   std::exception_ptr failure;  ///< local compute threw: campaign bug, rethrown
   std::uint64_t next_session = 1;
   DistStats stats;
@@ -144,22 +141,13 @@ struct DistCoordinator::Impl {
     return kNoJob;
   }
 
-  /// Next job for the local executor: over-budget jobs always; everything
-  /// once no worker is connected (after the initial grace so workers that
-  /// are on their way get first refusal) OR once the schedule has starved
-  /// — connected workers that neither pull nor finish anything for a full
-  /// job timeout don't get to pin pending work (the zombie-worker case).
-  /// Local picks ignore backoff — local compute is trusted and cannot
-  /// fail for transport reasons.
-  [[nodiscard]] std::size_t pick_local_locked(double t) const {
-    const bool take_all =
-        workers_connected == 0
-            ? (ever_worker || t >= opts.idle_grace_ms)
-            : (t - last_activity > opts.job_timeout_ms);
+  /// Next job for the local executor: the first pending one, whatever
+  /// its attempts or backoff — local compute is trusted and cannot fail
+  /// for transport reasons.  Local threads never wait for the fleet, so
+  /// a job no worker pulls is simply computed here.
+  [[nodiscard]] std::size_t pick_local_locked() const {
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      const JobSlot& s = slots[i];
-      if (s.state != JobState::kPending) continue;
-      if (s.attempts >= opts.retry_budget || take_all) return i;
+      if (slots[i].state == JobState::kPending) return i;
     }
     return kNoJob;
   }
@@ -177,7 +165,6 @@ struct DistCoordinator::Impl {
     }
     s.state = JobState::kDone;
     --open_jobs;
-    last_activity = t;
     if (remote) {
       ++stats.remote_cells;
     } else {
@@ -206,7 +193,6 @@ struct DistCoordinator::Impl {
     }
     s.state = JobState::kDone;
     --open_jobs;
-    last_activity = t;
     if (remote) {
       ++stats.remote_metrics;
     } else {
@@ -316,10 +302,7 @@ struct DistCoordinator::Impl {
           std::lock_guard<std::mutex> lk(m);
           sid = next_session++;
           ++stats.sessions;
-          ++workers_connected;
-          ever_worker = true;
           registered = true;
-          cv.notify_all();
         }
         if (!transport->send(encode_frame({MsgType::kWelcome, encode_welcome({true, ""})}))) break;
         continue;
@@ -347,7 +330,6 @@ struct DistCoordinator::Impl {
                 s.lease_start = t;
                 s.deadline = t + opts.job_timeout_ms;
                 ++stats.assignments;
-                last_activity = t;
               }
             }
           }
@@ -419,10 +401,8 @@ struct DistCoordinator::Impl {
     transport->shutdown();
     std::lock_guard<std::mutex> lk(m);
     if (registered) {
-      --workers_connected;
       requeue_session_locked(sid, now());
       if (!clean_done) ++stats.disconnects;
-      cv.notify_all();
     }
   }
 
@@ -440,10 +420,9 @@ struct DistCoordinator::Impl {
     }
   }
 
-  /// Local fallback executor: picks over-budget (and, with no workers,
-  /// all) jobs and runs them through the plan's own pure compute.  Its
-  /// leases never expire; a throw here is a campaign bug and aborts the
-  /// run exactly like CampaignRunner would.
+  /// Local executor: takes any pending job and runs it through the plan's
+  /// own pure compute.  Its leases never expire; a throw here is a
+  /// campaign bug and aborts the run exactly like CampaignRunner would.
   void local_loop() {
     for (;;) {
       std::size_t job = kNoJob;
@@ -453,7 +432,7 @@ struct DistCoordinator::Impl {
           if (finished) return;
           const double t = now();
           reap_locked(t);
-          job = pick_local_locked(t);
+          job = pick_local_locked();
           if (job != kNoJob) break;
           cv.wait_for(lk, std::chrono::milliseconds(opts.poll_ms));
         }

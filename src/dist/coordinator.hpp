@@ -13,10 +13,10 @@
 //   retry       an expired or failed assignment is requeued with
 //               seeded-jitter exponential backoff; after retry_budget
 //               remote attempts the job becomes local-only;
-//   fallback    the coordinator runs local_threads executor threads of
-//               its own that pick up local-only jobs and — when no
-//               worker is connected — everything, so a coordinator with
-//               ZERO live workers degrades to exactly CampaignRunner;
+//   local       the coordinator runs local_threads executor threads of
+//               its own that take any pending job from the start, so a
+//               coordinator with ZERO live workers degrades to exactly
+//               CampaignRunner and no worker can hold up pending work;
 //   validation  results are merged only when the key, kind and decoded
 //               shape match the plan (CampaignPlan::accept_* re-checks
 //               under its own lock); wrong-key or undecodable results
@@ -25,12 +25,11 @@
 //               resolve first-write-wins in the plan; the loser is a
 //               counter, not an error.
 //
-// Termination argument: every job ends kDone.  A job held by a live
-// worker completes or its (capped) lease expires; each expiry/failure
-// bumps `attempts`; once attempts reaches retry_budget the local
-// executor — whose leases never expire and whose compute is the plan's
-// own pure function — runs it to completion.  Local compute throwing is
-// a campaign bug, not a fault, and aborts the run like CampaignRunner.
+// Termination argument: every job ends kDone.  A job held by a worker
+// completes or its (capped) lease expires back to pending; a pending job
+// is taken by the next idle local thread, whose lease never expires and
+// whose compute is the plan's own pure function.  Local compute throwing
+// is a campaign bug, not a fault, and aborts the run like CampaignRunner.
 //
 // Determinism: workers and coordinator construct the SAME CampaignPlan
 // (checked via fingerprint at HELLO), all compute goes through the
@@ -51,7 +50,7 @@ namespace fne {
 struct DistOptions {
   std::string bind = "127.0.0.1";
   int port = 0;            ///< 0: ephemeral; port() reports the bound one
-  int local_threads = 1;   ///< fallback executor width (>= 1: termination)
+  int local_threads = 1;   ///< local executor width (>= 1: termination)
   double job_timeout_ms = 10000;  ///< initial lease length
   double lease_cap_ms = 60000;    ///< heartbeats never extend past start+cap
   double heartbeat_ms = 250;      ///< cadence advertised to workers
@@ -59,8 +58,7 @@ struct DistOptions {
   double backoff_base_ms = 25;    ///< retry backoff: base * 2^(attempt-1)
   double backoff_max_ms = 2000;
   std::uint64_t backoff_seed = 0x9e3779b97f4a7c15ull;  ///< jitter stream
-  double idle_grace_ms = 250;  ///< wait for a first worker before going local
-  int poll_ms = 20;            ///< scheduler wakeup / io poll granularity
+  int poll_ms = 20;               ///< scheduler wakeup / io poll granularity
 };
 
 /// Robustness telemetry.  Placement-dependent by nature (like cache

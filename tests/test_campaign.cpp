@@ -587,7 +587,9 @@ TEST(Campaign, ReportAccountsEveryRunAndFoldsEngineStats) {
 
 TEST(Campaign, ValidatesEntriesEagerly) {
   Campaign bad;
-  bad.entries.push_back({Scenario{.topology = {"no_such_topology", Params{}}}, std::nullopt});
+  Scenario unknown;
+  unknown.topology = {"no_such_topology", Params{}};
+  bad.entries.push_back({unknown, std::nullopt});
   EXPECT_THROW((void)CampaignRunner(std::move(bad)), PreconditionError);
   Campaign empty;
   EXPECT_THROW((void)CampaignRunner(std::move(empty)), PreconditionError);

@@ -5,8 +5,9 @@
 // single-process CampaignRunner — faults move work around, they never
 // change results.  Plus the robustness mechanics one by one: zero-worker
 // degradation, fingerprint handshake, duplicate completions, wrong-key
-// rejection, garbage connections, zombie workers reaped by lease
-// deadline, and store commits from a distributed run replaying warm.
+// rejection, garbage connections, a registered worker that never pulls,
+// zombie workers reaped by lease deadline, and store commits from a
+// distributed run replaying warm.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -86,18 +87,33 @@ namespace fs = std::filesystem;
   return campaign;
 }
 
+/// `campaign` behind one heavy cell (about 0.1 s in a Release build).
+/// Entries are planned in order, so the heavy cell is job 0: a
+/// coordinator with one local thread is busy on it while workers and raw
+/// clients connect and pull the rest.  Local threads take pending work
+/// from t = 0, so this is the window a test gives its workers.
+[[nodiscard]] Campaign with_heavy_head(Campaign campaign) {
+  Scenario s;
+  s.name = "heavy-head";
+  s.topology = {"mesh", Params{{"side", "64"}, {"dims", "2"}}};
+  s.fault = {"random", Params{{"p", "0.3"}}};
+  s.prune.kind = ExpansionKind::Node;
+  s.seed = 5;
+  campaign.entries.insert(campaign.entries.begin(), {s, std::nullopt});
+  return campaign;
+}
+
 /// Fast-converging coordinator knobs for tests: short leases, quick
-/// fallback, tight polling.
+/// retries, tight polling, and one local thread (see with_heavy_head).
 [[nodiscard]] DistOptions test_options() {
   DistOptions opts;
-  opts.local_threads = 2;
+  opts.local_threads = 1;
   opts.job_timeout_ms = 400;
   opts.lease_cap_ms = 2000;
   opts.heartbeat_ms = 50;
   opts.retry_budget = 2;
   opts.backoff_base_ms = 10;
   opts.backoff_max_ms = 100;
-  opts.idle_grace_ms = 100;
   opts.poll_ms = 10;
   return opts;
 }
@@ -151,7 +167,9 @@ struct DistRun {
 TEST(Dist, ZeroWorkersDegradesToExactlyTheLocalRun) {
   const Campaign campaign = tiny_campaign();
   const std::string reference = local_payload(campaign);
-  const DistRun run = run_dist(campaign, {});
+  DistOptions opts = test_options();
+  opts.local_threads = 2;
+  const DistRun run = run_dist(campaign, {}, opts);
   EXPECT_EQ(run.payload, reference);
   EXPECT_EQ(run.stats.sessions, 0u);
   EXPECT_EQ(run.stats.remote_cells + run.stats.remote_metrics, 0u);
@@ -159,7 +177,7 @@ TEST(Dist, ZeroWorkersDegradesToExactlyTheLocalRun) {
 }
 
 TEST(Dist, SingleWorkerMatchesTheLocalReference) {
-  const Campaign campaign = tiny_campaign();
+  const Campaign campaign = with_heavy_head(tiny_campaign());
   const std::string reference = local_payload(campaign);
   DistRun run = run_dist(campaign, {test_worker(0, "w0")});
   EXPECT_EQ(run.payload, reference);
@@ -169,9 +187,9 @@ TEST(Dist, SingleWorkerMatchesTheLocalReference) {
 }
 
 TEST(Dist, WorkerServingADifferentCampaignIsRefused) {
-  const Campaign campaign = tiny_campaign();
-  Campaign other = tiny_campaign();
-  other.entries[0].scenario.seed = 9999;  // different plan, different fingerprint
+  const Campaign campaign = with_heavy_head(tiny_campaign());
+  Campaign other = campaign;
+  other.entries[1].scenario.seed = 9999;  // different plan, different fingerprint
 
   DistOptions opts = test_options();
   DistCoordinator coordinator(campaign, opts);
@@ -190,7 +208,7 @@ TEST(Dist, WorkerServingADifferentCampaignIsRefused) {
 }
 
 TEST(Dist, GarbageConnectionIsDroppedAndTheRunCompletes) {
-  const Campaign campaign = tiny_campaign();
+  const Campaign campaign = with_heavy_head(tiny_campaign());
   const std::string reference = local_payload(campaign);
   DistOptions opts = test_options();
   DistCoordinator coordinator(campaign, opts);
@@ -235,11 +253,15 @@ struct RawClient {
   }
 };
 
+[[nodiscard]] bool handshake(RawClient& client, std::uint64_t fingerprint) {
+  if (!client.send(MsgType::kHello, encode_hello({fingerprint, "raw"}))) return false;
+  const auto welcome = client.read();
+  return welcome && welcome->type == MsgType::kWelcome;
+}
+
 [[nodiscard]] std::optional<JobPayload> handshake_and_pull(RawClient& client,
                                                            std::uint64_t fingerprint) {
-  if (!client.send(MsgType::kHello, encode_hello({fingerprint, "raw"}))) return std::nullopt;
-  const auto welcome = client.read();
-  if (!welcome || welcome->type != MsgType::kWelcome) return std::nullopt;
+  if (!handshake(client, fingerprint)) return std::nullopt;
   for (int i = 0; i < 100; ++i) {
     if (!client.send(MsgType::kPull, "")) return std::nullopt;
     const auto reply = client.read();
@@ -251,13 +273,22 @@ struct RawClient {
 }
 
 TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
-  const Campaign campaign = tiny_campaign();
+  const Campaign campaign = with_heavy_head(tiny_campaign());
   const std::string reference = local_payload(campaign);
   CampaignPlan plan(campaign, 1);
+  // The honest bytes of the LAST job, computed once and submitted twice
+  // without a PULL, as a worker whose lease expired still delivers them.
+  // The local thread takes jobs in index order, so it reaches the last
+  // one only after the heavy job 0, long after both copies arrived.  (A
+  // pulled job could be job 0 itself; the local thread would then end
+  // the run before the second copy is read.)
+  const std::size_t last = plan.num_jobs() - 1;
+  const CampaignJob& job = plan.job(last);
+  ASSERT_NE(job.kind, CampaignJob::Kind::kMetric);
+  const ResultPayload result{last, static_cast<std::uint32_t>(job.kind), job.key,
+                             encode_runs(plan.compute_cell(last))};
 
-  DistOptions opts = test_options();
-  opts.idle_grace_ms = 2000;  // hold local fallback off while we play
-  DistCoordinator coordinator(campaign, opts);
+  DistCoordinator coordinator(campaign, test_options());
   DistStats stats;
   std::string payload;
   std::thread driver([&] {
@@ -269,23 +300,14 @@ TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
   {
     RawClient client{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
     ASSERT_TRUE(client.transport != nullptr);
-    const auto job = handshake_and_pull(client, wire_fingerprint(plan.fingerprint()));
-    ASSERT_TRUE(job.has_value());
-    ASSERT_NE(job->kind, static_cast<std::uint32_t>(CampaignJob::Kind::kMetric));
-    // Compute the honest bytes once, submit them twice.
-    const std::string data =
-        encode_runs(plan.compute_cell(static_cast<std::size_t>(job->index)));
-    ResultPayload result{job->index, job->kind, job->key, data};
+    ASSERT_TRUE(handshake(client, wire_fingerprint(plan.fingerprint())));
     ASSERT_TRUE(client.send(MsgType::kResult, encode_result(result)));
     ASSERT_TRUE(client.send(MsgType::kResult, encode_result(result)));
-    // Drain until the campaign finishes (the local fallback of the
-    // coordinator picks up everything we did not do).
+    // Wait until the campaign finishes (the coordinator's local thread
+    // computes every other job).
     while (true) {
       const auto msg = client.read(10000);
       if (!msg || msg->type == MsgType::kDone) break;
-      if (msg->type == MsgType::kWait) {
-        if (!client.send(MsgType::kPull, "")) break;
-      }
     }
   }
   driver.join();
@@ -295,13 +317,11 @@ TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
 }
 
 TEST(Dist, WrongKeyResultsAreRejectedAndRecomputed) {
-  const Campaign campaign = tiny_campaign();
+  const Campaign campaign = with_heavy_head(tiny_campaign());
   const std::string reference = local_payload(campaign);
   CampaignPlan plan(campaign, 1);
 
-  DistOptions opts = test_options();
-  opts.idle_grace_ms = 1000;
-  DistCoordinator coordinator(campaign, opts);
+  DistCoordinator coordinator(campaign, test_options());
   DistStats stats;
   std::string payload;
   std::thread driver([&] {
@@ -329,6 +349,44 @@ TEST(Dist, WrongKeyResultsAreRejectedAndRecomputed) {
   EXPECT_EQ(stats.remote_cells + stats.remote_metrics, 0u);
 }
 
+TEST(Dist, RegisteredWorkerThatNeverPullsDoesNotHoldUpLocalWork) {
+  const Campaign campaign = with_heavy_head(tiny_campaign());
+  Timer clock;
+  const std::string reference = local_payload(campaign);
+  const double local_ms = clock.millis();
+  CampaignPlan plan(campaign, 1);
+  std::uint64_t cells = 0;
+  for (std::size_t i = 0; i < plan.num_jobs(); ++i) {
+    if (plan.job(i).kind != CampaignJob::Kind::kMetric) ++cells;
+  }
+
+  // Leases this long would pin a pulled job for a minute; the worker
+  // pulls none, so no job may wait on it at all.
+  DistOptions opts = test_options();
+  opts.job_timeout_ms = 60000;
+  opts.lease_cap_ms = 60000;
+  DistCoordinator coordinator(campaign, opts);
+
+  // HELLO before run() starts, so the worker is registered from the
+  // first moment; then silence with the socket held open.
+  RawClient client{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
+  ASSERT_TRUE(client.transport != nullptr);
+  ASSERT_TRUE(
+      client.send(MsgType::kHello, encode_hello({wire_fingerprint(plan.fingerprint()), "mute"})));
+
+  clock.reset();
+  const CampaignReport report = coordinator.run();
+  // Within 5 s of the local run (sanitizer builds make both slow).  A
+  // scheduler that left pending jobs to a registered worker would wait
+  // out the 60 s job timeout instead.
+  EXPECT_LT(clock.millis() - local_ms, 5000.0);
+  const DistStats stats = coordinator.stats();
+  EXPECT_EQ(report.to_json(false), reference);
+  EXPECT_EQ(stats.sessions, 1u);
+  EXPECT_EQ(stats.local_cells, cells);
+  EXPECT_EQ(stats.remote_cells + stats.remote_metrics, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Slow: chaos matrix, kills, store
 // ---------------------------------------------------------------------------
@@ -336,7 +394,7 @@ TEST(Dist, WrongKeyResultsAreRejectedAndRecomputed) {
 /// The chaos matrix of ISSUE #8: seeded fault schedules × worker counts,
 /// every combination byte-identical to the local reference.
 TEST(DistChaosSlow, FaultScheduleMatrixIsByteIdenticalToLocal) {
-  const Campaign campaign = dist_campaign();
+  const Campaign campaign = with_heavy_head(dist_campaign());
   const std::string reference = local_payload(campaign);
 
   struct NamedSchedule {
@@ -388,7 +446,7 @@ TEST(DistChaosSlow, FaultScheduleMatrixIsByteIdenticalToLocal) {
 }
 
 TEST(DistChaosSlow, TruncatedSendsNeverCorruptResults) {
-  const Campaign campaign = dist_campaign();
+  const Campaign campaign = with_heavy_head(dist_campaign());
   const std::string reference = local_payload(campaign);
   std::vector<WorkerOptions> pool;
   for (int i = 0; i < 2; ++i) {
@@ -403,7 +461,7 @@ TEST(DistChaosSlow, TruncatedSendsNeverCorruptResults) {
 }
 
 TEST(DistChaosSlow, WorkerKilledMidRunDoesNotChangeThePayload) {
-  const Campaign campaign = dist_campaign();
+  const Campaign campaign = with_heavy_head(dist_campaign());
   const std::string reference = local_payload(campaign);
   // One worker dies abruptly after its first submission (no goodbye, the
   // in-process stand-in for SIGKILL); one healthy worker carries on.
@@ -414,7 +472,7 @@ TEST(DistChaosSlow, WorkerKilledMidRunDoesNotChangeThePayload) {
 }
 
 TEST(DistChaosSlow, ZombieWorkerIsReapedByLeaseDeadline) {
-  const Campaign campaign = dist_campaign();
+  const Campaign campaign = with_heavy_head(dist_campaign());
   const std::string reference = local_payload(campaign);
   // The zombie takes a job and goes silent WITHOUT closing its socket:
   // no EOF ever arrives, so only the lease deadline can free the job.
@@ -426,7 +484,7 @@ TEST(DistChaosSlow, ZombieWorkerIsReapedByLeaseDeadline) {
 }
 
 TEST(DistChaosSlow, DistributedRunCommitsCellsTheLocalRunReplaysWarm) {
-  const Campaign campaign = dist_campaign();
+  const Campaign campaign = with_heavy_head(dist_campaign());
   const std::string reference = local_payload(campaign);
   const fs::path dir = fs::path(::testing::TempDir()) / "fne_dist_store";
   fs::remove_all(dir);

@@ -488,7 +488,9 @@ TEST(MeshSpanPropertySlow, ExactValuesOnTinyEnumerableMeshes) {
     EXPECT_EQ(static_cast<std::uint64_t>(payload.at("exact_sets").as_int()),
               oracle.sets_examined);
     EXPECT_TRUE(payload.at("exact_bound_ok").as_bool());
-    if (c.dims == 1) EXPECT_NEAR(payload.at("exact_span").as_number(), 1.0, 1e-9);
+    if (c.dims == 1) {
+      EXPECT_NEAR(payload.at("exact_span").as_number(), 1.0, 1e-9);
+    }
     // Theorem 3.6's own construction stays within its bound and Lemma 3.7
     // holds on every sampled set.
     EXPECT_TRUE(payload.at("tree_bound_ok").as_bool());

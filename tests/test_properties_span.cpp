@@ -21,7 +21,10 @@ struct MeshCase {
 
   [[nodiscard]] std::string label() const {
     std::string s = wrap ? "torus" : "mesh";
-    for (vid side : sides) s += "_" + std::to_string(side);
+    for (vid side : sides) {
+      s += '_';
+      s += std::to_string(side);
+    }
     return s;
   }
   friend std::ostream& operator<<(std::ostream& os, const MeshCase& c) {

@@ -639,8 +639,8 @@ TEST(ResultStore, IndexAgreesWithAMapOracleOverManyKeys) {
         // One record in eight repeats an earlier key with other bytes.
         const bool repeat = made > 0 && next() % 8 == 0;
         const std::uint64_t id = repeat ? next() % made : made++;
-        batch.push_back({key_of(id), "v" + std::to_string(next() % 100000) + "/" +
-                                         std::to_string(id)});
+        batch.push_back({key_of(id), std::string("v") + std::to_string(next() % 100000) +
+                                         "/" + std::to_string(id)});
       }
       store.put_many(batch);
       for (const StoreRecord& r : batch) oracle.try_emplace(r.key, r.payload);

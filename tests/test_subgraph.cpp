@@ -23,7 +23,9 @@ TEST(Subgraph, MappingsAreInverse) {
     EXPECT_EQ(sub.to_sub[sub.to_original[i]], i);
   }
   for (vid v = 0; v < 10; ++v) {
-    if (!keep.test(v)) EXPECT_EQ(sub.to_sub[v], kInvalidVertex);
+    if (!keep.test(v)) {
+      EXPECT_EQ(sub.to_sub[v], kInvalidVertex);
+    }
   }
 }
 
