@@ -9,9 +9,8 @@
 #include "topology/mesh.hpp"
 #include "topology/random_graphs.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("A1", "ablation — cut-finder portfolio (exhaustive / spectral / balls)");
@@ -74,3 +73,5 @@ int main(int argc, char** argv) {
       "substitute for the paper's existential 'while ∃ S_i' (DESIGN.md §1).");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -12,9 +12,8 @@
 #include "prune/verify.hpp"
 #include "topology/mesh.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("A2", "ablation — Prune2 with and without Lemma 3.3 compactification");
@@ -58,3 +57,5 @@ int main(int argc, char** argv) {
       "can fail — the Theorem 3.4 counting argument no longer covers such runs.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

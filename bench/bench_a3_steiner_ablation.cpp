@@ -10,11 +10,10 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const int samples = static_cast<int>(cli.get_int("samples", 25));
+  const int samples = cli.get_int_in_range<int>("samples", 25, 1, 1000000);
 
   bench::print_header("A3", "ablation — Steiner engines: Dreyfus–Wagner exact vs 2-approx MST");
 
@@ -77,3 +76,5 @@ int main(int argc, char** argv) {
       "thresholds in span/steiner.hpp for large-graph span estimation.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

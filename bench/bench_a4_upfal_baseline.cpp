@@ -34,9 +34,8 @@ Graph bridged_grids(vid side) {
 }  // namespace
 }  // namespace fne
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("A4", "baseline — Upfal degree pruning vs Prune: size vs expansion "
@@ -103,3 +102,5 @@ int main(int argc, char** argv) {
       "vertices for a certified expansion floor — exactly the distinction the paper draws.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -10,9 +10,8 @@
 #include "topology/mesh.hpp"
 #include "topology/random_graphs.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("E10", "Claim 3.2 — #connected r-subgraphs <= n·δ^{2r}");
@@ -50,3 +49,5 @@ int main(int argc, char** argv) {
                      "Theorem 3.1/3.4 usable).");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -10,11 +10,10 @@
 #include "topology/butterfly.hpp"
 #include "topology/multibutterfly.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto dims = static_cast<vid>(cli.get_int("dims", 7));
+  const auto dims = cli.get_int_in_range<vid>("dims", 7, 1, 20);
 
   bench::print_header("E11",
                       "§1.1 — multibutterfly keeps n - O(f) inputs/outputs under adversarial "
@@ -75,3 +74,5 @@ int main(int argc, char** argv) {
       "much more fragile under targeted (separator/high-degree) faults of the same budget.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -14,9 +14,8 @@
 #include "prune/prune2.hpp"
 #include "topology/mesh.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("E12",
@@ -79,3 +78,5 @@ int main(int argc, char** argv) {
       "emulation would pay).");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -78,11 +78,10 @@ void run(const Family& family, double k, std::uint64_t seed, Table& table) {
 }  // namespace
 }  // namespace fne
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto scale = static_cast<std::int64_t>(cli.get_int("scale", 1));
+  const auto scale = cli.get_int_in_range<std::int64_t>("scale", 1, 1, 4096);
 
   bench::print_header("E1",
                       "Theorem 2.1 — Prune keeps |H| >= n - k·f/α with expansion (1-1/k)·α "
@@ -107,3 +106,5 @@ int main(int argc, char** argv) {
       "(exp(H) is the constructive upper bound of H's expansion bracket; thr = (1-1/k)·α).");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

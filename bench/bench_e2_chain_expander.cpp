@@ -9,11 +9,10 @@
 #include "topology/chain_expander.hpp"
 #include "topology/random_graphs.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto scale = static_cast<vid>(cli.get_int("scale", 1));
+  const auto scale = cli.get_int_in_range<vid>("scale", 1, 1, 4096);
 
   bench::print_header("E2",
                       "Theorem 2.3 / Claim 2.4 — H(G,k) has expansion Θ(1/k); c·α·N center "
@@ -58,3 +57,5 @@ int main(int argc, char** argv) {
       "largest component <= 1 + δ(k-1) (sublinear) and gamma -> 0 as n grows (Theorem 2.3).");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -22,11 +22,10 @@
 #include "expansion/uniform.hpp"
 #include "topology/mesh.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto scale = static_cast<vid>(cli.get_int("scale", 1));
+  const auto scale = cli.get_int_in_range<vid>("scale", 1, 0, 4096);
 
   bench::print_header("E3",
                       "Theorem 2.5 — recursive bisection shatters uniform-expansion graphs "
@@ -111,3 +110,5 @@ int main(int argc, char** argv) {
                      "polynomially with subgraph size — the hypothesis Theorem 2.5 needs.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

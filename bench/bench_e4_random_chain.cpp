@@ -21,12 +21,11 @@
 #include "api/campaign.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto scale = static_cast<vid>(cli.get_int("scale", 1));
-  const int trials = static_cast<int>(cli.get_int("trials", 8));
+  const auto scale = cli.get_int_in_range<vid>("scale", 1, 1, 4096);
+  const int trials = cli.get_int_in_range<int>("trials", 8, 1, 100000);
   const int threads = bench::threads_flag(cli);
 
   bench::print_header("E4",
@@ -117,3 +116,5 @@ int main(int argc, char** argv) {
   if (cli.has("json")) json.write(bench::json_path(cli, "bench_e4_random_chain.json"));
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

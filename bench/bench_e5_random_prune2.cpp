@@ -17,9 +17,8 @@
 #include "prune/prune2.hpp"
 #include "prune/verify.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("E5",
@@ -91,3 +90,5 @@ int main(int argc, char** argv) {
       "(the guarantee is expected to persist far beyond the theorem's p on meshes).");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -40,11 +40,10 @@ namespace {
 }  // namespace
 }  // namespace fne
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const int samples = static_cast<int>(cli.get_int("samples", 40));
+  const int samples = cli.get_int_in_range<int>("samples", 40, 1, 1000000);
   const int threads = bench::threads_flag(cli);
 
   bench::print_header("E6", "Theorem 3.6 — the d-dimensional mesh has span 2 "
@@ -113,3 +112,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -59,11 +59,10 @@ struct Family {
 }  // namespace
 }  // namespace fne
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const int trials = static_cast<int>(cli.get_int("trials", 3));
+  const int trials = cli.get_int_in_range<int>("trials", 3, 1, 100000);
   const int threads = bench::threads_flag(cli);
   const double gamma_target = cli.get_double("gamma-target", 0.10);
 
@@ -175,3 +174,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

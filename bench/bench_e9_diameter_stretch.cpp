@@ -11,11 +11,10 @@
 #include "prune/prune2.hpp"
 #include "topology/mesh.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto pairs = static_cast<vid>(cli.get_int("pairs", 120));
+  const auto pairs = cli.get_int_in_range<vid>("pairs", 120, 1, 1000000);
 
   bench::print_header("E9", "§4 — pruned faulty meshes keep O(log n) distance stretch "
                             "and diameter O(α^{-1} log n)");
@@ -73,3 +72,5 @@ int main(int argc, char** argv) {
       "matching Raghavan/Kaklamanis/Mathies in 2D and generalizing to d > 2.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

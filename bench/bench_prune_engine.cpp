@@ -453,13 +453,12 @@ bool spectral_kernel_section(const Graph& g, const VertexSet& alive, std::uint64
 }  // namespace
 }  // namespace fne
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto side = static_cast<vid>(cli.get_int("side", 64));
+  const auto side = cli.get_int_in_range<vid>("side", 64, 2, 4096);
   const double fault_p = cli.get_double("faults", 0.3);
-  const int trials = static_cast<int>(cli.get_int("trials", 1));
+  const int trials = cli.get_int_in_range<int>("trials", 1, 1, 10000);
   // Default alpha = the fault-free mesh's straight-cut node expansion
   // (~2/side), the honest choice per bench_e1; 0.5·alpha as the threshold
   // keeps Prune in the regime where H stays large and every iteration
@@ -607,7 +606,7 @@ int main(int argc, char** argv) {
   // caps), so the ratio measures work-to-answer, not who hit a cap first.
   // --min-blocked-speedup relaxes the gate on noise-bound CI boxes.
   const double min_blocked = cli.get_double("min-blocked-speedup", 1.5);
-  const auto blocked_side = static_cast<vid>(cli.get_int("blocked-side", 64));
+  const auto blocked_side = cli.get_int_in_range<vid>("blocked-side", 64, 2, 4096);
   const Mesh blocked_mesh = Mesh::cube(blocked_side, 2);
   const VertexSet blocked_alive =
       largest_component(blocked_mesh.graph(),
@@ -623,7 +622,7 @@ int main(int argc, char** argv) {
   // is the default at every size, so this prices it against explicit plain).
   // --min-filtered-speedup relaxes the 3x default on reduced-size CI runs.
   const double min_filtered = cli.get_double("min-filtered-speedup", 3.0);
-  const auto filtered_side = static_cast<vid>(cli.get_int("filtered-side", 96));
+  const auto filtered_side = cli.get_int_in_range<vid>("filtered-side", 96, 2, 4096);
   const Mesh filtered_mesh = Mesh::cube(filtered_side, 2);
   const VertexSet filtered_alive =
       largest_component(filtered_mesh.graph(),
@@ -659,3 +658,5 @@ int main(int argc, char** argv) {
              ? 0
              : 1;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

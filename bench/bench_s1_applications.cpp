@@ -17,9 +17,8 @@
 #include "topology/random_graphs.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
 
   bench::print_header("S1", "§1.3 applications — load balancing and almost-everywhere "
@@ -140,3 +139,5 @@ int main(int argc, char** argv) {
                      "stays within a small constant of the fault-free value.");
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -22,12 +22,11 @@
 #include "faults/churn.hpp"
 #include "prune/prune2.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto side = static_cast<vid>(cli.get_int("side", 32));
-  const int steps = static_cast<int>(cli.get_int("steps", 30));
+  const auto side = cli.get_int_in_range<vid>("side", 32, 2, 4096);
+  const int steps = cli.get_int_in_range<int>("steps", 30, 1, 1000000);
 
   bench::print_header("S2-CHURN",
                       "Persistent PruneEngine across churn rounds vs per-round stateless "
@@ -164,3 +163,5 @@ int main(int argc, char** argv) {
             << (det_matches_ref ? "PASS" : "FAIL") << "\n";
   return (speedup > 1.0 && det_matches_ref) ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -33,12 +33,11 @@ bool identical(const ScenarioRun& a, const ScenarioRun& b) {
 }  // namespace
 }  // namespace fne
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const auto side = static_cast<vid>(cli.get_int("side", 32));
-  const int reps = static_cast<int>(cli.get_int("reps", 200));
+  const auto side = cli.get_int_in_range<vid>("side", 32, 2, 4096);
+  const int reps = cli.get_int_in_range<int>("reps", 200, 1, 1000000);
   const double fault_p = cli.get_double("faults", 0.3);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int threads = bench::threads_flag(cli);
@@ -119,3 +118,5 @@ int main(int argc, char** argv) {
             << (best_speedup >= min_speedup ? "PASS" : "FAIL") << ")\n";
   return pass ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

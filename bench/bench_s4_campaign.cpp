@@ -15,6 +15,11 @@
 //      vs independent points (EngineStats-verified) and reproduces the
 //      independent survivors bit for bit in deterministic mode.
 //
+// Plus the result store (DESIGN.md §11): a cold pass commits every cell;
+// a warm pass on the same ResultStore and a cold-reopen pass on a fresh
+// ResultStore over the populated directory must both serve every cell
+// (misses = 0) and reproduce the payload.
+//
 // Flags: --reps=N (default 4: catalog repetitions), --threads=N
 // (default: hardware), --side=N (monotone sweep mesh side, default 32),
 // --min-speedup=X (sanity floor on the measured campaign speedup; the
@@ -29,12 +34,11 @@
 #include "api/campaign.hpp"
 #include "store/result_store.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
-  const int reps = static_cast<int>(cli.get_int("reps", 4));
-  const auto side = static_cast<vid>(cli.get_int("side", 32));
+  const int reps = cli.get_int_in_range<int>("reps", 4, 1, 1000000);
+  const auto side = cli.get_int_in_range<vid>("side", 32, 2, 4096);
   const int threads = bench::threads_flag(cli);
   const double min_speedup = cli.get_double("min-speedup", 0.8);
   const double min_cullwork = cli.get_double("min-cullwork-ratio", 1.5);
@@ -192,10 +196,18 @@ int main(int argc, char** argv) {
   timer.reset();
   const CampaignReport warm_report = campaign_runner.run(threads, &store);
   const double warm_ms = timer.millis();
+  // A fresh store on the populated directory: times open() on a full log.
+  timer.reset();
+  ResultStore reopened(store_dir);
+  const CampaignReport reopen_report = campaign_runner.run(threads, &reopened);
+  const double reopen_ms = timer.millis();
   const bool store_identical =
       cold_report.to_json(false) == payload && warm_report.to_json(false) == payload;
   const bool warm_all_hits = warm_report.store.misses == 0 &&
                              warm_report.store.hits == cold_report.store.misses;
+  const bool reopen_ok = reopen_report.to_json(false) == payload &&
+                         reopen_report.store.misses == 0 &&
+                         reopen_report.store.hits == cold_report.store.misses;
   const double replay_speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
 
   Table store_table({"pass", "hits", "misses", "committed KB", "ms", "payload identical"});
@@ -213,17 +225,28 @@ int main(int argc, char** argv) {
       .cell(static_cast<double>(warm_report.store.bytes_committed) / 1024.0, 1)
       .cell(warm_ms, 1)
       .cell(bench::yesno(warm_report.to_json(false) == payload));
+  store_table.row()
+      .cell("cold reopen")
+      .cell(reopen_report.store.hits)
+      .cell(reopen_report.store.misses)
+      .cell(static_cast<double>(reopen_report.store.bytes_committed) / 1024.0, 1)
+      .cell(reopen_ms, 1)
+      .cell(bench::yesno(reopen_report.to_json(false) == payload));
   bench::print_table(store_table,
-                     "cold run computes every cell and commits it; the warm run must serve\n"
+                     "cold run computes every cell and commits it; the warm run (same store)\n"
+                     "and the cold reopen (a fresh store on the same directory) must serve\n"
                      "every cell from the store (misses = 0) and reproduce the payload.");
   json.record("store").put("pass", "cold").put("millis", cold_ms).put(
       "misses", cold_report.store.misses);
   json.record("store").put("pass", "warm").put("millis", warm_ms).put(
       "hits", warm_report.store.hits).put("replay_speedup", replay_speedup);
+  json.record("store").put("pass", "cold_reopen").put("millis", reopen_ms).put(
+      "hits", reopen_report.store.hits);
   std::filesystem::remove_all(store_dir);
 
   const bool pass = payload_identical && parity && best_speedup >= min_speedup &&
-                    cullwork_ratio >= min_cullwork && store_identical && warm_all_hits;
+                    cullwork_ratio >= min_cullwork && store_identical && warm_all_hits &&
+                    reopen_ok;
   json.top()
       .put("best_speedup", best_speedup)
       .put("payload_identical", payload_identical)
@@ -231,6 +254,7 @@ int main(int argc, char** argv) {
       .put("cullwork_ratio", cullwork_ratio)
       .put("store_payload_identical", store_identical)
       .put("store_warm_all_hits", warm_all_hits)
+      .put("store_reopen_ok", reopen_ok)
       .put("store_replay_speedup", replay_speedup)
       .put("pass", pass);
   if (cli.has("json")) json.write(bench::json_path(cli, "bench_s4_campaign.json"));
@@ -241,6 +265,11 @@ int main(int argc, char** argv) {
             << "\nmonotone cull-work saving: " << cullwork_ratio << "x (threshold "
             << min_cullwork << "x: " << (cullwork_ratio >= min_cullwork ? "PASS" : "FAIL")
             << ")\nbest campaign speedup: " << best_speedup << "x (threshold " << min_speedup
-            << "x: " << (best_speedup >= min_speedup ? "PASS" : "FAIL") << ")\n";
+            << "x: " << (best_speedup >= min_speedup ? "PASS" : "FAIL") << ")\n"
+            << "store replay, warm / cold reopen (misses = 0, same payload): "
+            << (store_identical && warm_all_hits ? "PASS" : "FAIL") << " / "
+            << (reopen_ok ? "PASS" : "FAIL") << "\n";
   return pass ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -4,15 +4,20 @@
 //
 //   1. Correctness under distribution: the coordinator + W pull workers
 //      produce a deterministic payload BYTE-identical to the local
-//      CampaignRunner — verified on every mode below.
+//      CampaignRunner — verified on every mode below — and with W > 0
+//      the clean run's workers compute at least one job.
 //
 //   2. Correctness under chaos: the same holds with every worker behind
 //      a seeded FaultyTransport (drops + corruption + disconnects);
-//      faults cost retries, never results.
+//      faults cost recomputation, never results.
 //
 //   3. Graceful degradation: a coordinator with ZERO workers completes
 //      via its local executor within --max-overhead of the plain local
 //      runner (default 2.0; the gap is scheduler polling, not compute).
+//
+// The catalog runs behind a heavy head scenario (see with_heavy_head):
+// its cells take a few ms each, so on their own the coordinator's local
+// threads finished them before a worker had connected.
 //
 // Flags: --reps=N (catalog repetitions, 1..1000, default 1), --threads=N
 // (coordinator local width, default: hardware), --workers=W (0..64,
@@ -29,6 +34,28 @@
 
 namespace {
 
+/// `campaign` behind one heavy scenario (mesh side 64, about 0.1 s a cell
+/// in a Release build; the shape of tests/test_dist.cpp's
+/// with_heavy_head) with one cell per coordinator thread and worker.
+/// Entries are planned in order, so while each local thread computes a
+/// heavy cell, each worker pulls one of the rest.
+[[nodiscard]] fne::Campaign with_heavy_head(fne::Campaign campaign, int cells) {
+  using namespace fne;
+  Scenario s;
+  s.name = "heavy-head";
+  s.topology = {"mesh", Params{{"side", "64"}, {"dims", "2"}}};
+  s.fault = {"random", Params{{"p", "0.3"}}};
+  s.prune.kind = ExpansionKind::Node;
+  s.repetitions = cells;
+  s.seed = 5;
+  campaign.entries.insert(campaign.entries.begin(), {s, std::nullopt});
+  return campaign;
+}
+
+[[nodiscard]] std::uint64_t remote_jobs(const fne::DistStats& stats) {
+  return stats.remote_cells + stats.remote_metrics;
+}
+
 struct DistResult {
   std::string payload;
   double millis = 0.0;
@@ -40,11 +67,6 @@ struct DistResult {
   using namespace fne;
   DistOptions opts;
   opts.local_threads = local_threads;
-  opts.job_timeout_ms = 2000;
-  opts.heartbeat_ms = 100;
-  opts.retry_budget = 3;
-  opts.backoff_base_ms = 10;
-  opts.backoff_max_ms = 200;
   opts.poll_ms = 10;
 
   EngineCache::instance().clear();
@@ -75,9 +97,8 @@ struct DistResult {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_seed();
   const int reps = cli.get_int_in_range<int>("reps", 1, 1, 1000);
   const int threads = bench::threads_flag(cli);
@@ -93,11 +114,11 @@ int main(int argc, char** argv) {
   bench::JsonReport json("bench_s5_dist");
   json.top().put("reps", reps).put("threads", threads).put("workers", workers);
 
-  Campaign campaign = catalog_campaign(reps);
+  Campaign campaign = with_heavy_head(catalog_campaign(reps), threads + workers);
   for (CampaignEntry& e : campaign.entries) e.scenario.seed += seed;
-  std::cout << "campaign: " << campaign.entries.size() << " scenarios x " << reps
-            << " repetitions, " << workers << " workers, " << threads
-            << " coordinator threads\n\n";
+  std::cout << "campaign: " << threads + workers << " heavy cells, then "
+            << campaign.entries.size() - 1 << " scenarios x " << reps << " repetitions; "
+            << workers << " workers, " << threads << " coordinator threads\n\n";
 
   // Local reference.
   EngineCache::instance().clear();
@@ -122,18 +143,19 @@ int main(int argc, char** argv) {
   const DistResult fallback = run_dist(campaign, threads, 0, FaultSchedule{});
   const double overhead = local_ms > 0.0 ? fallback.millis / local_ms : 0.0;
 
-  Table table({"mode", "workers", "ms", "remote", "local", "requeues", "rejected",
+  Table table({"mode", "workers", "ms", "remote", "local", "backups", "requeues", "rejected",
                "payload identical"});
   table.row().cell("local runner").cell("-").cell(local_ms, 4).cell("-").cell("-").cell("-")
-      .cell("-").cell("-");
+      .cell("-").cell("-").cell("-");
   const auto add = [&](const char* mode, int w, const DistResult& r) {
     const bool same = r.payload == reference;
     table.row()
         .cell(mode)
         .cell(w)
         .cell(r.millis, 4)
-        .cell(r.stats.remote_cells + r.stats.remote_metrics)
+        .cell(remote_jobs(r.stats))
         .cell(r.stats.local_cells + r.stats.local_metrics)
+        .cell(r.stats.backups)
         .cell(r.stats.requeues)
         .cell(r.stats.rejected_corrupt + r.stats.rejected_wrong_key +
               r.stats.rejected_bad_payload)
@@ -142,6 +164,8 @@ int main(int argc, char** argv) {
         .put("mode", mode)
         .put("workers", w)
         .put("millis", r.millis)
+        .put("remote", static_cast<std::int64_t>(remote_jobs(r.stats)))
+        .put("backups", static_cast<std::int64_t>(r.stats.backups))
         .put("requeues", static_cast<std::int64_t>(r.stats.requeues))
         .put("payload_identical", same);
     return same;
@@ -151,10 +175,11 @@ int main(int argc, char** argv) {
   const bool fallback_same = add("dist no workers", 0, fallback);
   bench::print_table(table,
                      "every mode must reproduce the local runner's deterministic payload\n"
-                     "byte for byte; chaos buys requeues/rejections, never different bits.");
+                     "byte for byte; chaos buys rejections and backups, never different bits.");
 
   const bool overhead_ok = overhead <= max_overhead;
-  const bool pass = clean_same && chaos_same && fallback_same && overhead_ok;
+  const bool fleet_ok = workers == 0 || remote_jobs(clean.stats) > 0;
+  const bool pass = clean_same && chaos_same && fallback_same && overhead_ok && fleet_ok;
   json.top()
       .put("local_millis", local_ms)
       .put("fallback_overhead", overhead)
@@ -166,6 +191,10 @@ int main(int argc, char** argv) {
             << (clean_same ? "PASS" : "FAIL") << " / " << (chaos_same ? "PASS" : "FAIL")
             << " / " << (fallback_same ? "PASS" : "FAIL")
             << "\nzero-worker overhead vs local: " << overhead << "x (threshold "
-            << max_overhead << "x: " << (overhead_ok ? "PASS" : "FAIL") << ")\n";
+            << max_overhead << "x: " << (overhead_ok ? "PASS" : "FAIL") << ")\n"
+            << "jobs computed by the clean run's workers: " << remote_jobs(clean.stats)
+            << " (> 0 with workers: " << (fleet_ok ? "PASS" : "FAIL") << ")\n";
   return pass ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -87,17 +87,16 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
   using fne::bench::JsonReport;
-  const Cli cli(argc, argv);
 
-  const int requests = static_cast<int>(cli.get_int("requests", 60));
+  const int requests = cli.get_int_in_range<int>("requests", 60, 1, 1000000);
   const double qps = cli.get_double("qps", 25.0);
-  const int clients = static_cast<int>(cli.get_int("clients", 6));
-  const int service_workers = static_cast<int>(cli.get_int("service-workers", 2));
-  const int exec_threads = static_cast<int>(cli.get_int("threads", 2));
-  const int sides = static_cast<int>(cli.get_int("sides", 10));
+  const int clients = cli.get_int_in_range<int>("clients", 6, 1, 256);
+  const int service_workers = cli.get_int_in_range<int>("service-workers", 2, 1, 256);
+  const int exec_threads = cli.get_int_in_range<int>("threads", 2, 1, 1024);
+  const int sides = cli.get_int_in_range<int>("sides", 10, 1, 1000);
   const double max_overhead = cli.get_double("max-overhead", 1.5);
   const double max_p99_override = cli.get_double("max-p99-ms", 0.0);
   const std::string baseline_path =
@@ -297,3 +296,5 @@ int main(int argc, char** argv) {
   }
   return pass ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -73,12 +73,10 @@ template <typename Fn>
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
-  const auto scale = static_cast<vid>(cli.get_int("scale", 1));
-  const int trials = static_cast<int>(cli.get_int("trials", 3));
-  FNE_REQUIRE(scale >= 1 && trials >= 1, "S7: --scale and --trials must be >= 1");
+  const auto scale = cli.get_int_in_range<vid>("scale", 1, 1, 4096);
+  const int trials = cli.get_int_in_range<int>("trials", 3, 1, 10000);
 
   bench::print_header("S7", "ingestion: text parse vs binary CSR load (mmap/buffered), "
                             "load-mode equivalence");
@@ -166,3 +164,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -42,15 +42,16 @@
 //   scenario_runner --campaign=FILE --serve[=PORT] [--workers=N]
 //       distributed execution (DESIGN.md §12): serve the campaign's jobs
 //       to TCP workers (bare --serve picks an ephemeral port, printed to
-//       stderr).  --workers=N additionally spawns N in-process workers —
-//       the one-command spelling of a distributed run.  --threads sets
-//       how many coordinator threads compute jobs locally from the start;
-//       with zero connected workers the run degrades to exactly the local
-//       runner.  Knobs: --bind=HOST --job-timeout-ms --retry-budget
-//       --backoff-base-ms --backoff-max-ms --heartbeat-ms.  Combines with
-//       --store/--payload/--store-stats; the deterministic payload is
-//       byte-identical to a local run for any worker count or fault
-//       pattern.  A "dist:" telemetry line is printed after the run.
+//       stderr; --bind=HOST picks the interface).  --workers=N
+//       additionally spawns N in-process workers — the one-command
+//       spelling of a distributed run.  --threads sets how many
+//       coordinator threads compute jobs locally from the start; they
+//       also back up jobs that workers hold, so a dead or hung worker
+//       delays nothing and with zero workers the run degrades to exactly
+//       the local runner.  Combines with --store/--payload/--store-stats;
+//       the deterministic payload is byte-identical to a local run for
+//       any worker count or fault pattern.  A "dist:" telemetry line is
+//       printed after the run.
 //   scenario_runner --campaign=FILE --connect=HOST:PORT [--worker-name=X]
 //       worker mode: pull jobs from a coordinator serving the SAME
 //       campaign file (checked via plan fingerprint at handshake),
@@ -404,12 +405,6 @@ int run_campaign(const Cli& cli) {
     if (serve != "1") dopts.port = parse_port(serve, "--serve");
     dopts.bind = cli.get("bind", dopts.bind);
     dopts.local_threads = threads;
-    dopts.job_timeout_ms = cli.get_double("job-timeout-ms", dopts.job_timeout_ms);
-    dopts.lease_cap_ms = std::max(dopts.lease_cap_ms, dopts.job_timeout_ms);
-    dopts.retry_budget = cli.get_int_in_range<int>("retry-budget", dopts.retry_budget, 1, INT_MAX);
-    dopts.backoff_base_ms = cli.get_double("backoff-base-ms", dopts.backoff_base_ms);
-    dopts.backoff_max_ms = cli.get_double("backoff-max-ms", dopts.backoff_max_ms);
-    dopts.heartbeat_ms = cli.get_double("heartbeat-ms", dopts.heartbeat_ms);
     const int in_process = cli.get_int_in_range<int>("workers", 0, 0, INT_MAX);
 
     const Campaign worker_campaign = campaign;  // copied before the move
@@ -475,14 +470,14 @@ int run_campaign(const Cli& cli) {
   if (dist_stats) {
     std::ostream& out = json_to_stdout ? std::cerr : std::cout;
     out << "dist: sessions=" << dist_stats->sessions << " disconnects=" << dist_stats->disconnects
-        << " assignments=" << dist_stats->assignments << " timeouts=" << dist_stats->timeouts
-        << " requeues=" << dist_stats->requeues << " remote="
+        << " assignments=" << dist_stats->assignments << " requeues=" << dist_stats->requeues
+        << " backups=" << dist_stats->backups << " remote="
         << (dist_stats->remote_cells + dist_stats->remote_metrics) << " local="
         << (dist_stats->local_cells + dist_stats->local_metrics)
         << " duplicates=" << dist_stats->duplicates << " rejected="
         << (dist_stats->rejected_corrupt + dist_stats->rejected_wrong_key +
             dist_stats->rejected_bad_payload)
-        << " fallback=" << dist_stats->fallback_jobs << "\n";
+        << "\n";
   }
   if (cli.has("store-stats")) {
     // Keep a --json stdout stream pure JSON; the stats go to stderr there.

@@ -15,11 +15,10 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
-  const auto n = static_cast<vid>(cli.get_int("n", 256));
-  const auto budget = static_cast<vid>(cli.get_int("budget", 24));
+  const auto n = cli.get_int_in_range<vid>("n", 256, 16, 1 << 24);
+  const auto budget = cli.get_int_in_range<vid>("budget", 24, 0, 1 << 24);
   const std::uint64_t seed = cli.get_seed();
 
   std::cout << "adversary portfolio vs Prune (budget " << budget << " faults)\n\n";
@@ -77,3 +76,5 @@ int main(int argc, char** argv) {
                "far more — its α·n fault tolerance is only Θ(√n) (Theorem 2.5 regime).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -17,10 +17,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
-  const std::int64_t peers = cli.get_int("peers", 256);
+  const std::int64_t peers = cli.get_int_in_range<std::int64_t>("peers", 256, 2, 1 << 24);
   const std::uint64_t seed = cli.get_seed();
 
   std::cout << "CAN overlay churn experiment (" << peers << " peers)\n\n";
@@ -117,3 +116,5 @@ int main(int argc, char** argv) {
                "expansion, round after round, on one engine.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

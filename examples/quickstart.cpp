@@ -16,9 +16,8 @@
 #include "api/runner.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
 
   // 1. Describe the experiment.  Topology and fault process are registry
   //    names (see `scenario_runner --list` for the full catalog), so the
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
   Scenario scenario;
   scenario.name = "quickstart";
   scenario.topology = {"mesh", Params()
-                                   .set("side", cli.get_int("side", 24))
+                                   .set("side", cli.get_int_in_range<std::int64_t>("side", 24, 2, 4096))
                                    .set("dims", std::int64_t{2})};
   scenario.fault = {"random", Params().set("p", cli.get_double("p", 0.05))};
   scenario.prune.kind = ExpansionKind::Edge;   // Prune2, the random-fault algorithm
@@ -104,3 +103,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

@@ -15,10 +15,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(const fne::Cli& cli) {
   using namespace fne;
-  const Cli cli(argc, argv);
-  const int samples = static_cast<int>(cli.get_int("samples", 16));
+  const int samples = cli.get_int_in_range<int>("samples", 16, 1, 1000000);
   const std::uint64_t seed = cli.get_seed();
 
   std::cout << "exact spans (exhaustive compact sets + exact Steiner trees)\n\n";
@@ -65,3 +64,5 @@ int main(int argc, char** argv) {
                "Theorem 3.4.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return fne::cli_main(argc, argv, run_main); }

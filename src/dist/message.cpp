@@ -16,6 +16,7 @@ constexpr std::size_t kFrameHeaderSize = 20;       // magic + type + len + check
 // garbage length field cannot balloon the receive buffer.
 constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 constexpr std::uint32_t kMaxKnownType = static_cast<std::uint32_t>(MsgType::kResponse);
+constexpr std::uint32_t kRetiredHeartbeatType = 8;
 
 [[nodiscard]] std::uint64_t frame_checksum(std::uint32_t type, std::string_view payload) {
   Fnv1a h;
@@ -80,7 +81,8 @@ FrameBuffer::Next FrameBuffer::next(Message& out) {
   // Validate everything validatable BEFORE waiting for the payload: a
   // garbage length field must not make the receiver buffer (up to) 4 GiB
   // of noise hoping a frame completes.
-  if (magic != kFrameMagic || type == 0 || type > kMaxKnownType || len > kMaxFramePayload) {
+  if (magic != kFrameMagic || type == 0 || type == kRetiredHeartbeatType ||
+      type > kMaxKnownType || len > kMaxFramePayload) {
     corrupt_ = true;
     return Next::kCorrupt;
   }
@@ -135,8 +137,6 @@ std::string encode_job(const JobPayload& p) {
   w.u64(p.index);
   w.u32(p.kind);
   w.str(p.key);
-  w.u64(p.lease_ms);
-  w.u64(p.heartbeat_ms);
   w.str(p.parent_runs);
   return w.take();
 }
@@ -147,8 +147,6 @@ std::optional<JobPayload> decode_job(std::string_view bytes) {
   p.index = r.u64();
   p.kind = r.u32();
   p.key = r.str();
-  p.lease_ms = r.u64();
-  p.heartbeat_ms = r.u64();
   p.parent_runs = r.str();
   if (!r.at_end()) return std::nullopt;
   return p;
@@ -184,20 +182,6 @@ std::optional<ResultPayload> decode_result(std::string_view bytes) {
   p.kind = r.u32();
   p.key = r.str();
   p.data = r.str();
-  if (!r.at_end()) return std::nullopt;
-  return p;
-}
-
-std::string encode_heartbeat(const HeartbeatPayload& p) {
-  ByteWriter w;
-  w.u64(p.index);
-  return w.take();
-}
-
-std::optional<HeartbeatPayload> decode_heartbeat(std::string_view bytes) {
-  ByteReader r(bytes);
-  HeartbeatPayload p;
-  p.index = r.u64();
   if (!r.at_end()) return std::nullopt;
   return p;
 }

@@ -24,14 +24,14 @@
 //   worker     -> HELLO {fingerprint, name}        (once per connection)
 //   coordinator-> WELCOME {ok, message}            (!ok: campaign mismatch)
 //   worker     -> PULL
-//   coordinator-> JOB {index, kind, key, lease_ms, heartbeat_ms,
-//                      parent_runs?}               | WAIT {retry_ms} | DONE
-//   worker     -> HEARTBEAT {index}                (while computing)
+//   coordinator-> JOB {index, kind, key, parent_runs?}
+//                                                  | WAIT {retry_ms} | DONE
 //   worker     -> RESULT {index, kind, key, data}  (cell record / metric)
 //
+// A worker computes silently: there is no lease to keep alive, because
+// the coordinator's local threads back up any job a worker holds.
 // Reconnect is idempotent: a worker may HELLO again at any time and
-// resume pulling; the coordinator's lease bookkeeping handles whatever
-// the old connection left behind.
+// resume pulling; the old connection's end released what it held.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ namespace fne {
 /// Bump when the frame layout or any payload schema changes.  Carried in
 /// HELLO/WELCOME via the campaign fingerprint mix so mismatched builds
 /// refuse each other instead of trading garbage.
-inline constexpr std::uint32_t kWireProtocolVersion = 1;
+inline constexpr std::uint32_t kWireProtocolVersion = 2;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,
@@ -54,7 +54,7 @@ enum class MsgType : std::uint32_t {
   kWait = 5,
   kDone = 6,
   kResult = 7,
-  kHeartbeat = 8,
+  // 8 was HEARTBEAT (protocol 1), retired: FrameBuffer rejects it.
   // Scenario-service conversation (DESIGN.md §13) — same frames, JSON
   // text payloads: client -> kRequest {json}, service -> kResponse {json}.
   kRequest = 9,
@@ -109,8 +109,6 @@ struct JobPayload {
   std::uint64_t index = 0;   ///< job index in the shared CampaignPlan
   std::uint32_t kind = 0;    ///< CampaignJob::Kind as u32 (worker re-checks)
   std::string key;           ///< cell content key (worker verifies vs its plan)
-  std::uint64_t lease_ms = 0;
-  std::uint64_t heartbeat_ms = 0;
   std::string parent_runs;   ///< kMetric only: encode_runs of the parent run
 };
 
@@ -125,10 +123,6 @@ struct ResultPayload {
   std::string data;  ///< cell: encode_runs; metric: encode_metric_record
 };
 
-struct HeartbeatPayload {
-  std::uint64_t index = 0;
-};
-
 [[nodiscard]] std::string encode_hello(const HelloPayload& p);
 [[nodiscard]] std::optional<HelloPayload> decode_hello(std::string_view bytes);
 [[nodiscard]] std::string encode_welcome(const WelcomePayload& p);
@@ -139,8 +133,6 @@ struct HeartbeatPayload {
 [[nodiscard]] std::optional<WaitPayload> decode_wait(std::string_view bytes);
 [[nodiscard]] std::string encode_result(const ResultPayload& p);
 [[nodiscard]] std::optional<ResultPayload> decode_result(std::string_view bytes);
-[[nodiscard]] std::string encode_heartbeat(const HeartbeatPayload& p);
-[[nodiscard]] std::optional<HeartbeatPayload> decode_heartbeat(std::string_view bytes);
 
 /// MetricRecord <-> bytes for RESULT frames of kMetric jobs.  Total
 /// decode like everything else on the wire.

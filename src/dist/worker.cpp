@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <utility>
@@ -25,7 +24,7 @@ enum class ConnEnd {
   kReconnect,  ///< connection is dead/untrusted; try again
   kExit,       ///< run() is over (DONE, stop(), kill hook, mismatch)
   kZombie,     ///< kill_mid_job: exit but keep the socket open, so the
-               ///< coordinator must reap the lease by deadline
+               ///< coordinator never sees the held job released
 };
 
 }  // namespace
@@ -46,16 +45,12 @@ WorkerReport DistWorker::run() {
     }
   };
 
-  // Everything one connection does, handshake to grave.  `transport` is
-  // shared with the per-job heartbeat thread, hence the send mutex.
+  // Everything one connection does, handshake to grave.
   const auto drive = [&](Transport& transport) -> ConnEnd {
     FrameBuffer buf;
     Message msg;
-    std::mutex send_mutex;
     const auto send_msg = [&](MsgType type, std::string payload) {
-      const std::string frame = encode_frame({type, std::move(payload)});
-      std::lock_guard<std::mutex> lk(send_mutex);
-      return transport.send(frame);
+      return transport.send(encode_frame({type, std::move(payload)}));
     };
 
     if (!send_msg(MsgType::kHello, encode_hello({fingerprint, opts_.name}))) {
@@ -133,20 +128,6 @@ WorkerReport DistWorker::run() {
       }
       if (opts_.kill_mid_job) return ConnEnd::kZombie;
 
-      std::atomic<bool> heartbeat_stop{false};
-      const double period =
-          static_cast<double>(std::max<std::uint64_t>(assignment->heartbeat_ms, 20));
-      std::thread heartbeat([&] {
-        Timer since;
-        while (!heartbeat_stop.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-          if (since.millis() >= period) {
-            (void)send_msg(MsgType::kHeartbeat, encode_heartbeat({assignment->index}));
-            since.reset();
-          }
-        }
-      });
-
       std::string data;
       bool computed = false;
       try {
@@ -165,8 +146,6 @@ WorkerReport DistWorker::run() {
       } catch (...) {
         computed = false;  // drop the connection; the job is retried elsewhere
       }
-      heartbeat_stop.store(true);
-      heartbeat.join();
       if (!computed) return ConnEnd::kReconnect;
 
       ResultPayload result;
@@ -208,7 +187,7 @@ WorkerReport DistWorker::run() {
     }
     const ConnEnd end = drive(*transport);
     if (end == ConnEnd::kZombie) {
-      zombie_ = std::move(transport);  // lease dies by deadline, not by EOF
+      zombie_ = std::move(transport);  // no EOF: a local backup finishes the job
       return report;
     }
     transport->shutdown();

@@ -6,15 +6,15 @@
 // with the coordinator's by construction — and the HELLO handshake
 // checks the fingerprint anyway), then loops: PULL, compute the assigned
 // job through the plan's pure functions on this process's EngineCache,
-// RESULT the bytes back.  While computing it HEARTBEATs so the
-// coordinator keeps the lease alive; every assignment is re-verified
-// against the local plan (index, kind, key) before any work happens —
-// a coordinator serving a different campaign is a fatal mismatch, not a
-// garbage result.
+// RESULT the bytes back.  It computes silently: the coordinator keeps no
+// lease on it, since its local threads back up any job a worker holds.
+// Every assignment is re-verified against the local plan (index, kind,
+// key) before any work happens — a coordinator serving a different
+// campaign is a fatal mismatch, not a garbage result.
 //
 // Failure posture: any transport trouble — send failure, EOF, corrupt
 // stream — abandons the connection and reconnects with capped backoff;
-// the coordinator's lease bookkeeping absorbs whatever was in flight.
+// the connection's end releases whatever job it held.
 // A worker can therefore be killed at ANY point (the chaos tests do,
 // via the kill_* hooks below and via SIGKILL in CI) without affecting
 // campaign correctness, only placement.
@@ -46,7 +46,7 @@ struct WorkerOptions {
   int idle_timeout_ms = 10000;   ///< max silence after a PULL before reconnect
   FaultSchedule faults{};        ///< chaos: injected on this worker's sends
   int kill_after_results = -1;   ///< chaos: die abruptly after N submissions
-  bool kill_mid_job = false;     ///< chaos: die silently holding a lease
+  bool kill_mid_job = false;     ///< chaos: die silently holding a job
 };
 
 struct WorkerReport {
@@ -74,8 +74,9 @@ class DistWorker {
   WorkerOptions opts_;
   std::atomic<bool> stop_{false};
   /// kill_mid_job parks the connection here instead of closing it: the
-  /// coordinator gets no EOF and must reap the abandoned lease by
-  /// deadline — the exact failure a silently hung worker produces.
+  /// coordinator gets no EOF, so the held job is never released and only
+  /// a local backup finishes it — the exact failure a silently hung
+  /// worker produces.
   std::unique_ptr<Transport> zombie_;
 };
 

@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <string_view>
 #include <thread>
 
@@ -89,6 +91,15 @@ std::vector<double> parse_double_list(const std::string& spec) {
 std::string json_flag_path(const Cli& cli, const std::string& fallback) {
   const std::string path = cli.get("json", fallback);
   return path == "1" ? fallback : path;
+}
+
+int cli_main(int argc, char** argv, int (*body)(const Cli&)) {
+  try {
+    return body(Cli(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace fne

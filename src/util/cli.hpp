@@ -58,4 +58,10 @@ class Cli {
 /// "use the caller's default filename"; --json=path wins.
 [[nodiscard]] std::string json_flag_path(const Cli& cli, const std::string& fallback);
 
+/// The main() of a bench or example: runs `body` on the parsed flags.  An
+/// exception escaping it (a flag out of range, a failed precondition)
+/// prints "error: <what>" to stderr and exits 1, instead of aborting
+/// through std::terminate.
+[[nodiscard]] int cli_main(int argc, char** argv, int (*body)(const Cli&));
+
 }  // namespace fne

@@ -6,8 +6,8 @@
 // change results.  Plus the robustness mechanics one by one: zero-worker
 // degradation, fingerprint handshake, duplicate completions, wrong-key
 // rejection, garbage connections, a registered worker that never pulls,
-// zombie workers reaped by lease deadline, and store commits from a
-// distributed run replaying warm.
+// zombie workers whose job a local thread backs up, and store commits
+// from a distributed run replaying warm.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -103,17 +103,11 @@ namespace fs = std::filesystem;
   return campaign;
 }
 
-/// Fast-converging coordinator knobs for tests: short leases, quick
-/// retries, tight polling, and one local thread (see with_heavy_head).
+/// Coordinator knobs for tests: tight polling and one local thread (see
+/// with_heavy_head).
 [[nodiscard]] DistOptions test_options() {
   DistOptions opts;
   opts.local_threads = 1;
-  opts.job_timeout_ms = 400;
-  opts.lease_cap_ms = 2000;
-  opts.heartbeat_ms = 50;
-  opts.retry_budget = 2;
-  opts.backoff_base_ms = 10;
-  opts.backoff_max_ms = 100;
   opts.poll_ms = 10;
   return opts;
 }
@@ -154,6 +148,16 @@ struct DistRun {
   for (std::thread& th : threads) th.join();
   return {report.to_json(/*include_timing=*/false), coordinator.stats(), std::move(reports)};
 }
+
+/// Joins a thread on every exit path: a failed ASSERT_* returns from the
+/// test while the thread may still be joinable, and destroying a
+/// joinable std::thread calls std::terminate.
+struct JoinOnExit {
+  std::thread& thread;
+  ~JoinOnExit() {
+    if (thread.joinable()) thread.join();
+  }
+};
 
 [[nodiscard]] std::string local_payload(const Campaign& campaign) {
   CampaignRunner runner(campaign);
@@ -277,7 +281,7 @@ TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
   const std::string reference = local_payload(campaign);
   CampaignPlan plan(campaign, 1);
   // The honest bytes of the LAST job, computed once and submitted twice
-  // without a PULL, as a worker whose lease expired still delivers them.
+  // without a PULL, as a worker racing a local backup still delivers them.
   // The local thread takes jobs in index order, so it reaches the last
   // one only after the heavy job 0, long after both copies arrived.  (A
   // pulled job could be job 0 itself; the local thread would then end
@@ -296,6 +300,7 @@ TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
     payload = report.to_json(false);
     stats = coordinator.stats();
   });
+  const JoinOnExit join_driver{driver};
 
   {
     RawClient client{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
@@ -329,6 +334,7 @@ TEST(Dist, WrongKeyResultsAreRejectedAndRecomputed) {
     payload = report.to_json(false);
     stats = coordinator.stats();
   });
+  const JoinOnExit join_driver{driver};
 
   {
     RawClient client{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
@@ -360,12 +366,7 @@ TEST(Dist, RegisteredWorkerThatNeverPullsDoesNotHoldUpLocalWork) {
     if (plan.job(i).kind != CampaignJob::Kind::kMetric) ++cells;
   }
 
-  // Leases this long would pin a pulled job for a minute; the worker
-  // pulls none, so no job may wait on it at all.
-  DistOptions opts = test_options();
-  opts.job_timeout_ms = 60000;
-  opts.lease_cap_ms = 60000;
-  DistCoordinator coordinator(campaign, opts);
+  DistCoordinator coordinator(campaign, test_options());
 
   // HELLO before run() starts, so the worker is registered from the
   // first moment; then silence with the socket held open.
@@ -377,8 +378,7 @@ TEST(Dist, RegisteredWorkerThatNeverPullsDoesNotHoldUpLocalWork) {
   clock.reset();
   const CampaignReport report = coordinator.run();
   // Within 5 s of the local run (sanitizer builds make both slow).  A
-  // scheduler that left pending jobs to a registered worker would wait
-  // out the 60 s job timeout instead.
+  // scheduler that left open jobs to a registered worker would not end.
   EXPECT_LT(clock.millis() - local_ms, 5000.0);
   const DistStats stats = coordinator.stats();
   EXPECT_EQ(report.to_json(false), reference);
@@ -424,8 +424,8 @@ TEST(DistChaosSlow, FaultScheduleMatrixIsByteIdenticalToLocal) {
     FaultSchedule s;
     s.seed = 1004;
     s.delay = 0.4;
-    s.delay_ms = 600;  // > job_timeout_ms: delayed past the lease deadline
-    schedules.push_back({"delay-past-deadline", s});
+    s.delay_ms = 600;  // longer than the heavy job: local backups race the results
+    schedules.push_back({"delay", s});
   }
 
   for (const NamedSchedule& named : schedules) {
@@ -471,16 +471,23 @@ TEST(DistChaosSlow, WorkerKilledMidRunDoesNotChangeThePayload) {
   EXPECT_EQ(run.payload, reference);
 }
 
-TEST(DistChaosSlow, ZombieWorkerIsReapedByLeaseDeadline) {
+TEST(DistChaosSlow, ZombieWorkerIsBackedUpByALocalThread) {
   const Campaign campaign = with_heavy_head(dist_campaign());
+  Timer clock;
   const std::string reference = local_payload(campaign);
+  const double local_ms = clock.millis();
   // The zombie takes a job and goes silent WITHOUT closing its socket:
-  // no EOF ever arrives, so only the lease deadline can free the job.
+  // no EOF ever arrives, so its hold is never released and only a local
+  // backup can finish the job.
   WorkerOptions zombie = test_worker(0, "zombie");
   zombie.kill_mid_job = true;
+  clock.reset();
   const DistRun run = run_dist(campaign, {zombie});
+  // Within 5 s of the local run (sanitizer builds make both slow): the
+  // backup starts as soon as a local thread runs out of unheld jobs.
+  EXPECT_LT(clock.millis() - local_ms, 5000.0);
   EXPECT_EQ(run.payload, reference);
-  EXPECT_GE(run.stats.timeouts, 1u) << "the abandoned lease must be reaped, not EOF'd";
+  EXPECT_GE(run.stats.backups, 1u) << "the zombie's job must be backed up locally";
 }
 
 TEST(DistChaosSlow, DistributedRunCommitsCellsTheLocalRunReplaysWarm) {

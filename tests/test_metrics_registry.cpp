@@ -216,7 +216,7 @@ TEST(ScenarioCli, CountFlagsAreRangeCheckedBeforeNarrowing) {
   // accessor; 2^32 + 1 once ran as 1 (one churn round, one worker, ...).
   for (const char* flag : {"connect-attempts", "service-workers", "queue-depth",
                            "queue-deadline-ms", "max-request-bytes", "retry-after-ms",
-                           "timeout-ms", "threads", "retry-budget", "workers", "churn-steps"}) {
+                           "timeout-ms", "threads", "workers", "churn-steps"}) {
     const std::string bad = std::string("--") + flag + "=4294967297";
     try {
       (void)cli(bad).get_int_in_range<int>(flag, 0, 0, INT_MAX);

@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,18 @@ TEST(Cli, SeedHelper) {
   EXPECT_EQ(cli.get_seed(42), 99U);
   Cli empty(1, const_cast<char**>(argv));
   EXPECT_EQ(empty.get_seed(42), 42U);
+}
+
+TEST(Cli, MainReportsABadFlagAndExitsOne) {
+  const char* argv[] = {"prog", "--side=4294967297"};
+  const auto body = [](const Cli& cli) {
+    return static_cast<int>(cli.get_int_in_range<unsigned>("side", 24, 2, 4096));
+  };
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(cli_main(2, const_cast<char**>(argv), body), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--side=4294967297 out of range [2, 4096]"), std::string::npos) << err;
+  EXPECT_EQ(cli_main(1, const_cast<char**>(argv), body), 24) << "the body's status passes through";
 }
 
 TEST(Timer, MeasuresNonNegativeTime) {

@@ -15,6 +15,7 @@
 // Output is deterministic: equal graphs encode to byte-identical files
 // (canonical CSR), which is what lets CI regenerate a fixture and `cmp`
 // it against the committed copy.
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -46,7 +47,7 @@ int run(int argc, char** argv) {
   fne::EdgeListOptions opts;
   opts.strict = cli.has("strict");
   opts.header = opts.strict || cli.has("header");
-  opts.min_n = static_cast<fne::vid>(cli.get_int("min-n", 0));
+  opts.min_n = cli.get_int_in_range<fne::vid>("min-n", 0, 0, UINT32_MAX);
 
   std::ifstream in(in_path);
   FNE_REQUIRE(in.good(), "edgelist2csr: cannot open input '" + in_path + "'");
