@@ -37,8 +37,9 @@ namespace {
 /// `campaign` behind one heavy scenario (mesh side 64, about 0.1 s a cell
 /// in a Release build; the shape of tests/test_dist.cpp's
 /// with_heavy_head) with one cell per coordinator thread and worker.
-/// Entries are planned in order, so while each local thread computes a
-/// heavy cell, each worker pulls one of the rest.
+/// Entries are planned in order and the local threads sweep from the
+/// front, so they are busy on heavy cells while the workers pull the
+/// catalog's cells from the back of the job list.
 [[nodiscard]] fne::Campaign with_heavy_head(fne::Campaign campaign, int cells) {
   using namespace fne;
   Scenario s;

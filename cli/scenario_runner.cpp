@@ -98,6 +98,8 @@
 // telemetry after the runs; table form only), --cache-budget=MB (byte
 // budget for the process EngineCache; LRU-evicts idle entries, results
 // unchanged), --cache-stats (cache counters + residency after the run).
+// Each mode names the flags it reads (Cli::require_only): any other flag,
+// a typo or one of another mode, fails with exit 1 and is named.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -195,11 +197,6 @@ void list_registries() {
 /// campaign.  The worker has no report of its own beyond a summary line;
 /// all result-shaping flags belong on the coordinator.
 int run_worker(const Cli& cli, Campaign campaign) {
-  for (const char* flag : {"serve", "workers", "store", "resume", "store-stats", "payload",
-                           "json", "csv", "stats"}) {
-    FNE_REQUIRE(!cli.has(flag),
-                std::string("--") + flag + " does not apply to --connect (worker mode)");
-  }
   const std::string target = cli.get("connect", "");
   FNE_REQUIRE(!target.empty() && target != "1", "--connect needs HOST:PORT (or PORT)");
   WorkerOptions opts;
@@ -238,6 +235,9 @@ extern "C" void daemon_signal_handler(int) { g_shutdown = 1; }
 
 /// --daemon: run the scenario service until SIGTERM/SIGINT.
 int run_daemon(const Cli& cli) {
+  cli.require_only("--daemon", {"daemon", "bind", "service-workers", "threads", "queue-depth",
+                                "queue-deadline-ms", "max-request-bytes", "retry-after-ms",
+                                "cache-budget", "port-file"});
   ServiceOptions opts;
   const std::string spec = cli.get("daemon", "");
   if (spec != "1") opts.port = parse_port(spec, "--daemon");
@@ -284,6 +284,8 @@ int run_daemon(const Cli& cli) {
 /// --send: submit one request to a running daemon.  Exit codes 0 ok,
 /// 1 service error, 2 connection/transport failure, 3 rejected.
 int run_client(const Cli& cli) {
+  cli.require_only("--send", {"send", "timeout-ms", "threads", "ping", "service-stats",
+                              "campaign", "payload"});
   const std::string target = cli.get("send", "");
   FNE_REQUIRE(!target.empty() && target != "1", "--send needs HOST:PORT");
   const std::size_t colon = target.rfind(':');
@@ -354,18 +356,23 @@ void print_cache_stats(std::ostream& out) {
 }
 
 int run_campaign(const Cli& cli) {
-  const std::string spec = cli.get("campaign", "");
-  // Scenario-level flags have no campaign meaning (the file/preset owns
-  // the scenario fields) — reject them loudly rather than silently
-  // returning results the flags did not influence.
-  for (const char* flag : {"scenario", "topology", "topo-params", "fault", "fault-params",
-                           "kind", "alpha", "eps", "fast", "verify", "expansion", "metrics",
-                           "spectral-mode", "filter-degree", "seed", "sweep", "sweep-values",
-                           "sweep-mode", "churn-steps"}) {
-    FNE_REQUIRE(!cli.has(flag), std::string("--") + flag +
-                                    " does not apply to --campaign; set it in the campaign "
-                                    "file (or run a single scenario)");
+  // The campaign file owns the scenario fields, so no scenario-level flag
+  // applies here; a worker takes no result-shaping flag either.
+  if (cli.has("connect")) {
+    cli.require_only("--connect (worker mode)", {"campaign", "reps", "connect", "worker-name",
+                                                 "threads", "connect-attempts",
+                                                 "cache-budget"});
+  } else if (cli.has("serve")) {
+    cli.require_only("--campaign --serve",
+                     {"campaign", "reps", "serve", "bind", "workers", "threads", "json", "csv",
+                      "stats", "store", "resume", "store-stats", "payload", "cache-stats",
+                      "cache-budget"});
+  } else {
+    cli.require_only("--campaign", {"campaign", "reps", "threads", "json", "csv", "stats",
+                                    "store", "resume", "store-stats", "payload",
+                                    "cache-stats", "cache-budget"});
   }
+  const std::string spec = cli.get("campaign", "");
   FNE_REQUIRE(spec == "catalog" || !cli.has("reps"),
               "--reps only applies to --campaign=catalog; file campaigns declare "
               "repetitions per scenario");
@@ -374,7 +381,6 @@ int run_campaign(const Cli& cli) {
           ? catalog_campaign(cli.get_int_in_range<int>("reps", 1, 1, INT_MAX))
           : campaign_from_file(spec);
   if (cli.has("connect")) return run_worker(cli, std::move(campaign));
-  FNE_REQUIRE(!cli.has("workers") || cli.has("serve"), "--workers needs --serve");
   const int threads = cli.get_threads(1);
   const std::string json_path = cli.get("json", "");
   const bool json_to_stdout = json_path == "1";
@@ -517,20 +523,25 @@ int run_campaign(const Cli& cli) {
 }
 
 int run(const Cli& cli) {
+  if (cli.has("list")) {
+    cli.require_only("--list", {"list"});
+    list_registries();
+    return 0;
+  }
   if (cli.has("daemon")) return run_daemon(cli);
   if (cli.has("send")) return run_client(cli);
   // Local runs honor the same budget flag as the daemon (MiB).
   if (cli.has("cache-budget")) EngineCache::instance().set_budget_bytes(cache_budget_bytes(cli));
   if (cli.has("campaign")) return run_campaign(cli);
 
-  // The result store keys CAMPAIGN cells; a single-scenario run has no
-  // store semantics, so reject the flags loudly rather than silently
-  // running without them.
-  for (const char* flag : {"store", "resume", "store-stats", "payload", "serve", "connect",
-                           "workers"}) {
-    FNE_REQUIRE(!cli.has(flag),
-                std::string("--") + flag + " only applies to --campaign runs");
-  }
+  // The result store keys CAMPAIGN cells, and only campaigns are served
+  // or distributed, so none of those flags applies here.
+  cli.require_only("a single-scenario run",
+                   {"scenario", "topology", "topo-params", "fault", "fault-params", "kind",
+                    "alpha", "eps", "fast", "verify", "expansion", "metrics", "spectral-mode",
+                    "filter-degree", "reps", "seed", "threads", "json", "csv", "stats",
+                    "cache-stats", "cache-budget", "sweep", "sweep-values", "sweep-mode",
+                    "churn-steps", "p-leave", "p-join"});
 
   const int threads = cli.get_threads(1);
   // Bare `--json` parses as the value "1": JSON replaces the table on
@@ -692,10 +703,6 @@ int run(const Cli& cli) {
 
 int main(int argc, char** argv) {
   const fne::Cli cli(argc, argv);
-  if (cli.has("list")) {
-    fne::list_registries();
-    return 0;
-  }
   try {
     return fne::run(cli);
   } catch (const fne::PreconditionError& e) {

@@ -73,7 +73,9 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
              {"preset", "name", "seed", "repetitions", "topology", "fault", "prune", "metrics",
               "sweep"});
   if (const JsonValue* v = obj.find("name")) s.name = v->as_string();
-  if (const JsonValue* v = obj.find("seed")) s.seed = static_cast<std::uint64_t>(v->as_int());
+  if (const JsonValue* v = obj.find("seed")) {
+    s.seed = narrow_in_range<std::uint64_t>("campaign: seed", v->as_int(), 0, INT64_MAX);
+  }
   if (const JsonValue* v = obj.find("repetitions")) {
     s.repetitions = narrow_in_range<int>("campaign: repetitions", v->as_int(), 1, INT_MAX);
   }
@@ -480,7 +482,7 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
     }
   }
 
-  job_done_.assign(jobs_.size(), 0);
+  job_done_ = std::vector<std::atomic<bool>>(jobs_.size());
   missing_metrics_.assign(jobs_.size(), 0);
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     missing_metrics_[i] = children_[i].size();
@@ -557,8 +559,7 @@ ScenarioRun CampaignPlan::parent_run(std::size_t metric_job) const {
   FNE_REQUIRE(job.kind == CampaignJob::Kind::kMetric,
               "campaign plan: parent_run on a cell job");
   const std::lock_guard<std::mutex> lock(mutex_);
-  FNE_REQUIRE(job_done_[job.parent] != 0,
-              "campaign plan: parent cell not done for metric job");
+  FNE_REQUIRE(done(job.parent), "campaign plan: parent cell not done for metric job");
   return results_[job.entry][cell_slot(job)];
 }
 
@@ -614,14 +615,13 @@ bool CampaignPlan::accept_cell(std::size_t i, std::vector<ScenarioRun> runs) {
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (job_done_[i] != 0) return false;  // duplicate completion: first write won
+    if (done(i)) return false;  // duplicate completion: first write won
     if (job.kind == CampaignJob::Kind::kChain) {
       results_[job.entry] = std::move(runs);
     } else {
       results_[job.entry][cell_slot(job)] = std::move(runs.front());
     }
-    job_done_[i] = 1;
-    --remaining_;
+    mark_done_locked(i);
   }
   if (record.has_value()) commit(std::move(*record));
   return true;
@@ -636,12 +636,11 @@ bool CampaignPlan::accept_metric(std::size_t i, MetricRecord record) {
   std::optional<StoreRecord> cell;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (job_done_[job.parent] == 0) return false;  // parent not merged yet
-    if (job_done_[i] != 0) return false;           // duplicate completion
+    if (!done(job.parent)) return false;  // parent not merged yet
+    if (done(i)) return false;            // duplicate completion
     ScenarioRun& run = results_[job.entry][cell_slot(job)];
     run.metrics[job.request] = std::move(record);
-    job_done_[i] = 1;
-    --remaining_;
+    mark_done_locked(i);
     // The parent's last metric completes it (a metric job carries its
     // parent's key and slot).
     if (--missing_metrics_[job.parent] == 0 && store_.load() != nullptr) {
@@ -654,8 +653,12 @@ bool CampaignPlan::accept_metric(std::size_t i, MetricRecord record) {
 
 bool CampaignPlan::done(std::size_t i) const {
   (void)this->job(i);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return job_done_[i] != 0;
+  return job_done_[i].load(std::memory_order_acquire);
+}
+
+void CampaignPlan::mark_done_locked(std::size_t i) {
+  job_done_[i].store(true, std::memory_order_release);
+  --remaining_;
 }
 
 bool CampaignPlan::all_done() const {
@@ -671,7 +674,7 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
   store_before_ = store.stats();
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const CampaignJob& job = jobs_[i];
-    if (job.kind == CampaignJob::Kind::kMetric || job_done_[i] != 0) continue;
+    if (job.kind == CampaignJob::Kind::kMetric || done(i)) continue;
     const std::optional<std::string> payload = store.load(job.key);
     if (!payload.has_value()) continue;
     std::optional<std::vector<ScenarioRun>> runs = decode_runs(*payload);
@@ -684,12 +687,10 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
     } else {
       results_[job.entry][cell_slot(job)] = std::move(runs->front());
     }
-    job_done_[i] = 1;
-    --remaining_;
+    mark_done_locked(i);
     ++served_cells_;
     for (const std::size_t child : children_[i]) {
-      job_done_[child] = 1;
-      --remaining_;
+      mark_done_locked(child);
       --missing_metrics_[i];
     }
   }
@@ -746,6 +747,28 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
   return report;
 }
 
+void CampaignPlan::execute(int threads, const CancelToken* cancel) {
+  // Pass A runs the pending cells, pass B the pending metric jobs, so
+  // every parent is done before any metric job starts.
+  std::vector<std::size_t> passes[2];
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    if (!done(i)) passes[jobs_[i].kind == CampaignJob::Kind::kMetric ? 1 : 0].push_back(i);
+  }
+  for (const std::vector<std::size_t>& pass : passes) {
+    ExecutorPool::run(
+        pass.size(), threads,
+        [&](std::size_t p) {
+          const std::size_t i = pass[p];
+          if (done(i)) return;  // served, or merged by a dist worker meanwhile
+          const bool accepted = jobs_[i].kind == CampaignJob::Kind::kMetric
+                                    ? accept_metric(i, compute_metric(i, parent_run(i)))
+                                    : accept_cell(i, compute_cell(i));
+          FNE_REQUIRE(accepted || done(i), "campaign: the plan refused its own local result");
+        },
+        cancel);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CampaignRunner
 // ---------------------------------------------------------------------------
@@ -755,40 +778,12 @@ CampaignRunner::CampaignRunner(Campaign campaign) : campaign_(std::move(campaign
 }
 
 CampaignReport CampaignRunner::run(int threads, ResultStore* store, const CancelToken* cancel) {
-  FNE_REQUIRE(threads >= 1, "campaign threads must be >= 1");
   const EngineCacheStats cache_before = EngineCache::instance().stats();
   Timer wall;
 
   CampaignPlan plan(campaign_, threads);
   if (store != nullptr) (void)plan.attach_store(*store);
-
-  // Pass A — pending cells on one pool; pass B — pending metric jobs.
-  // The barrier between the passes is what a local runner wants (every
-  // parent is done before any metric job starts); the dist coordinator
-  // schedules the same plan with per-job readiness instead.
-  std::vector<std::size_t> cells;
-  std::vector<std::size_t> metric_jobs;
-  for (std::size_t i = 0; i < plan.num_jobs(); ++i) {
-    if (plan.done(i)) continue;
-    (plan.job(i).kind == CampaignJob::Kind::kMetric ? metric_jobs : cells).push_back(i);
-  }
-  ExecutorPool::run(
-      cells.size(), threads,
-      [&](std::size_t p) {
-        const std::size_t i = cells[p];
-        FNE_REQUIRE(plan.accept_cell(i, plan.compute_cell(i)),
-                    "campaign: local cell result rejected (duplicate or wrong shape)");
-      },
-      cancel);
-  ExecutorPool::run(
-      metric_jobs.size(), threads,
-      [&](std::size_t p) {
-        const std::size_t i = metric_jobs[p];
-        FNE_REQUIRE(plan.accept_metric(i, plan.compute_metric(i, plan.parent_run(i))),
-                    "campaign: local metric result rejected (duplicate or mismatched)");
-      },
-      cancel);
-
+  plan.execute(threads, cancel);
   return plan.finish(threads, wall.millis(), EngineCache::instance().stats() - cache_before);
 }
 

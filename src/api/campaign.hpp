@@ -11,10 +11,11 @@
 // CampaignRunner flattens every entry into scenario×repetition (or
 // sweep-point) jobs and runs ALL of them on one ExecutorPool: a campaign
 // with 40 one-rep scenarios parallelizes as well as one 40-rep scenario.
-// This is the only batch scheduler in the library (the dist coordinator
-// and the service drive the same CampaignPlan): a single scenario's
-// repetitions or one fault sweep run as a one-entry campaign, which is
-// what the CLI's --scenario/--sweep modes, the benches and the tests do.
+// This is the only batch scheduler in the library (the service and the
+// dist coordinator's local threads run the same CampaignPlan::execute):
+// a single scenario's repetitions or one fault sweep run as a one-entry
+// campaign, which is what the CLI's --scenario/--sweep modes, the
+// benches and the tests do.
 // Jobs lease engines from the EngineCache, so entries sharing a topology
 // share graphs and warm buffer pools, and the whole run produces one
 // aggregated CampaignReport: per-entry ScenarioRuns plus folded
@@ -173,6 +174,7 @@ struct CampaignJob {
 ///     (first write wins; a duplicate or late completion returns false
 ///     and changes nothing), committing completed cells to the attached
 ///     store;
+///   execute                        — the one local job loop;
 ///   finish                         — assemble the CampaignReport (once).
 ///
 /// Store commits are group commits.  A completed cell is encoded outside
@@ -183,8 +185,10 @@ struct CampaignJob {
 /// run still commits every cell it accepted.  A killed process loses at
 /// most the unflushed batch, which a resumed run recomputes.
 ///
-/// Both CampaignRunner::run and the dist coordinator/workers (src/dist/)
-/// are thin schedulers over this class — which is what makes "the
+/// CampaignRunner::run and the dist coordinator make the same four calls
+/// (construct, attach_store, execute, finish); the coordinator only adds
+/// TCP workers that compute jobs from the far end of the list, and dist
+/// workers call compute_* on their own plan.  That is what makes "the
 /// distributed payload is byte-identical to the local one" a structural
 /// property instead of a test-enforced coincidence.
 class CampaignPlan {
@@ -223,8 +227,16 @@ class CampaignPlan {
   /// the record mismatches the request, the parent is not done, or the
   /// job already merged.
   bool accept_metric(std::size_t i, MetricRecord record);
+  /// Lock-free: done flags are set under the plan lock and never cleared.
   [[nodiscard]] bool done(std::size_t i) const;
   [[nodiscard]] bool all_done() const;
+
+  /// The one local job loop: pass A runs the pending cells on `threads`
+  /// ExecutorPool workers, pass B the metric jobs.  Both sweep the list
+  /// from the front and skip a job that is done when claimed (served, or
+  /// merged by a dist worker).  A throwing job fails the pass with one
+  /// ExecutorError after the drain; `cancel` is polled between jobs.
+  void execute(int threads, const CancelToken* cancel = nullptr);
 
   /// Attach a store: serve every already-committed cell from disk (their
   /// metric jobs complete with them) and commit cells as they complete
@@ -245,6 +257,7 @@ class CampaignPlan {
   /// 64 KiB.
   void commit(StoreRecord record);
   void flush_commits();
+  void mark_done_locked(std::size_t i);
 
   Campaign campaign_;
   std::vector<std::unique_ptr<ScenarioRunner>> runners_;
@@ -254,7 +267,7 @@ class CampaignPlan {
   std::size_t num_cells_ = 0;
 
   mutable std::mutex mutex_;
-  std::vector<char> job_done_;
+  std::vector<std::atomic<bool>> job_done_;  ///< written under mutex_, read without
   std::vector<std::size_t> missing_metrics_;  ///< per job (cells only)
   std::size_t remaining_ = 0;
   std::uint64_t served_cells_ = 0;
@@ -273,10 +286,10 @@ class CampaignRunner {
   /// a malformed campaign fails here, before any graph is built.
   explicit CampaignRunner(Campaign campaign);
 
-  /// Execute every entry's jobs on `threads` ExecutorPool workers.
-  /// Entry construction (graph build, α measurement) is itself
-  /// parallelized across entries.  May be called repeatedly; each call
-  /// reports only its own work.
+  /// Plan the campaign, attach `store`, execute on `threads` ExecutorPool
+  /// workers and finish (CampaignPlan).  Entry construction (graph build,
+  /// α measurement) is itself parallelized across entries.  May be called
+  /// repeatedly; each call reports only its own work.
   ///
   /// With a `store`, execution is store-backed (DESIGN.md §11).  Every
   /// job is keyed (store/key.hpp); a key already in `store` is served

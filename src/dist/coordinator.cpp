@@ -1,6 +1,7 @@
 #include "dist/coordinator.hpp"
 
-#include <condition_variable>
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <mutex>
@@ -17,25 +18,9 @@
 
 namespace fne {
 
-namespace {
-
-constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
-
-enum class JobState : std::uint8_t {
-  kBlocked,  ///< metric job waiting for its parent cell
-  kOpen,     ///< schedulable
-  kDone,     ///< merged into the plan
-};
-
-struct JobSlot {
-  JobState state = JobState::kOpen;
-  bool local = false;        ///< a local thread is computing it
-  std::uint64_t remote = 0;  ///< the session computing it; 0: none
-};
-
-}  // namespace
-
 struct DistCoordinator::Impl {
+  static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+
   Campaign campaign;
   DistOptions opts;
   ResultStore* store = nullptr;
@@ -44,13 +29,14 @@ struct DistCoordinator::Impl {
   std::unique_ptr<CampaignPlan> plan;
   std::uint64_t fingerprint = 0;  ///< wire_fingerprint(plan), set before any session
   mutable std::mutex m;
-  std::condition_variable cv;
-  std::vector<JobSlot> slots;
-  std::vector<std::vector<std::size_t>> children;  ///< cell -> metric jobs
-  std::size_t open_jobs = 0;
-  bool started = false;
-  bool finished = false;
-  std::exception_ptr failure;  ///< local compute threw: campaign bug, rethrown
+  /// Per job, all the coordinator keeps beside the plan: the session
+  /// holding it (0: none) and whether any worker was ever given it.
+  std::vector<std::uint64_t> holder;
+  std::vector<char> given;
+  std::size_t tail = 0;                   ///< every job at index >= tail is done
+  std::uint64_t given_remote_merges = 0;  ///< remote merges of given jobs
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};  ///< execute returned: sessions send DONE
   std::uint64_t next_session = 1;
   DistStats stats;
   std::vector<std::thread> session_threads;  ///< appended by acceptor only
@@ -62,74 +48,46 @@ struct DistCoordinator::Impl {
     FNE_REQUIRE(opts.poll_ms >= 1, "dist: poll_ms must be >= 1");
   }
 
-  [[nodiscard]] bool is_finished() {
-    std::lock_guard<std::mutex> lk(m);
-    return finished;
-  }
-
-  /// Next job for a remote worker: the first open one nobody holds.
-  [[nodiscard]] std::size_t pick_remote_locked() const {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const JobSlot& s = slots[i];
-      if (s.state == JobState::kOpen && !s.local && s.remote == 0) return i;
+  /// Next job for a remote worker: the LAST ready job no session holds.
+  /// Ready means not done and, for a metric job, its parent cell done.
+  /// Local threads sweep from the front, so the two ends meet in the
+  /// middle.  Done flags are read without the plan lock and never clear,
+  /// so the done suffix is walked past once, not on every PULL.
+  [[nodiscard]] std::size_t pick_remote_locked() {
+    while (tail > 0 && plan->done(tail - 1)) --tail;
+    for (std::size_t i = tail; i-- > 0;) {
+      if (holder[i] != 0 || plan->done(i)) continue;
+      const CampaignJob& job = plan->job(i);
+      if (job.kind == CampaignJob::Kind::kMetric && !plan->done(job.parent)) continue;
+      return i;
     }
     return kNoJob;
-  }
-
-  /// Next job for a local thread: the first open one no local thread
-  /// holds, preferring one no worker holds either.  Otherwise a
-  /// remote-held job, computed here as a backup task: local threads
-  /// never wait for the fleet.
-  [[nodiscard]] std::size_t pick_local_locked() const {
-    std::size_t backup = kNoJob;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const JobSlot& s = slots[i];
-      if (s.state != JobState::kOpen || s.local) continue;
-      if (s.remote == 0) return i;
-      if (backup == kNoJob) backup = i;
-    }
-    return backup;
   }
 
   /// Release `sid`'s hold on job `i` (kNoJob: none), so the next PULL
   /// may take the job again.
   void release_locked(std::size_t i, std::uint64_t sid) {
-    if (i == kNoJob || slots[i].state != JobState::kOpen || slots[i].remote != sid) return;
-    slots[i].remote = 0;
-    ++stats.requeues;
+    if (i == kNoJob || holder[i] != sid) return;
+    holder[i] = 0;
+    if (!plan->done(i)) ++stats.requeues;
   }
 
-  /// Record job `i`'s result, where `accept` hands it to the plan's
-  /// CampaignPlan::accept_*.  Returns false when the plan refused it.
-  template <typename Accept>
-  bool merge_locked(std::size_t i, bool remote, Accept&& accept) {
-    JobSlot& s = slots[i];
-    if (s.state == JobState::kDone) {
+  /// Count a remote result for job `i` by CampaignPlan::accept_*'s
+  /// answer: a refused result for a done job is a duplicate (first write
+  /// won), any other refusal a rejection (returns false).
+  bool count_merge_locked(std::size_t i, bool accepted) {
+    if (accepted) {
+      const bool metric = plan->job(i).kind == CampaignJob::Kind::kMetric;
+      ++(metric ? stats.remote_metrics : stats.remote_cells);
+      if (given[i] != 0) ++given_remote_merges;
+      return true;
+    }
+    if (plan->done(i)) {
       ++stats.duplicates;
       return true;
     }
-    if (!accept()) {
-      ++stats.rejected_bad_payload;
-      return false;
-    }
-    s.state = JobState::kDone;
-    --open_jobs;
-    const bool metric = plan->job(i).kind == CampaignJob::Kind::kMetric;
-    ++(remote ? (metric ? stats.remote_metrics : stats.remote_cells)
-              : (metric ? stats.local_metrics : stats.local_cells));
-    for (const std::size_t child : children[i]) {
-      if (slots[child].state == JobState::kBlocked) slots[child].state = JobState::kOpen;
-    }
-    finish_if_drained_locked();
-    cv.notify_all();
-    return true;
-  }
-
-  void finish_if_drained_locked() {
-    if (open_jobs == 0 && !finished) {
-      finished = true;
-      listener.shutdown();  // wakes the acceptor
-    }
+    ++stats.rejected_bad_payload;
+    return false;
   }
 
   /// Validate-then-merge for a RESULT frame.  Nothing a worker sends is
@@ -152,19 +110,16 @@ struct DistCoordinator::Impl {
         ++stats.rejected_bad_payload;
         return false;
       }
-      return merge_locked(i, /*remote=*/true, [&] {
-        return plan->accept_metric(
-            i, MetricRecord{std::move(wire->name), std::move(wire->payload),
-                            std::move(wire->brief)});
-      });
+      return count_merge_locked(
+          i, plan->accept_metric(i, MetricRecord{std::move(wire->name), std::move(wire->payload),
+                                                 std::move(wire->brief)}));
     }
     auto runs = decode_runs(p.data);
     if (!runs) {
       ++stats.rejected_bad_payload;
       return false;
     }
-    return merge_locked(i, /*remote=*/true,
-                        [&] { return plan->accept_cell(i, std::move(*runs)); });
+    return count_merge_locked(i, plan->accept_cell(i, std::move(*runs)));
   }
 
   /// One worker connection, driven to completion.  Any verification
@@ -185,7 +140,7 @@ struct DistCoordinator::Impl {
     };
 
     for (;;) {
-      if (is_finished()) {
+      if (finished) {
         (void)transport->send(encode_frame({MsgType::kDone, ""}));
         clean_done = true;
         break;
@@ -246,12 +201,13 @@ struct DistCoordinator::Impl {
         release_locked(held, sid);
         held = finished ? kNoJob : pick_remote_locked();
         if (held != kNoJob) {
-          slots[held].remote = sid;
+          holder[held] = sid;
+          given[held] = 1;
           ++stats.assignments;
         }
       }
       if (held == kNoJob) {
-        if (is_finished()) continue;  // the loop head sends DONE
+        if (finished) continue;  // the loop head sends DONE
         const std::uint64_t retry_ms = 5 * static_cast<std::uint64_t>(opts.poll_ms);
         if (!transport->send(encode_frame({MsgType::kWait, encode_wait({retry_ms})}))) break;
         continue;
@@ -278,10 +234,10 @@ struct DistCoordinator::Impl {
 
   void accept_loop() {
     for (;;) {
-      if (is_finished()) return;
+      if (finished) return;
       std::unique_ptr<Transport> t = listener.accept(opts.poll_ms);
       if (!t) continue;
-      if (is_finished()) {
+      if (finished) {
         t->shutdown();
         continue;
       }
@@ -290,102 +246,54 @@ struct DistCoordinator::Impl {
     }
   }
 
-  /// Local executor: takes the job pick_local_locked offers and runs it
-  /// through the plan's own pure compute.  A throw here is a campaign bug
-  /// and aborts the run exactly like CampaignRunner would.
-  void local_loop() {
-    for (;;) {
-      std::size_t job = kNoJob;
-      {
-        std::unique_lock<std::mutex> lk(m);
-        // Every merge and the finish notify: nothing else opens work.
-        while (!finished && (job = pick_local_locked()) == kNoJob) cv.wait(lk);
-        if (finished) return;
-        slots[job].local = true;
-        if (slots[job].remote != 0) ++stats.backups;
-      }
-      try {
-        bool accepted = false;
-        if (plan->job(job).kind == CampaignJob::Kind::kMetric) {
-          MetricRecord record = plan->compute_metric(job, plan->parent_run(job));
-          std::lock_guard<std::mutex> lk(m);
-          accepted = merge_locked(job, /*remote=*/false,
-                                  [&] { return plan->accept_metric(job, std::move(record)); });
-        } else {
-          std::vector<ScenarioRun> runs = plan->compute_cell(job);
-          std::lock_guard<std::mutex> lk(m);
-          accepted = merge_locked(job, /*remote=*/false,
-                                  [&] { return plan->accept_cell(job, std::move(runs)); });
-        }
-        FNE_REQUIRE(accepted, "dist: the plan refused its own local result");
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(m);
-        if (!failure) failure = std::current_exception();
-        finished = true;
-        listener.shutdown();
-        cv.notify_all();
-        return;
-      }
-    }
-  }
-
+  /// The local run's four calls (plan, attach_store, execute, finish),
+  /// with the acceptor and session threads serving workers beside
+  /// execute.  A local compute that throws fails the run as it fails a
+  /// local one: one ExecutorError after execute drains.
   [[nodiscard]] CampaignReport run_once() {
-    {
-      std::lock_guard<std::mutex> lk(m);
-      FNE_REQUIRE(!started, "dist: run() may only be called once per coordinator");
-      started = true;
-    }
+    FNE_REQUIRE(!started.exchange(true), "dist: run() may only be called once per coordinator");
     const EngineCacheStats cache_before = EngineCache::instance().stats();
     const Timer wall;
-    const int local_threads = opts.local_threads;
-    plan = std::make_unique<CampaignPlan>(campaign, local_threads);
+    plan = std::make_unique<CampaignPlan>(campaign, opts.local_threads);
     fingerprint = wire_fingerprint(plan->fingerprint());
     if (store != nullptr) (void)plan->attach_store(*store);
-
-    {
-      std::lock_guard<std::mutex> lk(m);
-      const std::size_t n = plan->num_jobs();
-      slots.assign(n, JobSlot{});
-      children.assign(n, {});
-      for (std::size_t i = 0; i < n; ++i) {
-        const CampaignJob& j = plan->job(i);
-        if (j.kind == CampaignJob::Kind::kMetric) children[j.parent].push_back(i);
-        if (plan->done(i)) {
-          slots[i].state = JobState::kDone;
-        } else {
-          slots[i].state = j.kind == CampaignJob::Kind::kMetric ? JobState::kBlocked
-                                                                : JobState::kOpen;
-          ++open_jobs;
-        }
-      }
-      finish_if_drained_locked();
-    }
+    std::uint64_t served_jobs = 0;
+    for (std::size_t i = 0; i < plan->num_jobs(); ++i) served_jobs += plan->done(i) ? 1 : 0;
+    holder.assign(plan->num_jobs(), 0);
+    given.assign(plan->num_jobs(), 0);
+    tail = plan->num_jobs();
 
     std::thread acceptor([this] { accept_loop(); });
-    std::vector<std::thread> locals;
-    locals.reserve(static_cast<std::size_t>(local_threads));
-    for (int i = 0; i < local_threads; ++i) locals.emplace_back([this] { local_loop(); });
-
-    {
-      std::unique_lock<std::mutex> lk(m);
-      cv.wait(lk, [&] { return finished; });
+    std::exception_ptr failure;
+    try {
+      plan->execute(opts.local_threads);
+    } catch (...) {
+      failure = std::current_exception();
     }
-    listener.shutdown();
+    finished = true;
+    listener.shutdown();  // wakes the acceptor
     acceptor.join();
-    for (std::thread& th : locals) th.join();
     for (std::thread& th : session_threads) th.join();
 
-    {
-      std::lock_guard<std::mutex> lk(m);
-      if (failure) {
-        // Destroy the plan now, not with the coordinator: its destructor
-        // commits the cells that did complete, and the caller's store is
-        // only known to be alive during run().
-        plan.reset();
-        std::rethrow_exception(failure);
-      }
+    if (failure) {
+      // Destroy the plan now, not with the coordinator: its destructor
+      // commits the cells that did complete, and the caller's store is
+      // only known to be alive during run().
+      plan.reset();
+      std::rethrow_exception(failure);
     }
-    return plan->finish(local_threads, wall.millis(),
+    {
+      // Every job is done: what no worker merged was served or merged here.
+      std::lock_guard<std::mutex> lk(m);
+      const std::uint64_t served_cells = plan->cells_served();
+      stats.local_cells = plan->num_cells() - served_cells - stats.remote_cells;
+      stats.local_metrics = plan->num_jobs() - plan->num_cells() - (served_jobs - served_cells) -
+                            stats.remote_metrics;
+      stats.backups =
+          static_cast<std::uint64_t>(std::count(given.begin(), given.end(), 1)) -
+          given_remote_merges;
+    }
+    return plan->finish(opts.local_threads, wall.millis(),
                         EngineCache::instance().stats() - cache_before);
   }
 };

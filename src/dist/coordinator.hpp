@@ -1,23 +1,24 @@
 // DistCoordinator — fault-tolerant distributed campaign execution
 // (DESIGN.md §12).
 //
-// The coordinator owns ONE CampaignPlan and serves its jobs to TCP
-// workers (src/dist/worker.hpp) over the FNEM wire protocol.  Workers
-// are assumed hostile-by-accident: they die mid-job, hang, send garbage,
-// reconnect at will.  Every defense reduces to the same rule — verify,
-// or recompute — and none of them reads a clock:
+// The coordinator runs ONE CampaignPlan as CampaignRunner::run does
+// (plan, attach_store, execute, finish) and adds only the network side:
+// TCP workers (src/dist/worker.hpp) pull jobs over the FNEM protocol.
+// Workers are assumed hostile-by-accident: they die mid-job, hang, send
+// garbage, reconnect at will.  Every defense reduces to the same rule —
+// verify, or recompute — and none of them reads a clock:
 //
-//   holders     an open job records the one remote session computing it
-//               and whether a local thread is; a PULL gets the first
-//               open job nobody holds (else WAIT), and a session's next
-//               PULL, a rejected result or its disconnect releases what
-//               it held;
-//   backups     the coordinator runs local_threads executor threads of
-//               its own that take the first open job no local thread
-//               holds, preferring one no worker holds.  When only
-//               remote-held jobs remain they compute those as backup
-//               tasks, so a hung worker delays nothing and a coordinator
-//               with ZERO workers degrades to exactly CampaignRunner;
+//   two ends    local threads run CampaignPlan::execute from the front
+//               of the job list; a PULL gets the LAST ready job (not
+//               done; a metric job's parent done) no session holds,
+//               else WAIT.  Per job the coordinator keeps only the
+//               holding session and an "ever given" bit; a session's
+//               next PULL, a rejected result or its disconnect releases
+//               its hold;
+//   backups     execute skips only DONE jobs, so a local thread that
+//               reaches a worker-held job computes it as a backup: a
+//               hung worker delays nothing, and with ZERO workers the
+//               run is exactly the local code;
 //   validation  results are merged only when the key, kind and decoded
 //               shape match the plan (CampaignPlan::accept_* re-checks
 //               under its own lock); wrong-key or undecodable results
@@ -26,11 +27,10 @@
 //               resolves first-write-wins in the plan; the loser is a
 //               counter, not an error.
 //
-// Termination argument: every open job without a local holder is taken
-// by the next idle local thread, and a local compute either merges or
-// throws.  So every job ends done, whatever the fleet does.  Local
-// compute throwing is a campaign bug, not a fault, and aborts the run
-// like CampaignRunner.
+// Termination is execute's: it returns when every job is done.  A local
+// compute that throws is a campaign bug: execute throws one
+// ExecutorError after the drain, and run() joins its threads and
+// rethrows, like CampaignRunner.
 //
 // Determinism: workers and coordinator construct the SAME CampaignPlan
 // (checked via fingerprint at HELLO), all compute goes through the
@@ -62,8 +62,8 @@ struct DistStats {
   std::uint64_t disconnects = 0;   ///< sessions that ended before DONE
   std::uint64_t assignments = 0;   ///< JOB frames sent
   std::uint64_t requeues = 0;      ///< remote holds released before a merge
-  std::uint64_t backups = 0;       ///< local computations of remote-held jobs
-  std::uint64_t remote_cells = 0;  ///< merges by origin
+  std::uint64_t backups = 0;       ///< jobs a worker was given that merged locally
+  std::uint64_t remote_cells = 0;  ///< merges by origin (local: the rest, less store hits)
   std::uint64_t remote_metrics = 0;
   std::uint64_t local_cells = 0;
   std::uint64_t local_metrics = 0;
@@ -74,9 +74,10 @@ struct DistStats {
 };
 
 /// One campaign served once.  Construction binds the listening socket
-/// (so port() is valid before run()); run() builds the plan, serves
-/// workers and local threads until every job merged, and returns the
-/// same CampaignReport a local CampaignRunner would.
+/// (so port() is valid before run()); run() executes the plan on its
+/// local threads while serving workers, and returns the same
+/// CampaignReport a local CampaignRunner would.  stats() is complete
+/// once run() returned.
 class DistCoordinator {
  public:
   DistCoordinator(Campaign campaign, DistOptions options, ResultStore* store = nullptr);

@@ -147,6 +147,13 @@ WorkerReport DistWorker::run() {
         computed = false;  // drop the connection; the job is retried elsewhere
       }
       if (!computed) return ConnEnd::kReconnect;
+      // A coordinator that finished while this job computed has sent
+      // DONE and closed; sending to it would fail into reconnect backoff.
+      if (read_message(transport, buf, msg, 0) == ReadStatus::kMessage &&
+          msg.type == MsgType::kDone) {
+        report.saw_done = true;
+        return ConnEnd::kExit;
+      }
 
       ResultPayload result;
       result.index = assignment->index;

@@ -6,8 +6,11 @@
 // with the coordinator's by construction — and the HELLO handshake
 // checks the fingerprint anyway), then loops: PULL, compute the assigned
 // job through the plan's pure functions on this process's EngineCache,
-// RESULT the bytes back.  It computes silently: the coordinator keeps no
-// lease on it, since its local threads back up any job a worker holds.
+// RESULT the bytes back.  A PULL is answered with the last ready job of
+// the list while the coordinator's local threads sweep it from the
+// front.  The worker computes silently: the coordinator keeps no lease
+// on it, since a local thread that reaches a job a worker holds computes
+// it as a backup.
 // Every assignment is re-verified against the local plan (index, kind,
 // key) before any work happens — a coordinator serving a different
 // campaign is a fatal mismatch, not a garbage result.

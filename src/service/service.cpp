@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <utility>
 
 #include "api/campaign.hpp"
@@ -14,6 +15,9 @@ namespace fne {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Longest "sleep" request: the test hook has no use for more than an hour.
+constexpr std::int64_t kMaxSleepMs = 3'600'000;
 
 [[nodiscard]] std::uint64_t ms_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -194,11 +198,17 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
     std::uint64_t millis = 0;
     try {
       const JsonValue req = JsonValue::parse(msg.payload);
-      if (const JsonValue* v = req.find("id")) id = static_cast<std::uint64_t>(v->as_int());
+      if (const JsonValue* v = req.find("id")) {
+        id = narrow_in_range<std::uint64_t>("id", v->as_int(), 0, INT64_MAX);
+      }
       type = req.at("type").as_string();
       if (const JsonValue* v = req.find("campaign")) campaign = v->as_string();
-      if (const JsonValue* v = req.find("threads")) threads = static_cast<int>(v->as_int());
-      if (const JsonValue* v = req.find("millis")) millis = static_cast<std::uint64_t>(v->as_int());
+      if (const JsonValue* v = req.find("threads")) {
+        threads = narrow_in_range<int>("threads", v->as_int(), 0, INT_MAX);
+      }
+      if (const JsonValue* v = req.find("millis")) {
+        millis = narrow_in_range<std::uint64_t>("millis", v->as_int(), 0, kMaxSleepMs);
+      }
     } catch (const std::exception& e) {
       JsonObject o;
       o.put("id", id).put("status", "error").put("message", std::string("bad request: ") + e.what());

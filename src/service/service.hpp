@@ -25,7 +25,9 @@
 // the CI smoke job diffs service output against a local golden file
 // byte for byte.  "sleep" is a test hook: it occupies a worker for M ms
 // (cancellably) so the backpressure and disconnect tests can fill the
-// queue deterministically.
+// queue deterministically.  N, K and M are range-checked (N >= 0,
+// 0 <= K <= INT_MAX, 0 <= M <= one hour); an out-of-range value gets a
+// "bad request" error and the connection stays open.
 //
 // Admission control (all three rejections carry retry_after_ms):
 //   * oversized — request payload over max_request_bytes, rejected at

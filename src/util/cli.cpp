@@ -57,6 +57,19 @@ double Cli::get_double(const std::string& key, double fallback) const {
   return v;
 }
 
+void Cli::require_only(const std::string& mode,
+                       std::initializer_list<std::string_view> keys) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+    std::string accepted;
+    for (const std::string_view k : keys) {
+      accepted += accepted.empty() ? "--" : ", --";
+      accepted += k;
+    }
+    FNE_REQUIRE(false, "--" + key + " does not apply to " + mode + " (it reads " + accepted + ")");
+  }
+}
+
 int Cli::get_threads(int fallback) const {
   const int threads = get_int_in_range<int>("threads", fallback, 0, INT_MAX);
   return threads != 0 ? threads

@@ -1,15 +1,18 @@
 // Minimal command-line flag parsing for examples and bench binaries.
 //
 // Supports --key=value and --flag forms.  Unknown keys are kept so that
-// google-benchmark's own flags can pass through untouched.  The shared
+// google-benchmark's own flags can pass through untouched; a front end
+// with modes names each mode's flags instead (require_only).  The shared
 // conventions every driver used to hand-roll live here once: --seed,
 // --threads (0/absent = hardware), comma-separated value lists, and the
 // --json[=path] resolution (bare flag -> caller's default filename).
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/require.hpp"
@@ -35,8 +38,10 @@ class Cli {
   }
   /// --key=X (absent: `fallback`); REQUIREs the whole value to parse.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// --seed=N in [0, INT64_MAX] (absent: `fallback`): a negative seed
+  /// fails instead of wrapping to 2^64 - |N|.
   [[nodiscard]] std::uint64_t get_seed(std::uint64_t fallback = 42) const {
-    return static_cast<std::uint64_t>(get_int("seed", static_cast<std::int64_t>(fallback)));
+    return has("seed") ? get_int_in_range<std::uint64_t>("seed", 0, 0, INT64_MAX) : fallback;
   }
   /// --threads=N resolved to a worker count: REQUIREs N >= 1; absent (or
   /// explicit 0) falls back to `fallback`, itself 0 meaning "hardware
@@ -46,6 +51,11 @@ class Cli {
   /// `fallback_spec` instead.  REQUIREs every token to parse.
   [[nodiscard]] std::vector<double> get_double_list(const std::string& key,
                                                     const std::string& fallback_spec) const;
+  /// REQUIREs every flag given to be one of `keys`, the flags `mode`
+  /// reads; any other fails as "--flag does not apply to <mode>" instead
+  /// of being silently ignored.  A CLI mode calls this once, up front;
+  /// benches and examples do not, so google-benchmark's flags pass.
+  void require_only(const std::string& mode, std::initializer_list<std::string_view> keys) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -288,6 +288,8 @@ TEST(CampaignJson, RejectsUnknownKeysAndBadValues) {
   bad_int("exact_limit", R"({"scenarios": [{)" + mesh +
                              R"(, "metrics": {"requests": [{"name": "expansion_bracket",
                                  "params": {"exact_limit": 4294967310}}]}}]})");
+  // A negative seed once ran as 2^64 - 1.
+  bad_int("seed", R"({"scenarios": [{)" + mesh + R"(, "seed": -1}]})");
   // The bounds themselves parse.
   const Campaign edge = campaign_from_json(
       R"({"scenarios": [{)" + mesh +
@@ -296,6 +298,9 @@ TEST(CampaignJson, RejectsUnknownKeysAndBadValues) {
                        "requests": [{"name": "expansion_bracket",
                                      "params": {"exact_limit": 0}}]}}]})");
   EXPECT_EQ(edge.entries[0].scenario.metrics.bracket_exact_limit, 30u);
+  const Campaign zero_seed =
+      campaign_from_json(R"({"scenarios": [{)" + mesh + R"(, "seed": 0}]})");
+  EXPECT_EQ(zero_seed.entries[0].scenario.seed, 0u);
 }
 
 TEST(JsonValueParser, CoversTheGrammar) {

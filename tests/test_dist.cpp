@@ -4,10 +4,11 @@
 // (CampaignReport::to_json(false)) is byte-identical to a local
 // single-process CampaignRunner — faults move work around, they never
 // change results.  Plus the robustness mechanics one by one: zero-worker
-// degradation, fingerprint handshake, duplicate completions, wrong-key
-// rejection, garbage connections, a registered worker that never pulls,
-// zombie workers whose job a local thread backs up, and store commits
-// from a distributed run replaying warm.
+// degradation, fingerprint handshake, duplicate completions, the
+// back-of-list pick order, wrong-key rejection, garbage connections, a
+// registered worker that never pulls, zombie workers whose job a local
+// thread backs up, and store commits from a distributed run replaying
+// warm.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -89,9 +90,10 @@ namespace fs = std::filesystem;
 
 /// `campaign` behind one heavy cell (about 0.1 s in a Release build).
 /// Entries are planned in order, so the heavy cell is job 0: a
-/// coordinator with one local thread is busy on it while workers and raw
-/// clients connect and pull the rest.  Local threads take pending work
-/// from t = 0, so this is the window a test gives its workers.
+/// coordinator with one local thread, which sweeps from the front, is
+/// busy on it while workers and raw clients connect and pull from the
+/// back.  Local threads take pending work from t = 0, so this is the
+/// window a test gives its workers.
 [[nodiscard]] Campaign with_heavy_head(Campaign campaign) {
   Scenario s;
   s.name = "heavy-head";
@@ -319,6 +321,61 @@ TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
   EXPECT_EQ(payload, reference);
   EXPECT_GE(stats.duplicates, 1u) << "the second submission must be counted, not merged";
   EXPECT_EQ(stats.remote_cells, 1u);
+  // The local loop skipped the job the client merged instead of
+  // recomputing it.
+  EXPECT_EQ(stats.local_cells, plan.num_cells() - 1);
+}
+
+TEST(Dist, PullTakesTheLastReadyJobAndMetricsWaitForTheirParent) {
+  // Jobs: 0 heavy, then (cell, metric) per rep; the last job is a metric.
+  Campaign campaign = tiny_campaign();
+  campaign.entries[0].scenario.metrics.requests.push_back({"expansion_bracket", Params{}});
+  campaign = with_heavy_head(campaign);
+  const std::string reference = local_payload(campaign);
+  CampaignPlan plan(campaign, 1);
+  const std::size_t last = plan.num_jobs() - 1;
+  ASSERT_EQ(plan.job(last).kind, CampaignJob::Kind::kMetric);
+  const std::size_t parent = plan.job(last).parent;
+  ASSERT_EQ(parent, last - 1);
+  const ResultPayload cell{parent, static_cast<std::uint32_t>(plan.job(parent).kind),
+                           plan.job(parent).key, encode_runs(plan.compute_cell(parent))};
+
+  DistCoordinator coordinator(campaign, test_options());
+  DistStats stats;
+  std::string payload;
+  std::thread driver([&] {
+    const CampaignReport report = coordinator.run();
+    payload = report.to_json(false);
+    stats = coordinator.stats();
+  });
+  const JoinOnExit join_driver{driver};
+
+  {
+    RawClient client{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
+    ASSERT_TRUE(client.transport != nullptr);
+    // The local thread is on the heavy job 0.  The last job is a metric
+    // whose parent has not merged, so the last READY job is that parent.
+    const auto first = handshake_and_pull(client, wire_fingerprint(plan.fingerprint()));
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->index, parent);
+    // Once the parent merged, its metric job is the last ready one and
+    // comes with the parent's run.
+    ASSERT_TRUE(client.send(MsgType::kResult, encode_result(cell)));
+    ASSERT_TRUE(client.send(MsgType::kPull, ""));
+    const auto reply = client.read();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kJob);
+    const auto second = decode_job(reply->payload);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->index, last);
+    const auto parent_runs = decode_runs(second->parent_runs);
+    ASSERT_TRUE(parent_runs.has_value());
+    EXPECT_EQ(parent_runs->size(), 1u);
+  }  // the disconnect releases the metric job to the local thread
+  driver.join();
+  EXPECT_EQ(payload, reference);
+  EXPECT_EQ(stats.remote_cells, 1u);
+  EXPECT_EQ(stats.remote_metrics, 0u);
 }
 
 TEST(Dist, WrongKeyResultsAreRejectedAndRecomputed) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +189,46 @@ TEST(ScenarioService, MalformedAndUnknownRequestsReportErrors) {
   const ServiceResponse bad = client.campaign("this is not json");
   EXPECT_EQ(bad.status, "error");
   service.stop();
+}
+
+TEST(ScenarioService, OutOfRangeRequestFieldsAreBadRequests) {
+  ScenarioService service(ServiceOptions{});
+  service.start();
+  // Raw frames: ServiceClient cannot spell these values.
+  std::unique_ptr<Transport> transport = tcp_connect("127.0.0.1", service.port(), 1000);
+  ASSERT_TRUE(transport != nullptr);
+  FrameBuffer frames;
+  const auto roundtrip = [&](const std::string& request) -> std::optional<ServiceResponse> {
+    if (!transport->send(encode_frame(Message{MsgType::kRequest, request}))) return std::nullopt;
+    Message msg;
+    for (int i = 0; i < 200; ++i) {
+      const ReadStatus st = read_message(*transport, frames, msg, 50);
+      if (st == ReadStatus::kTimeout) continue;
+      if (st != ReadStatus::kMessage) return std::nullopt;
+      return parse_response_json(msg.payload);
+    }
+    return std::nullopt;
+  };
+  const std::vector<std::string> bad = {
+      R"({"id": 7, "type": "campaign", "campaign": "{}", "threads": 4294967298})",
+      R"({"id": 7, "type": "campaign", "campaign": "{}", "threads": -2})",
+      R"({"id": 7, "type": "sleep", "millis": -1})",
+      R"({"id": 7, "type": "sleep", "millis": 1e15})",
+      R"({"id": -1, "type": "ping"})"};
+  for (const std::string& request : bad) {
+    const auto resp = roundtrip(request);
+    ASSERT_TRUE(resp.has_value()) << request;
+    EXPECT_EQ(resp->status, "error") << request;
+    EXPECT_NE(resp->message.find("bad request: "), std::string::npos) << resp->message;
+    EXPECT_NE(resp->message.find("out of range"), std::string::npos) << resp->message;
+  }
+  // The connection stayed open: a good request on it is served.
+  const auto ok = roundtrip(R"({"id": 8, "type": "ping"})");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, "ok");
+  EXPECT_EQ(ok->id, 8u);
+  service.stop();
+  EXPECT_EQ(service.stats().errors, bad.size());
 }
 
 // ---------------------------------------------------------------------------

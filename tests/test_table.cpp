@@ -93,6 +93,31 @@ TEST(Cli, SeedHelper) {
   EXPECT_EQ(cli.get_seed(42), 99U);
   Cli empty(1, const_cast<char**>(argv));
   EXPECT_EQ(empty.get_seed(42), 42U);
+  // Range [0, INT64_MAX]: a negative seed once ran as 2^64 - 1.
+  const char* bounds[] = {"prog", "--seed=9223372036854775807"};
+  EXPECT_EQ(Cli(2, const_cast<char**>(bounds)).get_seed(), 9223372036854775807ULL);
+  const char* negative[] = {"prog", "--seed=-1"};
+  try {
+    (void)Cli(2, const_cast<char**>(negative)).get_seed();
+    ADD_FAILURE() << "--seed=-1 must be rejected";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed=-1 out of range"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, RequireOnlyNamesTheFirstFlagAModeDoesNotRead) {
+  const char* argv[] = {"prog", "--campaign=x.json", "--threads=2", "--retry-budget=0"};
+  const Cli cli(4, const_cast<char**>(argv));
+  EXPECT_NO_THROW(cli.require_only("--campaign", {"campaign", "threads", "retry-budget"}));
+  try {
+    cli.require_only("--campaign", {"campaign", "threads"});
+    ADD_FAILURE() << "--retry-budget must be rejected";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("--retry-budget does not apply to --campaign"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, MainReportsABadFlagAndExitsOne) {
