@@ -13,7 +13,8 @@
 //
 //   3. Graceful degradation: a coordinator with ZERO workers completes
 //      via its local executor within --max-overhead of the plain local
-//      runner (default 2.0; the gap is scheduler polling, not compute).
+//      runner (default 2.0; the gap is the idle acceptor and plan setup,
+//      not compute).
 //
 // The catalog runs behind a heavy head scenario (see with_heavy_head):
 // its cells take a few ms each, so on their own the coordinator's local
@@ -68,7 +69,6 @@ struct DistResult {
   using namespace fne;
   DistOptions opts;
   opts.local_threads = local_threads;
-  opts.poll_ms = 10;
 
   EngineCache::instance().clear();
   Timer timer;
@@ -79,8 +79,6 @@ struct DistResult {
     WorkerOptions w;
     w.port = coordinator.port();
     w.name = "bench-" + std::to_string(i);
-    w.recv_timeout_ms = 25;
-    w.idle_timeout_ms = 1000;
     w.faults = faults;
     w.faults.seed += static_cast<std::uint64_t>(i) * 7919;
     pool.push_back(std::make_unique<DistWorker>(campaign, w));

@@ -57,7 +57,9 @@
 //       campaign file (checked via plan fingerprint at handshake),
 //       compute them on this process's engine cache, stream results
 //       back.  Exit 0 after the coordinator reports the campaign done
-//       (or is gone), 1 if it was never reachable, 2 on campaign
+//       or, having answered, is gone (a broken session's one retry
+//       fails); 1 if none answered within --connect-attempts tries (a
+//       refused port, or one serving something else); 2 on campaign
 //       mismatch.  Workers may be killed and restarted at any time.
 //   scenario_runner --daemon[=PORT] [--bind=HOST] [--service-workers=N]
 //       [--queue-depth=D] [--queue-deadline-ms=MS] [--max-request-bytes=B]
@@ -222,7 +224,7 @@ int run_worker(const Cli& cli, Campaign campaign) {
     return 2;
   }
   if (!report.ever_connected) {
-    std::cerr << "error: no coordinator reachable at " << target << "\n";
+    std::cerr << "error: no coordinator answered at " << target << "\n";
     return 1;
   }
   return 0;

@@ -20,6 +20,9 @@ namespace fne {
 
 struct DistCoordinator::Impl {
   static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+  /// Socket poll granularity: how soon a session sees a job become ready
+  /// for its pending PULL, or the run end.
+  static constexpr int kPollMs = 10;
 
   Campaign campaign;
   DistOptions opts;
@@ -45,7 +48,6 @@ struct DistCoordinator::Impl {
       : campaign(std::move(c)), opts(std::move(o)), store(s), listener(opts.bind, opts.port) {
     FNE_REQUIRE(opts.local_threads >= 1,
                 "dist: local_threads must be >= 1 (the termination guarantee)");
-    FNE_REQUIRE(opts.poll_ms >= 1, "dist: poll_ms must be >= 1");
   }
 
   /// Next job for a remote worker: the LAST ready job no session holds.
@@ -105,14 +107,12 @@ struct DistCoordinator::Impl {
       return false;
     }
     if (job.kind == CampaignJob::Kind::kMetric) {
-      auto wire = decode_metric_record(p.data);
-      if (!wire) {
+      auto record = decode_metric_record(p.data);
+      if (!record) {
         ++stats.rejected_bad_payload;
         return false;
       }
-      return count_merge_locked(
-          i, plan->accept_metric(i, MetricRecord{std::move(wire->name), std::move(wire->payload),
-                                                 std::move(wire->brief)}));
+      return count_merge_locked(i, plan->accept_metric(i, std::move(*record)));
     }
     auto runs = decode_runs(p.data);
     if (!runs) {
@@ -126,12 +126,15 @@ struct DistCoordinator::Impl {
   /// failure — corrupt frame, pre-HELLO traffic, a coordinator-only
   /// message type — drops the connection; the worker's reconnect is
   /// idempotent.  A session holds at most one job: its next PULL, a
-  /// rejected RESULT and its end all release it.
+  /// rejected RESULT and its end all release it.  A PULL with no job
+  /// ready stays pending, retried each poll tick until a job is ready
+  /// or the run is finished.
   void session(std::unique_ptr<Transport> transport) {
     FrameBuffer buf;
     Message msg;
     std::uint64_t sid = 0;      ///< 0 until HELLO
     std::size_t held = kNoJob;  ///< the job last sent to this worker
+    bool pulling = false;       ///< a PULL awaits its JOB (or DONE)
     bool clean_done = false;
 
     const auto drop_corrupt = [&] {
@@ -145,13 +148,24 @@ struct DistCoordinator::Impl {
         clean_done = true;
         break;
       }
-      const ReadStatus status = read_message(*transport, buf, msg, opts.poll_ms);
-      if (status == ReadStatus::kTimeout) continue;  // silence costs nothing: jobs have backups
-      if (status == ReadStatus::kEof || status == ReadStatus::kError) break;
-      if (status == ReadStatus::kCorrupt) {
-        drop_corrupt();
-        break;
+      if (pulling) {
+        {
+          std::lock_guard<std::mutex> lk(m);
+          release_locked(held, sid);
+          held = pick_remote_locked();
+          if (held != kNoJob) {
+            holder[held] = sid;
+            given[held] = 1;
+            ++stats.assignments;
+            pulling = false;
+          }
+        }
+        if (!pulling && !send_job(*transport, held)) break;
       }
+      const ReadStatus status = read_message(*transport, buf, msg, kPollMs);
+      if (status == ReadStatus::kTimeout) continue;  // silence costs nothing: jobs have backups
+      if (status == ReadStatus::kCorrupt) drop_corrupt();
+      if (status != ReadStatus::kMessage) break;  // EOF, error or garbage
 
       if (msg.type == MsgType::kHello) {
         const auto hello = decode_hello(msg.payload);
@@ -195,33 +209,7 @@ struct DistCoordinator::Impl {
         drop_corrupt();
         break;
       }
-
-      {
-        std::lock_guard<std::mutex> lk(m);
-        release_locked(held, sid);
-        held = finished ? kNoJob : pick_remote_locked();
-        if (held != kNoJob) {
-          holder[held] = sid;
-          given[held] = 1;
-          ++stats.assignments;
-        }
-      }
-      if (held == kNoJob) {
-        if (finished) continue;  // the loop head sends DONE
-        const std::uint64_t retry_ms = 5 * static_cast<std::uint64_t>(opts.poll_ms);
-        if (!transport->send(encode_frame({MsgType::kWait, encode_wait({retry_ms})}))) break;
-        continue;
-      }
-      const CampaignJob& j = plan->job(held);
-      JobPayload payload;
-      payload.index = held;
-      payload.kind = static_cast<std::uint32_t>(j.kind);
-      payload.key = j.key;
-      if (j.kind == CampaignJob::Kind::kMetric) {
-        const ScenarioRun parent = plan->parent_run(held);
-        payload.parent_runs = encode_runs(std::span<const ScenarioRun>(&parent, 1));
-      }
-      if (!transport->send(encode_frame({MsgType::kJob, encode_job(payload)}))) break;
+      pulling = true;  // the loop head releases the hold and answers
     }
 
     transport->shutdown();
@@ -232,10 +220,24 @@ struct DistCoordinator::Impl {
     }
   }
 
+  /// JOB frame for job `i`: a metric job carries its parent's run.
+  [[nodiscard]] bool send_job(Transport& transport, std::size_t i) {
+    const CampaignJob& j = plan->job(i);
+    JobPayload payload;
+    payload.index = i;
+    payload.kind = static_cast<std::uint32_t>(j.kind);
+    payload.key = j.key;
+    if (j.kind == CampaignJob::Kind::kMetric) {
+      const ScenarioRun parent = plan->parent_run(i);
+      payload.parent_runs = encode_runs(std::span<const ScenarioRun>(&parent, 1));
+    }
+    return transport.send(encode_frame({MsgType::kJob, encode_job(payload)}));
+  }
+
   void accept_loop() {
     for (;;) {
       if (finished) return;
-      std::unique_ptr<Transport> t = listener.accept(opts.poll_ms);
+      std::unique_ptr<Transport> t = listener.accept(kPollMs);
       if (!t) continue;
       if (finished) {
         t->shutdown();

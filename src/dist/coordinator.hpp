@@ -10,11 +10,13 @@
 //
 //   two ends    local threads run CampaignPlan::execute from the front
 //               of the job list; a PULL gets the LAST ready job (not
-//               done; a metric job's parent done) no session holds,
-//               else WAIT.  Per job the coordinator keeps only the
-//               holding session and an "ever given" bit; a session's
-//               next PULL, a rejected result or its disconnect releases
-//               its hold;
+//               done; a metric job's parent done) no session holds.
+//               With none ready the PULL stays pending, and the session
+//               answers it with JOB or DONE at its next poll tick (a
+//               long poll: workers need no retry clock).  Per job the
+//               coordinator keeps only the holding session and an
+//               "ever given" bit; a session's next PULL, a rejected
+//               result or its disconnect releases its hold;
 //   backups     execute skips only DONE jobs, so a local thread that
 //               reaches a worker-held job computes it as a backup: a
 //               hung worker delays nothing, and with ZERO workers the
@@ -52,7 +54,6 @@ struct DistOptions {
   std::string bind = "127.0.0.1";
   int port = 0;           ///< 0: ephemeral; port() reports the bound one
   int local_threads = 1;  ///< local executor width (>= 1: termination)
-  int poll_ms = 20;       ///< io poll granularity; WAIT asks for 5x this
 };
 
 /// Robustness telemetry.  Placement-dependent by nature (like cache

@@ -1,5 +1,7 @@
 #include "dist/message.hpp"
 
+#include <algorithm>
+
 #include "dist/transport.hpp"
 #include "store/codec.hpp"
 #include "util/hash.hpp"
@@ -10,20 +12,18 @@ namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x4D454E46;  // "FNEM" little-endian
 constexpr std::size_t kFrameHeaderSize = 20;       // magic + type + len + checksum
-// Corruption ceiling: the largest legitimate frame is a RESULT carrying a
-// whole monotone-chain cell record (survivor masks scale with n); 64 MiB
-// is orders of magnitude above any real cell and small enough that a
-// garbage length field cannot balloon the receive buffer.
-constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 constexpr std::uint32_t kMaxKnownType = static_cast<std::uint32_t>(MsgType::kResponse);
+constexpr std::uint32_t kRetiredWaitType = 5;
 constexpr std::uint32_t kRetiredHeartbeatType = 8;
 
+/// FNV-1a state after a frame's type and length: the checksum continues
+/// over the payload from here.
+[[nodiscard]] std::uint64_t frame_checksum_head(std::uint32_t type, std::size_t len) {
+  return Fnv1a().word(type).word(len).value();
+}
+
 [[nodiscard]] std::uint64_t frame_checksum(std::uint32_t type, std::string_view payload) {
-  Fnv1a h;
-  h.word(type);
-  h.word(payload.size());
-  h.text(payload);
-  return h.value();
+  return Fnv1a(frame_checksum_head(type, payload.size())).text(payload).value();
 }
 
 [[nodiscard]] std::uint32_t peek_u32(const char* p) {
@@ -55,8 +55,20 @@ std::string encode_frame(const Message& msg) {
   return out;
 }
 
+std::size_t FrameBuffer::skip(std::string_view bytes) {
+  const std::size_t n = std::min(skip_left_, bytes.size());
+  skip_hash_ = Fnv1a(skip_hash_).text(bytes.substr(0, n)).value();
+  skip_left_ -= n;
+  if (skip_left_ == 0 && skip_hash_ != skip_checksum_) corrupt_ = true;
+  return n;
+}
+
 void FrameBuffer::append(std::string_view bytes) {
   if (corrupt_) return;  // nothing after garbage is trustworthy
+  if (skip_left_ > 0) {
+    bytes.remove_prefix(skip(bytes));
+    if (corrupt_ || bytes.empty()) return;
+  }
   // Compact the consumed prefix before growing (bounded memory under a
   // long-lived connection).
   if (pos_ > 0 && pos_ == buf_.size()) {
@@ -81,10 +93,22 @@ FrameBuffer::Next FrameBuffer::next(Message& out) {
   // Validate everything validatable BEFORE waiting for the payload: a
   // garbage length field must not make the receiver buffer (up to) 4 GiB
   // of noise hoping a frame completes.
-  if (magic != kFrameMagic || type == 0 || type == kRetiredHeartbeatType ||
-      type > kMaxKnownType || len > kMaxFramePayload) {
+  if (magic != kFrameMagic || type == 0 || type == kRetiredWaitType ||
+      type == kRetiredHeartbeatType || type > kMaxKnownType || len > kMaxFramePayload) {
     corrupt_ = true;
     return Next::kCorrupt;
+  }
+  if (len > max_payload_) {
+    // Over this connection's cap: report it now and discard the payload
+    // as it arrives, still checking its checksum.
+    out.type = static_cast<MsgType>(type);
+    out.payload.clear();
+    skip_left_ = len;
+    skip_hash_ = frame_checksum_head(type, len);
+    skip_checksum_ = checksum;
+    pos_ += kFrameHeaderSize;
+    pos_ += skip(std::string_view(buf_).substr(pos_));  // leaves nothing buffered
+    return Next::kOversized;
   }
   if (avail < kFrameHeaderSize + len) return Next::kNeedMore;
   const std::string_view payload(p + kFrameHeaderSize, len);
@@ -152,20 +176,6 @@ std::optional<JobPayload> decode_job(std::string_view bytes) {
   return p;
 }
 
-std::string encode_wait(const WaitPayload& p) {
-  ByteWriter w;
-  w.u64(p.retry_ms);
-  return w.take();
-}
-
-std::optional<WaitPayload> decode_wait(std::string_view bytes) {
-  ByteReader r(bytes);
-  WaitPayload p;
-  p.retry_ms = r.u64();
-  if (!r.at_end()) return std::nullopt;
-  return p;
-}
-
 std::string encode_result(const ResultPayload& p) {
   ByteWriter w;
   w.u64(p.index);
@@ -186,7 +196,7 @@ std::optional<ResultPayload> decode_result(std::string_view bytes) {
   return p;
 }
 
-std::string encode_metric_record(const MetricRecordWire& m) {
+std::string encode_metric_record(const MetricRecord& m) {
   ByteWriter w;
   w.str(m.name);
   w.str(m.payload);
@@ -194,9 +204,9 @@ std::string encode_metric_record(const MetricRecordWire& m) {
   return w.take();
 }
 
-std::optional<MetricRecordWire> decode_metric_record(std::string_view bytes) {
+std::optional<MetricRecord> decode_metric_record(std::string_view bytes) {
   ByteReader r(bytes);
-  MetricRecordWire m;
+  MetricRecord m;
   m.name = r.str();
   m.payload = r.str();
   m.brief = r.str();
@@ -212,27 +222,25 @@ std::uint64_t wire_fingerprint(std::uint64_t plan_fingerprint) {
 }
 
 ReadStatus read_message(Transport& transport, FrameBuffer& buf, Message& out, int timeout_ms) {
-  switch (buf.next(out)) {
+  FrameBuffer::Next next = buf.next(out);
+  if (next == FrameBuffer::Next::kNeedMore) {
+    char chunk[64 << 10];
+    const int n = transport.recv(chunk, sizeof(chunk), timeout_ms);
+    if (n == 0) return ReadStatus::kEof;
+    if (n == -1) return ReadStatus::kTimeout;
+    if (n < 0) return ReadStatus::kError;
+    buf.append(std::string_view(chunk, static_cast<std::size_t>(n)));
+    next = buf.next(out);
+  }
+  switch (next) {
     case FrameBuffer::Next::kMessage:
       return ReadStatus::kMessage;
+    case FrameBuffer::Next::kOversized:
+      return ReadStatus::kOversized;
     case FrameBuffer::Next::kCorrupt:
       return ReadStatus::kCorrupt;
     case FrameBuffer::Next::kNeedMore:
       break;
-  }
-  char chunk[64 << 10];
-  const int n = transport.recv(chunk, sizeof(chunk), timeout_ms);
-  if (n == 0) return ReadStatus::kEof;
-  if (n == -1) return ReadStatus::kTimeout;
-  if (n < 0) return ReadStatus::kError;
-  buf.append(std::string_view(chunk, static_cast<std::size_t>(n)));
-  switch (buf.next(out)) {
-    case FrameBuffer::Next::kMessage:
-      return ReadStatus::kMessage;
-    case FrameBuffer::Next::kCorrupt:
-      return ReadStatus::kCorrupt;
-    case FrameBuffer::Next::kNeedMore:
-      return ReadStatus::kTimeout;
   }
   return ReadStatus::kTimeout;
 }

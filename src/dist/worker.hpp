@@ -15,16 +15,20 @@
 // key) before any work happens — a coordinator serving a different
 // campaign is a fatal mismatch, not a garbage result.
 //
-// Failure posture: any transport trouble — send failure, EOF, corrupt
-// stream — abandons the connection and reconnects with capped backoff;
-// the connection's end releases whatever job it held.
-// A worker can therefore be killed at ANY point (the chaos tests do,
-// via the kill_* hooks below and via SIGKILL in CI) without affecting
-// campaign correctness, only placement.
+// A PULL is a long poll, so inside a session the worker has no clock:
+// it blocks on WELCOME and on each PULL's reply, polling only to notice
+// stop().  Connection rule: before the first WELCOME, a refused connect
+// or a connection dropped before WELCOME counts against
+// connect_attempts, with capped doubling backoff; after a WELCOME, a
+// broken session (send failure, EOF, corrupt stream) reconnects once,
+// and if that connection does not reach WELCOME the coordinator is gone.
+// A session's end releases the job it held, so a worker can be killed at
+// ANY point (the chaos tests do, via the kill_* hooks below and via
+// SIGKILL in CI) without affecting campaign correctness, only placement.
 //
 // Exit meaning (WorkerReport): saw_done means the campaign completed;
-// reconnect exhaustion after having been connected usually means the
-// coordinator finished and left — also a clean exit for the CLI.
+// ever_connected without it means a coordinator that had answered is
+// gone — also a clean exit for the CLI; neither, that none answered.
 #pragma once
 
 #include <atomic>
@@ -42,11 +46,7 @@ struct WorkerOptions {
   int port = 0;
   std::string name = "worker";
   int plan_threads = 1;          ///< parallelism for plan construction
-  int connect_timeout_ms = 1000;
-  int connect_attempts = 40;     ///< reconnect tries before giving up
-  int reconnect_backoff_ms = 50; ///< doubled per failure, capped at 1s
-  int recv_timeout_ms = 250;     ///< io poll granularity
-  int idle_timeout_ms = 10000;   ///< max silence after a PULL before reconnect
+  int connect_attempts = 40;     ///< failed connections tolerated before the first WELCOME
   FaultSchedule faults{};        ///< chaos: injected on this worker's sends
   int kill_after_results = -1;   ///< chaos: die abruptly after N submissions
   bool kill_mid_job = false;     ///< chaos: die silently holding a job
@@ -55,8 +55,8 @@ struct WorkerOptions {
 struct WorkerReport {
   std::uint64_t cells = 0;    ///< results submitted by kind
   std::uint64_t metrics = 0;
-  std::uint64_t reconnects = 0;
-  bool ever_connected = false;
+  std::uint64_t reconnects = 0;  ///< WELCOMEd sessions that broke (each retried once)
+  bool ever_connected = false;   ///< a coordinator answered a HELLO (WELCOME or DONE)
   bool saw_done = false;        ///< coordinator said the campaign is complete
   bool fatal_mismatch = false;  ///< WELCOME refused us: wrong campaign/build
 };
@@ -65,8 +65,8 @@ class DistWorker {
  public:
   DistWorker(Campaign campaign, WorkerOptions options);
 
-  /// Serve until DONE, a kill hook fires, reconnects are exhausted, or
-  /// stop().  Safe to call once.
+  /// Serve until DONE, a kill hook fires, the coordinator is gone or
+  /// unreachable (see the rule above), or stop().  Safe to call once.
   [[nodiscard]] WorkerReport run();
 
   /// Thread-safe: ask a running worker to exit at the next loop edge.

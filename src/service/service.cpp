@@ -35,6 +35,7 @@ struct ScenarioService::Session {
   std::unique_ptr<Transport> transport;
   std::mutex send_mutex;
   std::atomic<bool> alive{true};
+  std::atomic<bool> ended{false};  ///< the reader returned: its thread can be joined
   std::mutex token_mutex;
   std::vector<CancelToken> tokens;
 
@@ -96,21 +97,14 @@ void ScenarioService::stop() {
     stopping_ = true;
   }
   listener_->shutdown();
+  if (accept_thread_.joinable()) accept_thread_.join();  // readers_ is ours from here
   // Cancel EVERYTHING: queued requests stop before starting, in-flight
   // campaigns stop claiming jobs at the next executor fence.  Workers
   // then drain the queue (each entry resolves as cancelled) and exit.
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    sessions = sessions_;
-  }
-  for (const std::shared_ptr<Session>& s : sessions) s->cancel_all();
+  for (Reader& r : readers_) r.session->cancel_all();
   queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (const std::shared_ptr<Session>& s : sessions) s->transport->shutdown();
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
-  }
+  for (Reader& r : readers_) r.session->transport->shutdown();
+  for (Reader& r : readers_) r.thread.join();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
@@ -126,12 +120,30 @@ std::size_t ScenarioService::queue_size() const {
   return queue_.size();
 }
 
+std::size_t ScenarioService::session_count() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return readers_.size();
+}
+
+void ScenarioService::reap_readers() {
+  std::vector<Reader> ended;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto live = std::partition(readers_.begin(), readers_.end(),
+                                     [](const Reader& r) { return !r.session->ended.load(); });
+    ended.assign(std::make_move_iterator(live), std::make_move_iterator(readers_.end()));
+    readers_.erase(live, readers_.end());
+  }
+  for (Reader& r : ended) r.thread.join();
+}
+
 void ScenarioService::accept_loop() {
   while (true) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) return;
     }
+    reap_readers();  // a session's thread lives as long as its connection
     std::unique_ptr<Transport> t = listener_->accept(options_.poll_ms);
     if (t == nullptr) continue;
     auto session = std::make_shared<Session>();
@@ -142,8 +154,7 @@ void ScenarioService::accept_loop() {
       return;
     }
     ++stats_.connections;
-    sessions_.push_back(session);
-    readers_.emplace_back([this, session] { session_loop(session); });
+    readers_.push_back({session, std::thread([this, session] { session_loop(session); })});
   }
 }
 
@@ -170,7 +181,7 @@ void ScenarioService::reject(Session& session, std::uint64_t id, const std::stri
 }
 
 void ScenarioService::session_loop(std::shared_ptr<Session> session) {
-  FrameBuffer frames;
+  FrameBuffer frames(options_.max_request_bytes);
   Message msg;
   while (session->alive.load()) {
     {
@@ -179,14 +190,15 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
     }
     const ReadStatus st = read_message(*session->transport, frames, msg, options_.poll_ms);
     if (st == ReadStatus::kTimeout) continue;
-    if (st != ReadStatus::kMessage) break;  // EOF / error / corrupt: drop
+    if (st != ReadStatus::kMessage && st != ReadStatus::kOversized) break;  // EOF / error / corrupt
     if (msg.type != MsgType::kRequest) break;  // protocol violation: drop
 
-    // Oversized requests are refused before parsing — the service never
-    // inspects a payload the admission policy already rejected, so the
+    // Oversized requests are refused from the frame header: FrameBuffer
+    // discards their bytes unbuffered, so the service never holds or
+    // parses a payload the admission policy already rejected, and the
     // reject carries id 0 (clients treat an unattributed reject as
     // addressed to their outstanding request).
-    if (msg.payload.size() > options_.max_request_bytes) {
+    if (st == ReadStatus::kOversized) {
       reject(*session, 0, "request exceeds max_request_bytes", &stats_.rejected_oversized);
       continue;
     }
@@ -232,12 +244,14 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
     if (type == "stats") {
       ServiceStats snap;
       std::size_t depth = 0;
+      std::size_t sessions = 0;
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.requests;
         ++stats_.completed;
         snap = stats_;
         depth = queue_.size();
+        sessions = readers_.size();
       }
       const EngineCacheStats cache = EngineCache::instance().stats();
       JsonObject c;
@@ -261,6 +275,7 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
           .put("rejected_expired", snap.rejected_expired)
           .put("rejected_oversized", snap.rejected_oversized)
           .put("queue", static_cast<std::uint64_t>(depth))
+          .put("sessions", static_cast<std::uint64_t>(sessions))
           .put("workers", options_.workers)
           .put_json("cache", c.dump());
       JsonObject o;
@@ -303,6 +318,7 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
   session->alive.store(false);
   session->cancel_all();
   session->transport->shutdown();
+  session->ended.store(true);
 }
 
 void ScenarioService::worker_loop() {

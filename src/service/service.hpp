@@ -30,9 +30,11 @@
 // "bad request" error and the connection stays open.
 //
 // Admission control (all three rejections carry retry_after_ms):
-//   * oversized — request payload over max_request_bytes, rejected at
-//     the reader before parsing (a client cannot make the service parse
-//     unbounded input);
+//   * oversized — request payload over max_request_bytes, rejected from
+//     the frame header: the session's FrameBuffer is capped at
+//     max_request_bytes and discards the payload as it arrives, still
+//     checking its checksum (a client can make the service neither
+//     buffer nor parse unbounded input);
 //   * queue_full — the bounded request queue is at queue_depth;
 //   * expired — the request waited longer than queue_deadline_ms before
 //     a worker picked it up (stale work is refused, not served late).
@@ -40,9 +42,11 @@
 // Abandonment: every queued request owns a CancelToken; a client
 // disconnect cancels its session's tokens, so in-flight campaigns stop
 // claiming jobs (ExecutorPool's cancellation fence) instead of burning
-// workers for a reader that is gone.  stop() cancels everything, drains
-// the workers and joins every thread — SIGTERM shutdown is clean by
-// construction.
+// workers for a reader that is gone.  Each connection has one reader
+// thread, joined by the accept thread soon after its connection ends, so
+// threads scale with open connections, not with connections ever made.
+// stop() cancels everything, drains the workers and joins every thread
+// — SIGTERM shutdown is clean by construction.
 //
 // Determinism: the service changes SCHEDULING only.  Results flow
 // through the same CampaignRunner/EngineCache path as local runs, where
@@ -117,12 +121,22 @@ class ScenarioService {
   [[nodiscard]] ServiceStats stats() const;
   /// Requests currently waiting in the bounded queue (load telemetry).
   [[nodiscard]] std::size_t queue_size() const;
+  /// Connections whose reader thread is not yet reaped: the live ones,
+  /// plus those that ended within the last accept poll.
+  [[nodiscard]] std::size_t session_count() const;
 
  private:
   struct Session;
   struct Request;
+  /// One connection and the thread reading it.
+  struct Reader {
+    std::shared_ptr<Session> session;
+    std::thread thread;
+  };
 
   void accept_loop();
+  /// Join the readers whose connection ended (accept thread only).
+  void reap_readers();
   void session_loop(std::shared_ptr<Session> session);
   void worker_loop();
   void handle_request(const Request& req);
@@ -142,8 +156,7 @@ class ScenarioService {
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::vector<std::thread> readers_;
-  std::vector<std::shared_ptr<Session>> sessions_;
+  std::vector<Reader> readers_;  ///< guarded by mutex_; reaped by the accept thread
 };
 
 // -- client ------------------------------------------------------------------

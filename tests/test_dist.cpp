@@ -5,12 +5,15 @@
 // single-process CampaignRunner — faults move work around, they never
 // change results.  Plus the robustness mechanics one by one: zero-worker
 // degradation, fingerprint handshake, duplicate completions, the
-// back-of-list pick order, wrong-key rejection, garbage connections, a
-// registered worker that never pulls, zombie workers whose job a local
+// back-of-list pick order, a held PULL, wrong-key rejection, garbage connections, a
+// registered worker that never pulls, a worker whose coordinator is
+// gone or was never a coordinator, zombie workers whose job a local
 // thread backs up, and store commits from a distributed run replaying
 // warm.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -22,6 +25,7 @@
 #include "dist/message.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
+#include "service/service.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
 #include "util/timer.hpp"
@@ -105,12 +109,10 @@ namespace fs = std::filesystem;
   return campaign;
 }
 
-/// Coordinator knobs for tests: tight polling and one local thread (see
-/// with_heavy_head).
+/// Coordinator knobs for tests: one local thread (see with_heavy_head).
 [[nodiscard]] DistOptions test_options() {
   DistOptions opts;
   opts.local_threads = 1;
-  opts.poll_ms = 10;
   return opts;
 }
 
@@ -118,9 +120,6 @@ namespace fs = std::filesystem;
   WorkerOptions w;
   w.port = port;
   w.name = name;
-  w.recv_timeout_ms = 25;
-  w.idle_timeout_ms = 2000;
-  w.reconnect_backoff_ms = 10;
   w.connect_attempts = 100;
   return w;
 }
@@ -265,17 +264,13 @@ struct RawClient {
   return welcome && welcome->type == MsgType::kWelcome;
 }
 
+/// HELLO, then one PULL: the coordinator holds it until a job is ready.
 [[nodiscard]] std::optional<JobPayload> handshake_and_pull(RawClient& client,
                                                            std::uint64_t fingerprint) {
-  if (!handshake(client, fingerprint)) return std::nullopt;
-  for (int i = 0; i < 100; ++i) {
-    if (!client.send(MsgType::kPull, "")) return std::nullopt;
-    const auto reply = client.read();
-    if (!reply) return std::nullopt;
-    if (reply->type == MsgType::kJob) return decode_job(reply->payload);
-    if (reply->type != MsgType::kWait) return std::nullopt;
-  }
-  return std::nullopt;
+  if (!handshake(client, fingerprint) || !client.send(MsgType::kPull, "")) return std::nullopt;
+  const auto reply = client.read();
+  if (!reply || reply->type != MsgType::kJob) return std::nullopt;
+  return decode_job(reply->payload);
 }
 
 TEST(Dist, DuplicateCompletionsResolveFirstWriteWins) {
@@ -378,6 +373,62 @@ TEST(Dist, PullTakesTheLastReadyJobAndMetricsWaitForTheirParent) {
   EXPECT_EQ(stats.remote_metrics, 0u);
 }
 
+TEST(Dist, APullWithNothingReadyIsHeldUntilAJobIs) {
+  // Jobs: 0 the heavy cell, 1 its metric.  Client a holds job 0, so b's
+  // PULL finds nothing ready (the metric waits for its parent) and gets
+  // no reply until a's result for job 0 merges; then b gets the metric
+  // job, and DONE when the local thread's backup of it ends the run.
+  Campaign campaign;
+  campaign.name = "dist-held-pull";
+  campaign = with_heavy_head(campaign);
+  Scenario& heavy = campaign.entries[0].scenario;
+  heavy.topology.params = Params{{"side", "80"}, {"dims", "2"}};  // a wider window
+  heavy.metrics.requests.push_back({"expansion_bracket", Params{}});
+  const std::string reference = local_payload(campaign);
+  CampaignPlan plan(campaign, 1);
+  ASSERT_EQ(plan.num_jobs(), 2u);
+  ASSERT_EQ(plan.job(1).kind, CampaignJob::Kind::kMetric);
+  const ResultPayload cell{0, static_cast<std::uint32_t>(plan.job(0).kind), plan.job(0).key,
+                           encode_runs(plan.compute_cell(0))};
+  const std::uint64_t fingerprint = wire_fingerprint(plan.fingerprint());
+
+  DistCoordinator coordinator(campaign, test_options());
+  DistStats stats;
+  std::string payload;
+  std::thread driver([&] {
+    const CampaignReport report = coordinator.run();
+    payload = report.to_json(false);
+    stats = coordinator.stats();
+  });
+  const JoinOnExit join_driver{driver};
+
+  {
+    RawClient a{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
+    RawClient b{tcp_connect("127.0.0.1", coordinator.port(), 1000), {}};
+    ASSERT_TRUE(a.transport != nullptr && b.transport != nullptr);
+    const auto first = handshake_and_pull(a, fingerprint);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->index, 0u);
+    ASSERT_TRUE(handshake(b, fingerprint));
+    ASSERT_TRUE(b.send(MsgType::kPull, ""));
+    EXPECT_FALSE(b.read(30).has_value()) << "with nothing ready a PULL is held, not answered";
+    ASSERT_TRUE(a.send(MsgType::kResult, encode_result(cell)));
+    const auto reply = b.read();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kJob);
+    const auto second = decode_job(reply->payload);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->index, 1u);
+    const auto done = b.read(10000);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->type, MsgType::kDone);
+  }
+  driver.join();
+  EXPECT_EQ(payload, reference);
+  EXPECT_EQ(stats.remote_cells, 1u);
+  EXPECT_EQ(stats.backups, 1u) << "b's metric job is finished by the local thread";
+}
+
 TEST(Dist, WrongKeyResultsAreRejectedAndRecomputed) {
   const Campaign campaign = with_heavy_head(tiny_campaign());
   const std::string reference = local_payload(campaign);
@@ -444,6 +495,81 @@ TEST(Dist, RegisteredWorkerThatNeverPullsDoesNotHoldUpLocalWork) {
   EXPECT_EQ(stats.remote_cells + stats.remote_metrics, 0u);
 }
 
+/// Stops a worker and joins its thread on every exit path (see JoinOnExit).
+struct StopOnExit {
+  DistWorker& worker;
+  std::thread& thread;
+  ~StopOnExit() {
+    worker.stop();
+    if (thread.joinable()) thread.join();
+  }
+};
+
+TEST(Dist, WorkerExitsPromptlyWhenAWelcomingCoordinatorIsGone) {
+  // A stand-in coordinator WELCOMEs the worker, takes its PULL, then
+  // closes the session and its listener, as a finished coordinator does
+  // when its DONE frame is lost.
+  const Campaign campaign = tiny_campaign();
+  CampaignPlan plan(campaign, 1);
+  auto listener = std::make_unique<TcpListener>("127.0.0.1", 0);
+  DistWorker worker(campaign, test_worker(listener->port(), "orphan"));
+  WorkerReport report;
+  std::thread runner([&] { report = worker.run(); });
+  const StopOnExit stop_worker{worker, runner};
+
+  std::unique_ptr<Transport> session;
+  for (int i = 0; i < 400 && session == nullptr; ++i) session = listener->accept(25);
+  ASSERT_TRUE(session != nullptr);
+  RawClient coordinator{std::move(session), {}};
+  const auto hello = coordinator.read();
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->type, MsgType::kHello);
+  const auto decoded = decode_hello(hello->payload);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->fingerprint, wire_fingerprint(plan.fingerprint()));
+  ASSERT_TRUE(coordinator.send(MsgType::kWelcome, encode_welcome({true, ""})));
+  const auto pull = coordinator.read();
+  ASSERT_TRUE(pull.has_value());
+  ASSERT_EQ(pull->type, MsgType::kPull);
+
+  const Timer clock;
+  coordinator.transport->shutdown();
+  listener.reset();
+  runner.join();
+  EXPECT_LT(clock.millis(), 2000.0) << "one refused reconnect must end the worker";
+  EXPECT_TRUE(report.ever_connected);
+  EXPECT_FALSE(report.saw_done);
+  EXPECT_EQ(report.reconnects, 1u);
+}
+
+TEST(Dist, WorkerPointedAtTheServiceStopsAfterItsConnectAttempts) {
+  // The scenario service drops a HELLO unanswered; every such connection
+  // counts against connect_attempts, although the TCP connect succeeded.
+  ScenarioService service(ServiceOptions{});
+  service.start();
+  WorkerOptions opts = test_worker(service.port(), "lost");
+  opts.connect_attempts = 3;
+  DistWorker worker(tiny_campaign(), opts);
+  std::atomic<bool> done{false};
+  WorkerReport report;
+  std::thread runner([&] {
+    report = worker.run();
+    done = true;
+  });
+  const StopOnExit stop_worker{worker, runner};
+  const Timer clock;
+  while (!done && clock.millis() < 10000.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(done.load()) << "the worker must stop on its own";
+  worker.stop();
+  runner.join();
+  EXPECT_FALSE(report.ever_connected);
+  EXPECT_GE(service.stats().connections, 1u);
+  EXPECT_LE(service.stats().connections, static_cast<std::uint64_t>(opts.connect_attempts) + 1);
+  service.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Slow: chaos matrix, kills, store
 // ---------------------------------------------------------------------------
@@ -493,7 +619,6 @@ TEST(DistChaosSlow, FaultScheduleMatrixIsByteIdenticalToLocal) {
         WorkerOptions w = test_worker(0, std::string(named.name) + "-" + std::to_string(i));
         w.faults = named.schedule;
         w.faults.seed += static_cast<std::uint64_t>(i) * 7919;  // decorrelate workers
-        w.idle_timeout_ms = 500;  // swallowed PULLs recover quickly
         pool.push_back(w);
       }
       const DistRun run = run_dist(campaign, std::move(pool));
@@ -510,7 +635,6 @@ TEST(DistChaosSlow, TruncatedSendsNeverCorruptResults) {
     WorkerOptions w = test_worker(0, "trunc-" + std::to_string(i));
     w.faults.seed = 4242 + static_cast<std::uint64_t>(i);
     w.faults.truncate = 0.25;  // half-frames then silence: the torn-tail case
-    w.idle_timeout_ms = 500;
     pool.push_back(w);
   }
   const DistRun run = run_dist(campaign, std::move(pool));

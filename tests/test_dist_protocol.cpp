@@ -3,7 +3,8 @@
 // an incremental TOTAL decoder — byte-at-a-time delivery, random garbage
 // prefixes, truncations at every boundary, single flipped bits and
 // absurd length fields all yield clean rejections (kNeedMore/kCorrupt),
-// never a misparsed message, an exception, or a crash.  Bytes on this
+// never a misparsed message, an exception, or a crash; a frame over a
+// buffer's own cap is reported and skipped without being buffered.  Bytes on this
 // surface are hostile by assumption; these are the fuzz-style tests the
 // chaos matrix leans on.
 #include <gtest/gtest.h>
@@ -30,7 +31,6 @@ namespace {
   job.key = "entry=chain|rep=0|p=0.1,0.2,0.3";
   job.parent_runs = std::string("\x01\x02\x00\xff", 4);
   out.push_back({MsgType::kJob, encode_job(job)});
-  out.push_back({MsgType::kWait, encode_wait({125})});
   out.push_back({MsgType::kDone, ""});
   ResultPayload result;
   result.index = 7;
@@ -72,21 +72,17 @@ TEST(DistProtocol, TypedPayloadsRoundTrip) {
   EXPECT_EQ(result2->key, result.key);
   EXPECT_EQ(result2->data, result.data);
 
-  const MetricRecordWire metric{"expansion_bracket", R"({"lower":0.1})", "0.1..0.2"};
+  const MetricRecord metric{"expansion_bracket", R"({"lower":0.1})", "0.1..0.2"};
   const auto metric2 = decode_metric_record(encode_metric_record(metric));
   ASSERT_TRUE(metric2.has_value());
   EXPECT_EQ(metric2->name, metric.name);
   EXPECT_EQ(metric2->payload, metric.payload);
   EXPECT_EQ(metric2->brief, metric.brief);
-
-  const auto wait = decode_wait(encode_wait({77}));
-  ASSERT_TRUE(wait.has_value());
-  EXPECT_EQ(wait->retry_ms, 77u);
 }
 
 TEST(DistProtocol, TypedDecodersRejectTrailingGarbage) {
   EXPECT_FALSE(decode_hello(encode_hello({1, "x"}) + "!").has_value());
-  EXPECT_FALSE(decode_wait(encode_wait({1}) + std::string(1, '\0')).has_value());
+  EXPECT_FALSE(decode_job(encode_job({1, 0, "k", ""}) + std::string(1, '\0')).has_value());
   EXPECT_FALSE(decode_result(encode_result({1, 0, "k", "d"}) + "??").has_value());
 }
 
@@ -206,10 +202,72 @@ TEST(DistProtocol, UnknownTypeAndBadMagicAreCorrupt) {
 TEST(DistProtocol, RetiredHeartbeatTypeIsCorrupt) {
   // Type 8 was HEARTBEAT in protocol 1.  A well-checksummed frame of that
   // type is still rejected, although 9 and 10 above it are known.
-  const std::string frame = encode_frame({static_cast<MsgType>(8), encode_wait({9})});
+  const std::string frame = encode_frame({static_cast<MsgType>(8), std::string(8, '\x09')});
   FrameBuffer buf;
   Message out;
   buf.append(frame);
+  EXPECT_EQ(buf.next(out), FrameBuffer::Next::kCorrupt);
+}
+
+TEST(DistProtocol, RetiredWaitTypeIsCorrupt) {
+  // Type 5 was WAIT in protocol 2; protocol 3 holds the PULL instead.
+  const std::string frame = encode_frame({static_cast<MsgType>(5), std::string(8, '\x7d')});
+  FrameBuffer buf;
+  Message out;
+  buf.append(frame);
+  EXPECT_EQ(buf.next(out), FrameBuffer::Next::kCorrupt);
+}
+
+TEST(DistProtocol, OversizedFrameIsSkippedUnbufferedAndTheNextFrameParses) {
+  constexpr std::size_t kCap = 256;
+  constexpr std::size_t kHeader = 20;  // magic + type + len + checksum
+  const std::string big = encode_frame({MsgType::kRequest, std::string(20000, 'x')});
+  const std::string small = encode_frame({MsgType::kRequest, "after"});
+  const std::string stream = big + small;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{100},
+                                  std::size_t{4096}, stream.size()}) {
+    SCOPED_TRACE(chunk);
+    FrameBuffer buf(kCap);
+    Message out;
+    int oversized = 0;
+    std::vector<Message> decoded;
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      buf.append(std::string_view(stream).substr(at, chunk));
+      for (bool more = true; more;) {
+        switch (buf.next(out)) {
+          case FrameBuffer::Next::kMessage:
+            decoded.push_back(out);
+            break;
+          case FrameBuffer::Next::kOversized:
+            ++oversized;
+            EXPECT_EQ(out.type, MsgType::kRequest);
+            EXPECT_TRUE(out.payload.empty());
+            break;
+          case FrameBuffer::Next::kNeedMore:
+            more = false;
+            break;
+          case FrameBuffer::Next::kCorrupt:
+            FAIL() << "an oversized frame with a good checksum is not corrupt";
+        }
+        ASSERT_LE(buf.pending_bytes(), kCap + kHeader);
+      }
+    }
+    EXPECT_EQ(oversized, 1);
+    ASSERT_EQ(decoded.size(), 1u);
+    EXPECT_EQ(decoded[0].payload, "after");
+    EXPECT_EQ(buf.pending_bytes(), 0u);
+  }
+}
+
+TEST(DistProtocol, OversizedFrameWithABadChecksumIsStillCorrupt) {
+  std::string big = encode_frame({MsgType::kRequest, std::string(5000, 'x')});
+  big[3000] = 'y';  // inside the payload that is skipped, not buffered
+  FrameBuffer buf(256);
+  Message out;
+  buf.append(std::string_view(big).substr(0, 100));
+  EXPECT_EQ(buf.next(out), FrameBuffer::Next::kOversized);
+  buf.append(std::string_view(big).substr(100));
+  buf.append(encode_frame({MsgType::kRequest, "after"}));
   EXPECT_EQ(buf.next(out), FrameBuffer::Next::kCorrupt);
 }
 
@@ -221,7 +279,6 @@ TEST(DistProtocol, FuzzedDecodersNeverCrash) {
     (void)decode_hello(bytes);
     (void)decode_welcome(bytes);
     (void)decode_job(bytes);
-    (void)decode_wait(bytes);
     (void)decode_result(bytes);
     (void)decode_metric_record(bytes);
     FrameBuffer buf;

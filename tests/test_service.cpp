@@ -3,7 +3,8 @@
 // protocol end to end, payload identity with local execution (the
 // property the whole daemon rests on), admission control (queue depth,
 // deadline, oversized) with retry-after backpressure, abandonment on
-// client disconnect, and clean shutdown with work in flight.
+// client disconnect, reaping of ended sessions, and clean shutdown with
+// work in flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "api/campaign.hpp"
 #include "api/executor.hpp"
 #include "service/service.hpp"
+#include "util/json.hpp"
 
 namespace fne {
 namespace {
@@ -229,6 +231,33 @@ TEST(ScenarioService, OutOfRangeRequestFieldsAreBadRequests) {
   EXPECT_EQ(ok->id, 8u);
   service.stop();
   EXPECT_EQ(service.stats().errors, bad.size());
+}
+
+TEST(ScenarioService, EndedSessionsAreReaped) {
+  ScenarioService service(ServiceOptions{});
+  service.start();
+  constexpr int kClients = 200;
+  for (int i = 0; i < kClients; ++i) {
+    ServiceClient client("127.0.0.1", service.port());
+    ASSERT_TRUE(client.ping().ok());
+  }  // each client closes its connection here
+  // A reader is joined within an accept poll of its connection's end, so
+  // the service soon holds only what is open (nothing) — not one thread
+  // per connection it ever had.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (service.session_count() > 2 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(service.session_count(), 2u);
+  ServiceClient probe("127.0.0.1", service.port());
+  const ServiceResponse stats = probe.stats();
+  ASSERT_TRUE(stats.ok());
+  const JsonValue payload = JsonValue::parse(stats.payload);
+  EXPECT_LE(payload.at("sessions").as_int(), 3);  // the probe's own session, at least
+  EXPECT_GE(payload.at("sessions").as_int(), 1);
+  service.stop();
+  EXPECT_EQ(service.stats().connections, static_cast<std::uint64_t>(kClients) + 1);
 }
 
 // ---------------------------------------------------------------------------
