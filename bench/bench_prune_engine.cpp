@@ -205,14 +205,14 @@ bool blocked_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std:
   LanczosResult blocked;
   double blocked_ms = 0.0;
   {
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = kPairs;
     opts.tolerance = kTol;
-    opts.max_basis = 900;
+    opts.max_iterations = 900;
     opts.seed = seed;
     opts.accel = accel;
     timer.reset();
-    blocked = lanczos_smallest_block(apply, dim, ones, opts);
+    blocked = lanczos_smallest(apply, dim, ones, opts);
     blocked_ms = timer.millis();
   }
 
@@ -236,7 +236,7 @@ bool blocked_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std:
       .cell(bench::yesno(pass));
   bench::print_table(table,
                      "4x rank-1 = lanczos_smallest with progressive deflation (the pre-blocked\n"
-                     "consumer shape); blocked = one lanczos_smallest_block basis; both sides\n"
+                     "consumer shape); blocked = one width-2 lanczos_smallest basis; both sides\n"
                      "shift-invert at matched tolerance.  Acceptance: speedup >= threshold\n"
                      "AND both sides converged AND eigenvalue parity to 1e-4.");
   if (json != nullptr) {
@@ -270,26 +270,26 @@ bool filtered_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std
   constexpr double kTol = 1e-5;
   Timer timer;
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = kPairs;
   opts.tolerance = kTol;
-  opts.max_basis = 2600;  // generous: the plain side must reach convergence
+  opts.max_iterations = 2600;  // generous: the plain side must reach convergence
   opts.seed = seed;
   timer.reset();
-  const LanczosResult plain = lanczos_smallest_block(apply, dim, ones, opts);
+  const LanczosResult plain = lanczos_smallest(apply, dim, ones, opts);
   const double plain_ms = timer.millis();
 
-  BlockLanczosOptions fopts = opts;
+  LanczosOptions fopts = opts;
   fopts.accel.mode = SpectralMode::kFiltered;
   fopts.accel.op_upper_bound = gershgorin_upper_bound(sub);
   timer.reset();
-  const LanczosResult filtered = lanczos_smallest_block(apply, dim, ones, fopts);
+  const LanczosResult filtered = lanczos_smallest(apply, dim, ones, fopts);
   const double filtered_ms = timer.millis();
 
-  BlockLanczosOptions sopts = opts;
+  LanczosOptions sopts = opts;
   sopts.accel.mode = SpectralMode::kShiftInvert;
   timer.reset();
-  const LanczosResult si = lanczos_smallest_block(apply, dim, ones, sopts);
+  const LanczosResult si = lanczos_smallest(apply, dim, ones, sopts);
   const double si_ms = timer.millis();
 
   double max_dev = 0.0;

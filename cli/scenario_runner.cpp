@@ -89,9 +89,6 @@
 //       store, --serve/--connect workers and the daemon.
 //
 // Other flags: --alpha=A --eps=E (<= 0: measured / canonical), --fast,
-// --spectral-mode=plain|filtered|shift_invert|auto --filter-degree=D
-// (eigensolver acceleration for the prune engine's spectral stage and
-// for any requested metric that declares the knob; see DESIGN.md §10),
 // --threads=N (shard the campaign's jobs across the executor pool;
 // results are bit-identical for any N — see DESIGN.md §7/§8), --csv (emit CSV
 // instead of the aligned table), --json[=path] (machine-readable runs:
@@ -540,10 +537,9 @@ int run(const Cli& cli) {
   // or distributed, so none of those flags applies here.
   cli.require_only("a single-scenario run",
                    {"scenario", "topology", "topo-params", "fault", "fault-params", "kind",
-                    "alpha", "eps", "fast", "verify", "expansion", "metrics", "spectral-mode",
-                    "filter-degree", "reps", "seed", "threads", "json", "csv", "stats",
-                    "cache-stats", "cache-budget", "sweep", "sweep-values", "sweep-mode",
-                    "churn-steps", "p-leave", "p-join"});
+                    "alpha", "eps", "fast", "verify", "expansion", "metrics", "reps", "seed",
+                    "threads", "json", "csv", "stats", "cache-stats", "cache-budget", "sweep",
+                    "sweep-values", "sweep-mode", "churn-steps", "p-leave", "p-join"});
 
   const int threads = cli.get_threads(1);
   // Bare `--json` parses as the value "1": JSON replaces the table on

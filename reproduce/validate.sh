@@ -13,6 +13,11 @@
 #   REGEN=1          refresh goldens from the freshly computed payloads
 #                    instead of diffing (use after an intentional payload
 #                    schema change; commit the updated golden.json files).
+#                    The field diff of every regenerated golden is
+#                    written to $OUT_DIR/golden_diff.txt.
+#
+# A mismatch prints reproduce/payload_diff.py's field diff: one line per
+# moved value, keyed experiment > entry > sweep point > rep > field.
 #   RUNNER/STORE_DIR/OUT_DIR/THREADS   see common.sh.
 
 set -euo pipefail
@@ -41,6 +46,13 @@ else
   EXPERIMENTS=("${ALL_EXPERIMENTS[@]}")
 fi
 
+DIFF_TOOL="$REPRO_DIR/payload_diff.py"
+GOLDEN_DIFF="$OUT_DIR/golden_diff.txt"
+if [ "${REGEN:-0}" = "1" ]; then
+  mkdir -p "$OUT_DIR"
+  : > "$GOLDEN_DIFF"
+fi
+
 failures=0
 for name in "${EXPERIMENTS[@]}"; do
   dir="$REPRO_DIR/$name"
@@ -56,6 +68,11 @@ for name in "${EXPERIMENTS[@]}"; do
   golden="$dir/golden.json"
 
   if [ "${REGEN:-0}" = "1" ]; then
+    if [ -f "$golden" ]; then
+      python3 "$DIFF_TOOL" --name "$name" "$golden" "$payload" >> "$GOLDEN_DIFF" || true
+    else
+      echo "$name: new golden" >> "$GOLDEN_DIFF"
+    fi
     cp "$payload" "$golden"
     echo "--- $name: golden regenerated"
     continue
@@ -69,7 +86,7 @@ for name in "${EXPERIMENTS[@]}"; do
 
   if ! cmp -s "$golden" "$payload"; then
     echo "--- $name: FAIL (payload differs from golden)" >&2
-    diff "$golden" "$payload" | head -20 >&2 || true
+    python3 "$DIFF_TOOL" --name "$name" "$golden" "$payload" >&2 || true
     failures=$((failures + 1))
     continue
   fi
@@ -85,6 +102,10 @@ for name in "${EXPERIMENTS[@]}"; do
   echo "--- $name: OK"
 done
 
+if [ "${REGEN:-0}" = "1" ]; then
+  echo "validate: ${#EXPERIMENTS[@]} golden(s) regenerated; field diff in $GOLDEN_DIFF"
+  exit 0
+fi
 if [ "$failures" -ne 0 ]; then
   echo "validate: $failures experiment(s) failed" >&2
   exit 1

@@ -9,7 +9,6 @@
 #include "api/metrics.hpp"
 #include "api/registry.hpp"
 #include "expansion/exact.hpp"
-#include "spectral/lanczos.hpp"
 #include "store/key.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
@@ -101,8 +100,7 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
   }
   if (const JsonValue* v = obj.find("prune")) {
     check_keys(*v, "prune",
-               {"kind", "alpha", "epsilon", "fast", "max_iterations", "spectral_mode",
-                "filter_degree"});
+               {"kind", "alpha", "epsilon", "fast", "max_iterations"});
     if (const JsonValue* kind = v->find("kind")) {
       const std::string& k = kind->as_string();
       FNE_REQUIRE(k == "node" || k == "edge", "campaign: prune.kind must be node or edge");
@@ -114,15 +112,6 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
     if (const JsonValue* m = v->find("max_iterations")) {
       s.prune.max_iterations =
           narrow_in_range<int>("campaign: prune.max_iterations", m->as_int(), 0, INT_MAX);
-    }
-    // Eigensolver acceleration for the cut finder's spectral stage
-    // (DESIGN.md §10).  A typo'd mode name fails here, at parse time,
-    // with the valid names listed.
-    if (const JsonValue* m = v->find("spectral_mode")) {
-      s.prune.finder.spectral_mode = spectral_mode_from_string(m->as_string());
-    }
-    if (const JsonValue* d = v->find("filter_degree")) {
-      s.prune.finder.filter_degree = filter_degree_from_int(d->as_int());
     }
   }
   if (const JsonValue* v = obj.find("metrics")) {

@@ -92,6 +92,9 @@ struct Campaign {
 ///                                  "params": {"samples": 16}}]},
 ///       "sweep":    {"param": "p", "values": [0.05, 0.15, 0.25],
 ///                    "mode": "monotone"}}]}
+///
+/// "prune" has no eigensolver keys: the library runs the filtered solve
+/// everywhere (DESIGN.md §10).
 [[nodiscard]] Campaign campaign_from_json(const std::string& text);
 [[nodiscard]] Campaign campaign_from_file(const std::string& path);
 

@@ -48,15 +48,6 @@ namespace {
   return record(name, obj, "-");
 }
 
-/// Shared spectral_mode/filter_degree param handling for the two spectral
-/// metrics (DESIGN.md §10).  validate_spectral_params runs at campaign
-/// parse time via MetricEntry::validate; accel_from_params re-parses at
-/// compute time and fills the operator-specific Gershgorin bound.
-void validate_spectral_params(const Params& params) {
-  (void)spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
-  (void)filter_degree_from_int(params.get_int("filter_degree", 0));
-}
-
 /// expansion_bracket's exact_limit, checked at campaign parse time (its
 /// validate hook) and again at compute time.
 [[nodiscard]] vid bracket_exact_limit(const Params& params) {
@@ -86,26 +77,18 @@ void validate_spectral_params(const Params& params) {
                               params.get_int("eigenpairs", 2), 1, INT_MAX);
 }
 
-[[nodiscard]] SpectralAccel accel_from_params(const Params& params, const SubCsr& sub) {
-  SpectralAccel accel;
-  accel.mode = spectral_mode_from_string(params.get_str("spectral_mode", "filtered"));
-  accel.filter_degree = filter_degree_from_int(params.get_int("filter_degree", 0));
-  accel.op_upper_bound = gershgorin_upper_bound(sub);
-  return accel;
-}
-
 /// Smallest k nontrivial Laplacian eigenvalues over a prebuilt compact
-/// operator (host assumed connected), via ONE blocked solve — the k >= 2
-/// consumer the blocked kernel exists for.
-[[nodiscard]] LanczosResult host_spectrum(const SubCsrLaplacian& lap, int k,
-                                          std::uint64_t seed, const SpectralAccel& accel) {
-  BlockLanczosOptions opts;
+/// operator (host assumed connected), via ONE filtered solve at block
+/// width min(2, k) — the k >= 2 consumer the block body exists for.
+[[nodiscard]] LanczosResult host_spectrum(const SubCsr& sub, int k, std::uint64_t seed) {
+  const SubCsrLaplacian lap(sub);
+  LanczosOptions opts;
   opts.num_eigenpairs = k;
   opts.tolerance = 1e-8;
   opts.seed = seed;
-  opts.accel = accel;
+  opts.accel = {SpectralMode::kFiltered, gershgorin_upper_bound(sub)};
   const std::vector<std::vector<double>> defl{std::vector<double>(lap.dim(), 1.0)};
-  return lanczos_smallest_block(
+  return lanczos_smallest(
       [&lap](const std::vector<double>& x, std::vector<double>& y) { lap.apply(x, y); },
       lap.dim(), defl, opts);
 }
@@ -248,9 +231,7 @@ void validate_spectral_params(const Params& params) {
   if (spectral_dims >= 1 && host.count() >= static_cast<vid>(spectral_dims) + 2) {
     SubCsr sub;
     sub.build(ctx.graph, host);
-    const SubCsrLaplacian lap(sub);
-    const LanczosResult spec =
-        host_spectrum(lap, spectral_dims, ctx.seed, accel_from_params(params, sub));
+    const LanczosResult spec = host_spectrum(sub, spectral_dims, ctx.seed);
     obj.put_numbers("spectral", spec.values).put("spectral_converged", spec.converged);
   }
   return record("embedding_quality", obj,
@@ -274,9 +255,7 @@ void validate_spectral_params(const Params& params) {
   // the mixing-lemma fields only exist when the component is regular.
   SubCsr sub;
   sub.build(ctx.graph, comp);
-  const SubCsrLaplacian lap(sub);
-  const SpectralAccel accel = accel_from_params(params, sub);
-  const LanczosResult bottom = host_spectrum(lap, eigenpairs, ctx.seed, accel);
+  const LanczosResult bottom = host_spectrum(sub, eigenpairs, ctx.seed);
   if (bottom.values.empty()) {
     return undefined_record("expander_certificate", "eigensolve failed");
   }
@@ -285,14 +264,9 @@ void validate_spectral_params(const Params& params) {
   top_opts.seed = ctx.seed + 1;
   top_opts.tolerance = 1e-8;
   top_opts.max_iterations = 400;
-  // The -L operator's spectrum lives in [-gershgorin, 0]: its upper bound
-  // is 0, and shift-invert needs a shift below -lambda_max so -L - shift*I
-  // stays positive definite — one below the Gershgorin bound does it.
-  top_opts.accel = accel;
-  top_opts.accel.op_upper_bound = 0.0;
-  if (top_opts.accel.mode == SpectralMode::kShiftInvert) {
-    top_opts.accel.shift = -(gershgorin_upper_bound(sub) + 1.0);
-  }
+  // The -L operator's spectrum lives in [-gershgorin, 0]: its upper bound is 0.
+  top_opts.accel = {SpectralMode::kFiltered, 0.0};
+  const SubCsrLaplacian lap(sub);
   const LanczosResult top = lanczos_smallest(
       [&lap](const std::vector<double>& x, std::vector<double>& y) {
         lap.apply(x, y);
@@ -410,25 +384,15 @@ MetricsRegistry::MetricsRegistry() : Registry("metric") {
   add({"embedding_quality",
        "load/congestion/dilation of embedding the fault-free guest into the largest "
        "surviving component, plus its blocked-Lanczos spectral profile",
-       {{"spectral_dims", "2", "smallest nontrivial Laplacian eigenvalues to report (0: skip)"},
-        {"spectral_mode", "filtered", "eigensolver: plain|filtered|shift_invert (auto = filtered)"},
-        {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
+       {{"spectral_dims", "2", "smallest nontrivial Laplacian eigenvalues to report (0: skip)"}},
        metric_embedding_quality,
-       [](const Params& params) {
-         (void)embedding_spectral_dims(params);
-         validate_spectral_params(params);
-       }});
+       [](const Params& params) { (void)embedding_spectral_dims(params); }});
   add({"expander_certificate",
        "spectral expansion certificate of the largest surviving component (Cheeger lower "
        "bound; mixing-lemma fields when regular)",
-       {{"eigenpairs", "2", "bottom eigenpairs from one blocked solve"},
-        {"spectral_mode", "filtered", "eigensolver: plain|filtered|shift_invert (auto = filtered)"},
-        {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
+       {{"eigenpairs", "2", "bottom eigenpairs from one blocked solve"}},
        metric_expander_certificate,
-       [](const Params& params) {
-         (void)certificate_eigenpairs(params);
-         validate_spectral_params(params);
-       }});
+       [](const Params& params) { (void)certificate_eigenpairs(params); }});
 }
 
 }  // namespace fne

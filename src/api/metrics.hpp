@@ -57,7 +57,7 @@ struct MetricEntry {
   std::function<MetricRecord(const MetricContext&, const Params&)> compute;
   /// Optional value-level validation (beyond the declared-keys check),
   /// run by check() and compute().  Lets a campaign file with e.g.
-  /// spectral_mode=typo fail at parse time, not mid-batch.
+  /// eigenpairs=0 fail at parse time, not mid-batch.
   std::function<void(const Params&)> validate;
   /// Expensive metrics declare split_job: the campaign/dist schedulers
   /// compute them as their OWN jobs keyed (entry, rep, request) instead

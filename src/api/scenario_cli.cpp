@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "api/metrics.hpp"
-#include "spectral/lanczos.hpp"
 #include "util/require.hpp"
 
 namespace fne {
@@ -34,17 +33,6 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
   base.prune.alpha = cli.get_double("alpha", base.prune.alpha);
   base.prune.epsilon = cli.get_double("eps", base.prune.epsilon);
   base.prune.fast = cli.has("fast") || base.prune.fast;
-  // Eigensolver acceleration (DESIGN.md §10): applied to the prune
-  // engine's spectral stage, and below to every requested metric that
-  // declares the knob, so one flag steers the whole run.
-  const bool has_spectral_mode = cli.has("spectral-mode");
-  const bool has_filter_degree = cli.has("filter-degree");
-  if (has_spectral_mode) {
-    base.prune.finder.spectral_mode = spectral_mode_from_string(cli.get("spectral-mode", ""));
-  }
-  if (has_filter_degree) {
-    base.prune.finder.filter_degree = filter_degree_from_int(cli.get_int("filter-degree", 0));
-  }
   base.metrics.verify_trace = cli.has("verify") || base.metrics.verify_trace;
   base.metrics.expansion = cli.has("expansion") || base.metrics.expansion;
   if (cli.has("metrics")) {
@@ -59,16 +47,6 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
       base.metrics.requests.push_back({name, Params{}});
     }
     FNE_REQUIRE(!base.metrics.requests.empty(), "--metrics needs at least one metric name");
-  }
-  if (has_spectral_mode || has_filter_degree) {
-    for (MetricRequest& request : base.metrics.requests) {
-      const MetricEntry& entry = MetricsRegistry::instance().at(request.name);
-      if (!MetricsRegistry::declares(entry, "spectral_mode")) continue;
-      if (has_spectral_mode) request.params.set("spectral_mode", cli.get("spectral-mode", ""));
-      if (has_filter_degree) {
-        request.params.set("filter_degree", cli.get_int("filter-degree", 0));
-      }
-    }
   }
   check_metric_requests(base);
   base.repetitions = cli.get_int_in_range<int>("reps", base.repetitions, 1, INT_MAX);

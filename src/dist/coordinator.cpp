@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
+#include <iterator>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -42,7 +44,12 @@ struct DistCoordinator::Impl {
   std::atomic<bool> finished{false};  ///< execute returned: sessions send DONE
   std::uint64_t next_session = 1;
   DistStats stats;
-  std::vector<std::thread> session_threads;  ///< appended by acceptor only
+  /// One connection's thread; `ended` is set as its session returns.
+  struct SessionThread {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> ended;
+  };
+  std::vector<SessionThread> session_threads;  ///< guarded by m; joined by the acceptor
 
   Impl(Campaign c, DistOptions o, ResultStore* s)
       : campaign(std::move(c)), opts(std::move(o)), store(s), listener(opts.bind, opts.port) {
@@ -234,17 +241,39 @@ struct DistCoordinator::Impl {
     return transport.send(encode_frame({MsgType::kJob, encode_job(payload)}));
   }
 
+  /// Join the session threads whose connection ended, so a run holds a
+  /// thread (and its stack) per open connection, not per connection it
+  /// ever accepted: garbage, refused and reconnecting clients come and go.
+  void reap_sessions() {
+    std::vector<SessionThread> ended;
+    {
+      std::lock_guard<std::mutex> lk(m);
+      const auto live =
+          std::partition(session_threads.begin(), session_threads.end(),
+                         [](const SessionThread& st) { return !st.ended->load(); });
+      ended.assign(std::make_move_iterator(live), std::make_move_iterator(session_threads.end()));
+      session_threads.erase(live, session_threads.end());
+    }
+    for (SessionThread& st : ended) st.thread.join();
+  }
+
   void accept_loop() {
     for (;;) {
       if (finished) return;
+      reap_sessions();
       std::unique_ptr<Transport> t = listener.accept(kPollMs);
       if (!t) continue;
       if (finished) {
         t->shutdown();
         continue;
       }
-      session_threads.emplace_back(
-          [this, tr = std::move(t)]() mutable { session(std::move(tr)); });
+      auto ended = std::make_unique<std::atomic<bool>>(false);
+      std::thread thread([this, flag = ended.get(), tr = std::move(t)]() mutable {
+        session(std::move(tr));
+        flag->store(true);
+      });
+      std::lock_guard<std::mutex> lk(m);
+      session_threads.push_back({std::move(thread), std::move(ended)});
     }
   }
 
@@ -275,7 +304,7 @@ struct DistCoordinator::Impl {
     finished = true;
     listener.shutdown();  // wakes the acceptor
     acceptor.join();
-    for (std::thread& th : session_threads) th.join();
+    for (SessionThread& st : session_threads) st.thread.join();  // the acceptor is gone
 
     if (failure) {
       // Destroy the plan now, not with the coordinator: its destructor
@@ -308,6 +337,11 @@ DistCoordinator::~DistCoordinator() = default;
 int DistCoordinator::port() const noexcept { return impl_->listener.port(); }
 
 CampaignReport DistCoordinator::run() { return impl_->run_once(); }
+
+std::size_t DistCoordinator::session_count() const {
+  std::lock_guard<std::mutex> lk(impl_->m);
+  return impl_->session_threads.size();
+}
 
 DistStats DistCoordinator::stats() const {
   std::lock_guard<std::mutex> lk(impl_->m);

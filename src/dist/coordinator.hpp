@@ -42,6 +42,7 @@
 // fault schedule, or kill pattern — the chaos tests assert exactly that.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -89,6 +90,9 @@ class DistCoordinator {
   [[nodiscard]] int port() const noexcept;
   [[nodiscard]] CampaignReport run();
   [[nodiscard]] DistStats stats() const;
+  /// During run(), the connection threads the acceptor has not joined:
+  /// those still open, plus those that ended within the last accept poll.
+  [[nodiscard]] std::size_t session_count() const;
 
  private:
   struct Impl;

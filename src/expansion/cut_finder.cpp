@@ -174,8 +174,6 @@ std::optional<CutWitness> find_violating_set(const Graph& g, const VertexSet& al
     fso.ws = ws;
     fso.warm_start = options.warm_start;
     fso.early_exit_threshold = sweep_exit;
-    fso.accel.mode = options.spectral_mode;
-    fso.accel.filter_degree = options.filter_degree;
     spectral_near = fiedler_sweep(g, alive, kind, fso);
     if (auto hit = accept(*spectral_near)) {
       return hit;

@@ -8,7 +8,6 @@
 
 #include "expansion/types.hpp"
 #include "expansion/workspace.hpp"
-#include "spectral/lanczos.hpp"
 
 namespace fne {
 
@@ -20,12 +19,6 @@ struct CutFinderOptions {
   bool use_spectral = true;
   bool use_balls = true;
   bool use_exact = true;
-  /// Eigensolve acceleration for the spectral stage (DESIGN.md §10).
-  /// The Chebyshev-filtered solve runs at every size by default; its
-  /// opening plain probe returns directly when a small spectrum converges.
-  SpectralMode spectral_mode = SpectralMode::kFiltered;
-  /// Chebyshev degree for filtered solves; <= 0 = auto from the probe.
-  int filter_degree = 0;
 
   // Fast-mode switches (honored only when a workspace is supplied; see
   // DESIGN.md §5).  All default off: the default configuration is

@@ -88,7 +88,6 @@ CutWitness fiedler_sweep(const Graph& g, const VertexSet& alive, ExpansionKind k
   ExpansionWorkspace* ws = options.ws;
   FiedlerOptions fopts;
   fopts.seed = options.seed;
-  fopts.accel = options.accel;
   if (ws != nullptr) {
     fopts.scratch = &ws->lanczos;
     if (options.warm_start && ws->fiedler_valid &&

@@ -9,7 +9,6 @@
 
 #include "expansion/types.hpp"
 #include "expansion/workspace.hpp"
-#include "spectral/lanczos.hpp"
 
 namespace fne {
 
@@ -53,8 +52,6 @@ struct FiedlerSweepOptions {
   /// Buffer pool and Fiedler-vector cache.  When non-null the solve's
   /// resulting vector is stored back into it (fiedler_valid set).
   ExpansionWorkspace* ws = nullptr;
-  /// Eigensolve acceleration, forwarded to FiedlerOptions (DESIGN.md §10).
-  SpectralAccel accel = SpectralAccel{SpectralMode::kFiltered};
 };
 
 /// Sweep over the Fiedler-vector ordering of the alive subgraph.

@@ -3,9 +3,10 @@
 // where P(U) is the smallest tree connecting every node of Γ(U).
 //
 // Exact for small graphs (exhaustive compact sets + Dreyfus–Wagner);
-// sampled for large graphs.  A sampled estimate is a LOWER bound on σ
-// when its Steiner trees are exact; with approximate Steiner trees each
-// ratio can overshoot by at most 2×, so the estimate lies in [σ_est/2, σ].
+// sampled for large graphs.  A sampled estimate σ_est is a LOWER bound,
+// σ_est ≤ σ, when every one of its Steiner trees is exact.  Otherwise a
+// 2-approximate tree can overshoot its ratio by up to 2×, σ_est may
+// exceed σ, and only σ ≥ σ_est/2 holds.
 #pragma once
 
 #include <cstdint>

@@ -16,32 +16,6 @@
 
 namespace fne {
 
-SpectralMode spectral_mode_from_string(const std::string& name) {
-  if (name == "plain") return SpectralMode::kPlain;
-  if (name == "filtered") return SpectralMode::kFiltered;
-  if (name == "shift_invert") return SpectralMode::kShiftInvert;
-  if (name == "auto") return SpectralMode::kFiltered;  // the default's name in configs
-  FNE_REQUIRE(false, "unknown spectral_mode '" + name +
-                         "' (expected plain | filtered | shift_invert | auto)");
-  return SpectralMode::kPlain;  // unreachable
-}
-
-const char* spectral_mode_name(SpectralMode mode) {
-  switch (mode) {
-    case SpectralMode::kPlain: return "plain";
-    case SpectralMode::kFiltered: return "filtered";
-    case SpectralMode::kShiftInvert: return "shift_invert";
-  }
-  return "plain";
-}
-
-int filter_degree_from_int(std::int64_t degree) {
-  FNE_REQUIRE(degree >= 0 && degree <= kMaxFilterDegree,
-              "filter_degree must be in [0, " + std::to_string(kMaxFilterDegree) +
-                  "] (0 picks the degree automatically), got " + std::to_string(degree));
-  return static_cast<int>(degree);
-}
-
 namespace {
 
 using Basis = std::vector<std::vector<double>>;
@@ -55,9 +29,14 @@ constexpr double kDgks = 0.70710678118654752;
 
 /// Plain-mode probe budget before a filtered solve commits to the
 /// surrogate: cheap spectra converge inside the probe and return directly;
-/// hard spectra pay 16 iterations for the Ritz estimates that place the
-/// filter cut (DESIGN.md §10).
+/// hard spectra pay 16 iterations (or num_eigenpairs, if more) for the
+/// Ritz estimates that place the filter cut (DESIGN.md §10).
 constexpr int kFilterProbeIterations = 16;
+
+/// Largest Chebyshev degree a filtered solve picks.  One surrogate apply
+/// costs `degree` base applies, and far higher degrees overflow the
+/// filtered spectrum until the tridiagonal QL step fails to converge.
+constexpr int kMaxFilterDegree = 24;
 
 Basis normalize_deflation(const Basis& deflation) {
   Basis defl = deflation;
@@ -89,11 +68,10 @@ struct FilterPlan {
 /// Place the damping interval from probe Ritz values: the want-th smallest
 /// Ritz value θ bounds the want-th smallest eigenvalue from above, so a cut
 /// 10% of the way from θ to the upper bound keeps every wanted eigenvalue in
-/// the amplified region.  The auto degree grows as the wanted fraction of
+/// the amplified region.  The degree grows as the wanted fraction of
 /// the spectrum shrinks (d ≈ 5/(2√r), r = relative cut position), clamped to
 /// [6, kMaxFilterDegree] so one surrogate apply stays a bounded number of base applies.
-FilterPlan plan_filter(const std::vector<double>& probe_values, int want, int requested_degree,
-                       double upper) {
+FilterPlan plan_filter(const std::vector<double>& probe_values, int want, double upper) {
   FilterPlan plan;
   if (probe_values.empty() || !std::isfinite(upper)) return plan;
   const double lo = probe_values.front();
@@ -102,12 +80,9 @@ FilterPlan plan_filter(const std::vector<double>& probe_values, int want, int re
   const double theta = probe_values[theta_idx];
   const double cut = theta + 0.1 * (upper - theta);
   if (!(cut < upper) || !(upper - cut > 1e-12 * std::max(1.0, std::fabs(upper)))) return plan;
-  int degree = requested_degree;
-  if (degree <= 0) {
-    const double r = std::clamp((cut - lo) / (upper - lo), 1e-6, 0.9);
-    degree = static_cast<int>(std::ceil(5.0 / (2.0 * std::sqrt(r))));
-    degree = std::clamp(degree, 6, 24);
-  }
+  const double r = std::clamp((cut - lo) / (upper - lo), 1e-6, 0.9);
+  const int degree =
+      std::clamp(static_cast<int>(std::ceil(5.0 / (2.0 * std::sqrt(r)))), 6, kMaxFilterDegree);
   plan.usable = true;
   plan.map_mul = 2.0 / (upper - cut);
   plan.map_add = -(upper + cut) / (upper - cut);
@@ -435,23 +410,19 @@ LanczosResult lanczos_rank1(const LinearOperator& op, const LinearOperator* base
     for (auto& x : w) x /= b;
     pool.push(w);
   }
-  return {};  // max_iterations <= 0: nothing ran, nothing converged
+  return {};  // unreachable: max_iter >= 1, and the last step always returns
 }
 
-/// Block Lanczos: `block_size` start vectors expanded one operator apply
-/// at a time into one basis, Rayleigh–Ritz on the dense projected matrix.
+/// Block Lanczos: `width` start vectors expanded one operator apply at a
+/// time into one basis, Rayleigh–Ritz on the dense projected matrix.
 /// `warm_starts` (probe Ritz vectors) fill the start block first;
 /// degenerate ones are skipped and seeded random vectors fill the rest.
 LanczosResult lanczos_block(const LinearOperator& op, const LinearOperator* base, std::size_t n,
-                            const Basis& defl, std::size_t usable,
-                            const BlockLanczosOptions& options, const Basis* warm_starts) {
+                            const Basis& defl, std::size_t usable, const LanczosOptions& options,
+                            std::size_t width, const Basis* warm_starts) {
   const std::size_t max_basis =
-      std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_basis));
-  const std::size_t block = std::min<std::size_t>(
-      max_basis,
-      static_cast<std::size_t>(options.block_size > 0
-                                   ? options.block_size
-                                   : std::min(options.num_eigenpairs, 2)));
+      std::min<std::size_t>(usable, static_cast<std::size_t>(options.max_iterations));
+  const std::size_t block = std::min(max_basis, width);
   BasisPool pool(options.scratch);
   const Basis& basis = pool.s.basis;
   std::vector<double>& coeff = pool.s.coeff;
@@ -611,16 +582,14 @@ LanczosResult lanczos_block(const LinearOperator& op, const LinearOperator* base
   return {};  // unreachable: the drain loop always returns at no_more
 }
 
-/// The mode dispatch both entry points share (DESIGN.md §10).
-/// `body(op, base, defl, usable, opts, probe)` runs one Krylov solve of
-/// `op`: base is nullptr when `op` is the operator itself, else the
-/// operator `op` is a surrogate of; probe is the filtered solve's plain
-/// probe when the body may warm-start from it, else nullptr.
-template <typename Options, typename Body>
-LanczosResult solve(const LinearOperator& op, std::size_t n, const Basis& deflation,
-                    const Options& options, const Options& probe_options, const Body& body) {
+}  // namespace
+
+LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n, const Basis& deflation,
+                               const LanczosOptions& options) {
   FNE_REQUIRE(n >= 1, "empty operator");
   FNE_REQUIRE(options.num_eigenpairs >= 1, "need at least one eigenpair");
+  FNE_REQUIRE(options.max_iterations >= options.num_eigenpairs,
+              "max_iterations must cover the wanted eigenpairs");
   const Basis defl = normalize_deflation(deflation);
   const std::size_t usable =
       n > defl.size() ? n - defl.size() : 0;  // dimension of the deflated space
@@ -630,15 +599,33 @@ LanczosResult solve(const LinearOperator& op, std::size_t n, const Basis& deflat
     return result;
   }
 
+  // One Krylov solve of `it` by the body the width picks.  `base` is
+  // nullptr when `it` is the operator itself, else the operator `it` is a
+  // surrogate of; `probe` is the filtered solve's plain probe once there
+  // is one, and its Ritz vectors replace options.initial as warm starts.
+  const auto width = static_cast<std::size_t>(
+      options.block_size > 0 ? options.block_size : std::min(2, options.num_eigenpairs));
+  const auto body = [&](const LinearOperator& it, const LinearOperator* base,
+                        const LanczosOptions& opts, const LanczosResult* probe) {
+    if (width > 1) {
+      return lanczos_block(it, base, n, defl, usable, opts, width,
+                           probe != nullptr ? &probe->vectors : nullptr);
+    }
+    const std::vector<double>* warm =
+        probe != nullptr && !probe->vectors.empty() ? &probe->vectors.front() : opts.initial;
+    return lanczos_rank1(it, base, n, defl, usable, opts, warm);
+  };
+
+  // The mode dispatch (DESIGN.md §10).
   const SpectralAccel& accel = options.accel;
-  if (accel.mode == SpectralMode::kPlain) return body(op, nullptr, defl, usable, options, nullptr);
+  if (accel.mode == SpectralMode::kPlain) return body(op, nullptr, options, nullptr);
 
   if (accel.mode == SpectralMode::kShiftInvert) {
     ShiftInvertSurrogate surrogate(op, defl, accel.shift, accel.cg_tolerance,
                                    accel.cg_max_iterations);
     const LinearOperator sur = [&surrogate](const std::vector<double>& x,
                                             std::vector<double>& y) { surrogate.apply(x, y); };
-    return body(sur, &op, defl, usable, options, nullptr);
+    return body(sur, &op, options, nullptr);
   }
 
   // kFiltered: probe with the plain solver first.  Cheap spectra converge
@@ -647,53 +634,21 @@ LanczosResult solve(const LinearOperator& op, std::size_t n, const Basis& deflat
   // accelerated solve.
   FNE_REQUIRE(std::isfinite(accel.op_upper_bound),
               "filtered mode needs a finite accel.op_upper_bound (e.g. gershgorin_upper_bound)");
-  LanczosResult probe = body(op, nullptr, defl, usable, probe_options, nullptr);
+  LanczosOptions probe_options = options;
+  probe_options.max_iterations =
+      std::min(options.max_iterations, std::max(kFilterProbeIterations, options.num_eigenpairs));
+  LanczosResult probe = body(op, nullptr, probe_options, nullptr);
   if (probe.converged) return probe;
 
-  const FilterPlan plan =
-      plan_filter(probe.values, options.num_eigenpairs, accel.filter_degree, accel.op_upper_bound);
-  if (!plan.usable) return body(op, nullptr, defl, usable, options, nullptr);
+  const FilterPlan plan = plan_filter(probe.values, options.num_eigenpairs, accel.op_upper_bound);
+  if (!plan.usable) return body(op, nullptr, options, nullptr);
 
   ChebyshevSurrogate surrogate(op, plan);
   const LinearOperator sur = [&surrogate](const std::vector<double>& x,
                                           std::vector<double>& y) { surrogate.apply(x, y); };
-  LanczosResult result = body(sur, &op, defl, usable, options, &probe);
+  LanczosResult result = body(sur, &op, options, &probe);
   result.iterations += probe.iterations;
   return result;
-}
-
-}  // namespace
-
-LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n, const Basis& deflation,
-                               const LanczosOptions& options) {
-  LanczosOptions probe_options = options;
-  probe_options.max_iterations = std::min(options.max_iterations, kFilterProbeIterations);
-  return solve(op, n, deflation, options, probe_options,
-               [n](const LinearOperator& it, const LinearOperator* base, const Basis& defl,
-                   std::size_t usable, const LanczosOptions& opts, const LanczosResult* probe) {
-                 const std::vector<double>* warm = probe != nullptr && !probe->vectors.empty()
-                                                       ? &probe->vectors.front()
-                                                       : opts.initial;
-                 return lanczos_rank1(it, base, n, defl, usable, opts, warm);
-               });
-}
-
-LanczosResult lanczos_smallest_block(const LinearOperator& op, std::size_t n,
-                                     const Basis& deflation, const BlockLanczosOptions& options) {
-  FNE_REQUIRE(options.max_basis >= options.num_eigenpairs,
-              "max_basis must cover the wanted eigenpairs");
-  BlockLanczosOptions probe_options = options;
-  probe_options.max_basis = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(options.max_basis),
-      std::max<std::size_t>(static_cast<std::size_t>(kFilterProbeIterations),
-                            static_cast<std::size_t>(options.num_eigenpairs))));
-  return solve(op, n, deflation, options, probe_options,
-               [n](const LinearOperator& it, const LinearOperator* base, const Basis& defl,
-                   std::size_t usable, const BlockLanczosOptions& opts,
-                   const LanczosResult* probe) {
-                 return lanczos_block(it, base, n, defl, usable, opts,
-                                      probe != nullptr ? &probe->vectors : nullptr);
-               });
 }
 
 }  // namespace fne

@@ -1,14 +1,15 @@
 // Lanczos iteration with full reorthogonalization for the smallest
 // eigenpairs of an implicit symmetric operator (DESIGN.md §10).
 //
-// Two Krylov bodies serve every solve: a rank-1 three-term recurrence
-// (lanczos_smallest) and a block recurrence (lanczos_smallest_block).
-// Each iterates either the operator itself, deciding convergence from its
-// own projected matrix (the Ritz estimate |β·z_last| for rank 1, the
-// coupling-row bound for the block), or a surrogate of it (Chebyshev
+// One entry point, lanczos_smallest, serves every solve.  The Krylov
+// width picks its body: width 1 runs the rank-1 three-term recurrence,
+// width >= 2 the block recurrence (LanczosOptions::block_size).  Each
+// body iterates either the operator itself, deciding convergence from
+// its own projected matrix (the Ritz estimate |β·z_last| for rank 1,
+// the coupling-row bound for the block), or a surrogate of it (Chebyshev
 // filter, shift-invert), deciding convergence by the true residual
 // against the original operator.  One mode dispatch picks the operator
-// for both entry points.
+// for both bodies.
 //
 // Full reorthogonalization is O(iter^2 · n) but rock solid; iteration
 // counts stay modest (<= 300) for the graph sizes this library handles.
@@ -21,15 +22,15 @@
 //
 // Determinism contract (DESIGN.md §7): every reduction (dot, norm, the
 // rank-k update) uses a fixed 1024-element chunk order regardless of the
-// thread count or whether the parallel path is taken at all, so a solve
-// is a pure function of (operator, n, deflation, options) — OMP_NUM_THREADS
+// thread count or whether the parallel path is taken at all, and the
+// block body's dense Rayleigh–Ritz solve is sequential, so a solve is a
+// pure function of (operator, n, deflation, options) — OMP_NUM_THREADS
 // never changes a bit of the result.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace fne {
@@ -62,29 +63,11 @@ namespace fne {
 /// solve is a pure function of its inputs for ANY OMP thread count.
 enum class SpectralMode { kPlain, kFiltered, kShiftInvert };
 
-/// Parse "plain" | "filtered" | "shift_invert" (REQUIREs a valid name,
-/// listing the alternatives — registry-style hygiene).  "auto", the name
-/// configs use for the default, parses to kFiltered.
-[[nodiscard]] SpectralMode spectral_mode_from_string(const std::string& name);
-[[nodiscard]] const char* spectral_mode_name(SpectralMode mode);
-
-/// Largest Chebyshev degree a filtered solve accepts; the auto degree is
-/// clamped to [6, kMaxFilterDegree] as well.  One surrogate apply costs
-/// `degree` base applies, and far higher degrees overflow the filtered
-/// spectrum until the tridiagonal QL step fails to converge.
-inline constexpr int kMaxFilterDegree = 24;
-
-/// Narrow a parsed filter_degree (campaign JSON, metric params, CLI flag)
-/// to int: REQUIREs 0 <= degree <= kMaxFilterDegree before the cast, so
-/// neither an oversized nor a wrapping value reaches the solver.
-[[nodiscard]] int filter_degree_from_int(std::int64_t degree);
-
-/// Acceleration knobs shared by the rank-1 and blocked solvers.
+/// Acceleration knobs of a solve.  No user surface sets them: every
+/// library consumer runs the default filtered solve, and the other modes
+/// are reached only from bench_prune_engine and the tests.
 struct SpectralAccel {
   SpectralMode mode = SpectralMode::kPlain;
-  /// Chebyshev degree d; <= 0 picks a degree from the probe-estimated
-  /// cut ratio (clamped to [6, kMaxFilterDegree]).
-  int filter_degree = 0;
   /// Upper bound on the operator spectrum (REQUIREd finite in filtered
   /// mode).  For a SubCsr Laplacian use gershgorin_upper_bound(); for -L
   /// the bound is 0.
@@ -125,14 +108,34 @@ struct LanczosScratch {
   }
 };
 
+/// Options of one solve.
 struct LanczosOptions {
-  int num_eigenpairs = 1;      ///< how many smallest pairs to extract
+  int num_eigenpairs = 1;  ///< how many smallest pairs to extract
+  /// Krylov width; <= 0 means min(2, num_eigenpairs).  Width 1 runs the
+  /// rank-1 three-term recurrence: Ritz pairs from the tridiagonal T,
+  /// checked every 10 steps.  Width >= 2 runs the block recurrence:
+  /// `block_size` start vectors expanded one operator apply at a time
+  /// into one basis, every new vector CGS2+DGKS-reorthogonalized against
+  /// the whole basis, and Rayleigh–Ritz on the dense projected matrix on
+  /// a geometric cadence (DESIGN.md §9).  The block shares the bottom of
+  /// the spectrum across the k >= 2 wanted pairs instead of re-converging
+  /// through it per pair, and resolves the eigenvalue multiplicities mesh
+  /// Laplacians are full of.  Width 2 is the measured sweet spot for
+  /// k >= 2: wide enough that degenerate pairs converge together, narrow
+  /// enough that the per-direction polynomial degree (basis / block)
+  /// stays high.  Width 1 is the cheaper body at k = 1 (DESIGN.md §10);
+  /// set block_size = 1 for a rank-1 solve at k >= 2.
+  int block_size = 0;
+  /// Krylov basis cap, one apply of the iterated operator per vector
+  /// (memory: max_iterations × n); REQUIREd >= num_eigenpairs.
   int max_iterations = 300;
-  double tolerance = 1e-9;     ///< residual bound |beta * y_last|
+  double tolerance = 1e-9;  ///< residual bound per wanted pair
   std::uint64_t seed = 7;
-  /// Optional warm-start vector (length n, pre-deflation).  It is projected
-  /// against `deflation` and normalized internally; a degenerate warm start
-  /// falls back to the seeded random start.  nullptr = random start.
+  /// Optional warm-start vector of a width-1 solve (length n,
+  /// pre-deflation).  It is projected against `deflation` and normalized
+  /// internally; a degenerate warm start falls back to the seeded random
+  /// start.  nullptr = random start.  A block solve starts from seeded
+  /// random vectors.
   const std::vector<double>* initial = nullptr;
   /// Optional buffer pool; nullptr allocates locally.
   LanczosScratch* scratch = nullptr;
@@ -146,43 +149,5 @@ using LinearOperator = std::function<void(const std::vector<double>&, std::vecto
 [[nodiscard]] LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
                                              const std::vector<std::vector<double>>& deflation,
                                              const LanczosOptions& options = {});
-
-/// Blocked (multi-vector) variant for the k >= 2 eigenpair consumers
-/// (embedding spectral coordinates, expander certificates, DESIGN.md §9).
-///
-/// One block-Krylov basis serves every wanted pair: `block_size` start
-/// vectors are expanded one operator apply at a time, every new vector is
-/// CGS2+DGKS-reorthogonalized against the WHOLE basis (the same fused
-/// rank-m update as the k = 1 path, so the dominant FLOPs stay streamed
-/// and OpenMP-parallel above kSpectralParallelDim), and Rayleigh–Ritz on
-/// the projected matrix extracts the k smallest pairs.  Against k
-/// repeated deflated rank-1 solves this shares the bottom of the spectrum
-/// instead of re-converging through it per pair, and — unlike a single
-/// Krylov chain — resolves eigenvalue multiplicities (mesh Laplacians are
-/// full of them) without deflation tricks.
-///
-/// Determinism contract: identical to lanczos_smallest — every reduction
-/// is chunk-ordered, the dense Rayleigh–Ritz solve is sequential, and the
-/// start block is a pure function of `seed`, so a solve is bit-identical
-/// for ANY OMP thread count.
-struct BlockLanczosOptions {
-  int num_eigenpairs = 2;   ///< k smallest pairs to extract
-  /// Start-block width; <= 0 means min(2, num_eigenpairs).  Width 2 is
-  /// the measured sweet spot: wide enough that the degenerate pairs mesh
-  /// Laplacians produce converge together, narrow enough that the
-  /// per-direction polynomial degree (basis / block) stays high — a
-  /// width-k block quadruples the basis a k = 4 solve needs.
-  int block_size = 0;
-  int max_basis = 300;      ///< total Krylov vectors cap (memory: max_basis x n)
-  double tolerance = 1e-9;  ///< residual bound per wanted pair
-  std::uint64_t seed = 7;
-  LanczosScratch* scratch = nullptr;  ///< optional buffer pool
-  /// Acceleration mode and its knobs.
-  SpectralAccel accel;
-};
-
-[[nodiscard]] LanczosResult lanczos_smallest_block(
-    const LinearOperator& op, std::size_t n,
-    const std::vector<std::vector<double>>& deflation, const BlockLanczosOptions& options = {});
 
 }  // namespace fne

@@ -8,7 +8,6 @@
 #include "api/registry.hpp"
 #include "api/runner.hpp"
 #include "expansion/types.hpp"
-#include "spectral/lanczos.hpp"
 
 namespace fne {
 
@@ -33,9 +32,6 @@ void append_finder(std::string& key, const CutFinderOptions& finder) {
   key += ",warm:" + std::to_string(finder.warm_start ? 1 : 0);
   key += ",stale:" + std::to_string(finder.stale_sweep_first ? 1 : 0);
   key += ",early:" + std::to_string(finder.early_exit ? 1 : 0);
-  key += ",spectral_mode:";
-  key += spectral_mode_name(finder.spectral_mode);
-  key += ",filter_degree:" + std::to_string(finder.filter_degree);
   // finder.seed is deliberately absent: the runner overrides it per
   // repetition from (scenario.seed, rep), which the key already names.
 }
@@ -60,7 +56,7 @@ void append_metrics(std::string& key, const MetricsSpec& metrics) {
 }  // namespace
 
 std::string store_key_prefix(const Scenario& scenario, const FaultSpec& effective_fault) {
-  std::string key = "fne-cell|schema=2";
+  std::string key = "fne-cell|schema=3";
   key += "|topo=" + scenario.topology.name;
   key += "|topo_params=" + scenario.topology.params.to_string();
   // Entries whose build output depends on state beyond the params (the

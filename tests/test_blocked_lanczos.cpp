@@ -86,11 +86,11 @@ TEST(BlockedLanczos, MatchesTheDenseOracleIncludingMultiplicity) {
   ASSERT_NEAR(oracle_values[0], 0.0, 1e-10);  // kernel (connected graph)
   ASSERT_NEAR(oracle_values[1], oracle_values[2], 1e-10) << "λ₂ must be degenerate";
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-9;
   const LanczosResult result =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(result.converged);
   ASSERT_EQ(result.values.size(), 4u);
   // Deflating ones removes the kernel: blocked values are oracle[1..4].
@@ -124,13 +124,13 @@ TEST(BlockedLanczos, RankKMatchesRepeatedRankOneSolves) {
     defl.push_back(r.vectors.at(0));
   }
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 3;
   opts.tolerance = 1e-9;
-  opts.max_basis = 400;
+  opts.max_iterations = 400;
   opts.seed = 17;
   const LanczosResult blocked =
-      lanczos_smallest_block(as_operator(lap), dim, ones_deflation(dim), opts);
+      lanczos_smallest(as_operator(lap), dim, ones_deflation(dim), opts);
   ASSERT_TRUE(blocked.converged);
   for (int e = 0; e < 3; ++e) {
     EXPECT_NEAR(blocked.values[static_cast<std::size_t>(e)],
@@ -161,12 +161,12 @@ TEST(BlockedLanczos, DeflationGhostRegression) {
   sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
   const SubCsrLaplacian lap(sub);
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-8;
-  opts.max_basis = 500;
+  opts.max_iterations = 500;
   const LanczosResult result =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(result.converged);
   // Path eigenvalues 2 - 2cos(πk/20); mesh eigenvalues are pairwise sums.
   const double mu = 2.0 - 2.0 * std::cos(M_PI / 20.0);
@@ -188,13 +188,13 @@ TEST(BlockedLanczos, DeterministicBelowAndAboveParallelThreshold) {
         y[i] = d * x[i];
       }
     };
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = 4;
-    opts.max_basis = 120;
+    opts.max_iterations = 120;
     opts.tolerance = 1e-9;
     opts.seed = 11;
 
-    const auto solve = [&] { return lanczos_smallest_block(op, n, {}, opts); };
+    const auto solve = [&] { return lanczos_smallest(op, n, {}, opts); };
     const LanczosResult first = solve();
 
 #ifdef _OPENMP
@@ -255,13 +255,13 @@ TEST(BlockedLanczosSlow, CullSequenceParityOnShrunkSubCsr) {
 
     const SubCsrLaplacian a(incremental);
     const SubCsrLaplacian b(fresh);
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = 2;
-    opts.max_basis = 200;
+    opts.max_iterations = 200;
     opts.tolerance = 1e-7;
     opts.seed = 7 + static_cast<std::uint64_t>(round);
-    const LanczosResult ra = lanczos_smallest_block(as_operator(a), a.dim(), {}, opts);
-    const LanczosResult rb = lanczos_smallest_block(as_operator(b), b.dim(), {}, opts);
+    const LanczosResult ra = lanczos_smallest(as_operator(a), a.dim(), {}, opts);
+    const LanczosResult rb = lanczos_smallest(as_operator(b), b.dim(), {}, opts);
     ASSERT_EQ(ra.iterations, rb.iterations);
     ASSERT_EQ(ra.values, rb.values);
     ASSERT_EQ(ra.vectors, rb.vectors);

@@ -5,7 +5,8 @@
 // single-process CampaignRunner — faults move work around, they never
 // change results.  Plus the robustness mechanics one by one: zero-worker
 // degradation, fingerprint handshake, duplicate completions, the
-// back-of-list pick order, a held PULL, wrong-key rejection, garbage connections, a
+// back-of-list pick order, a held PULL, wrong-key rejection, garbage connections
+// and the reaping of their session threads, a
 // registered worker that never pulls, a worker whose coordinator is
 // gone or was never a coordinator, zombie workers whose job a local
 // thread backs up, and store commits from a distributed run replaying
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "api/campaign.hpp"
+#include "api/metrics.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/message.hpp"
 #include "dist/transport.hpp"
@@ -230,6 +232,57 @@ TEST(Dist, GarbageConnectionIsDroppedAndTheRunCompletes) {
   noise.join();
   EXPECT_EQ(report.to_json(false), reference);
   EXPECT_GE(coordinator.stats().rejected_corrupt, 1u);
+}
+
+/// A test-only metric whose cell blocks until g_gate_open: the local
+/// thread that computes it keeps the coordinator's run open, with no
+/// clock, for as long as a test needs.
+std::atomic<bool> g_gate_open{false};
+
+void register_gate_metric() {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  if (registry.contains("test_dist_gate")) return;
+  registry.add({"test_dist_gate",
+                "test only: blocks its cell until g_gate_open",
+                {},
+                [](const MetricContext&, const Params&) {
+                  while (!g_gate_open.load()) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                  }
+                  return MetricRecord{"test_dist_gate", "{}", "gate"};
+                },
+                {}});
+}
+
+TEST(Dist, EndedSessionsAreReapedDuringTheRun) {
+  register_gate_metric();
+  g_gate_open = false;
+  Campaign campaign = tiny_campaign();
+  campaign.entries[0].scenario.metrics.requests.push_back({"test_dist_gate", Params{}});
+  DistCoordinator coordinator(campaign, test_options());
+  std::thread driver([&] { (void)coordinator.run(); });
+  const JoinOnExit join_driver{driver};
+  struct OpenGateOnExit {
+    ~OpenGateOnExit() { g_gate_open = true; }
+  } open_gate;  // destroyed first: the run can end before it is joined
+
+  constexpr int kClients = 200;
+  for (int i = 0; i < kClients; ++i) {
+    std::unique_ptr<Transport> t = tcp_connect("127.0.0.1", coordinator.port(), 1000);
+    ASSERT_TRUE(t != nullptr);
+    (void)t->send("this is not an FNEM frame at all........");
+    char sink[256];
+    while (t->recv(sink, sizeof(sink), 50) > 0) {
+    }
+  }  // each session drops its garbage connection and ends
+  // The acceptor joins an ended session within an accept poll, so the
+  // run soon holds no thread for the connections it no longer has.
+  const Timer clock;
+  while (coordinator.session_count() > 2 && clock.millis() < 10000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(coordinator.session_count(), 2u);
+  EXPECT_EQ(coordinator.stats().rejected_corrupt, static_cast<std::uint64_t>(kClients));
 }
 
 // A hand-rolled protocol client: the tests' way of sending exactly the

@@ -8,6 +8,7 @@
 #include "spectral/operator.hpp"
 #include "spectral/tridiag.hpp"
 #include "topology/classic.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace fne {
@@ -138,6 +139,7 @@ TEST(Lanczos, MatchesJacobiOnRandomGraphLaplacian) {
   const std::vector<std::vector<double>> defl{std::vector<double>(n, 1.0)};
   LanczosOptions opts;
   opts.num_eigenpairs = 2;
+  opts.block_size = 1;  // the rank-1 body at k = 2
   const auto res = lanczos_smallest(
       [&](const std::vector<double>& x, std::vector<double>& y) { lap.apply(x, y); }, n, defl,
       opts);
@@ -145,6 +147,18 @@ TEST(Lanczos, MatchesJacobiOnRandomGraphLaplacian) {
   // Deflated smallest = λ2 of the Laplacian (dense_values[1]).
   EXPECT_NEAR(res.values[0], dense_values[1], 1e-7);
   EXPECT_NEAR(res.values[1], dense_values[2], 1e-6);
+  // A basis cap below the wanted pairs is refused at every width.
+  opts.max_iterations = 1;
+  for (const int width : {1, 2}) {
+    opts.block_size = width;
+    EXPECT_THROW((void)lanczos_smallest(
+                     [&](const std::vector<double>& x, std::vector<double>& y) {
+                       lap.apply(x, y);
+                     },
+                     n, defl, opts),
+                 PreconditionError)
+        << "width " << width;
+  }
 }
 
 TEST(Lanczos, RitzVectorIsEigenvector) {

@@ -6,10 +6,14 @@
 // embedding_quality on the shared graph-family fixtures.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "api/campaign.hpp"
 #include "api/metrics.hpp"
@@ -19,7 +23,6 @@
 #include "api/scenario_cli.hpp"
 #include "core/traversal.hpp"
 #include "graph_cases.hpp"
-#include "spectral/lanczos.hpp"
 #include "span/span.hpp"
 #include "store/result_store.hpp"
 #include "topology/mesh.hpp"
@@ -108,89 +111,56 @@ TEST(MetricsRegistry, CampaignJsonRejectsUnknownMetricsAndParams) {
                PreconditionError);
 }
 
-/// Out-of-range Chebyshev degrees: negative, just past kMaxFilterDegree,
-/// the degree that fails the tridiagonal QL, and two values that wrap to
-/// small ints when narrowed (2^32 + 8 -> 8, -2^32 + 1 -> 1).
-constexpr const char* kBadFilterDegrees[] = {"-2", "25", "600", "4294967304", "-4294967295"};
-
-TEST(MetricsRegistry, SpectralModeParamsValidatedAtCheckTime) {
-  // Declared on both spectral metrics, value-checked by the entry's
-  // validate hook — so a typo'd mode fails in check(), i.e. at campaign
-  // parse time, not mid-batch in compute().
-  for (const char* metric : {"embedding_quality", "expander_certificate"}) {
-    MetricsRegistry::instance().check(metric, Params{{"spectral_mode", "filtered"}});
-    MetricsRegistry::instance().check(
-        metric, Params{{"spectral_mode", "shift_invert"}, {"filter_degree", "8"}});
-    try {
-      MetricsRegistry::instance().check(metric, Params{{"spectral_mode", "cheby"}});
-      FAIL() << "expected PreconditionError";
-    } catch (const PreconditionError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("cheby"), std::string::npos) << what;
-      EXPECT_NE(what.find("shift_invert"), std::string::npos) << "must list valid modes";
-    }
-    // filter_degree is bounded to [0, kMaxFilterDegree] BEFORE it is
-    // narrowed to int: 600 fails the tridiagonal QL mid-solve, and
-    // 2^32 + 8 would otherwise wrap to 8.
-    MetricsRegistry::instance().check(metric, Params{{"filter_degree", "24"}});
-    for (const char* bad : kBadFilterDegrees) {
-      EXPECT_THROW(MetricsRegistry::instance().check(metric, Params{{"filter_degree", bad}}),
-                   PreconditionError)
-          << metric << " filter_degree=" << bad;
-    }
-  }
-  // Campaign JSON inherits the rejection through the same check() call.
-  EXPECT_THROW((void)campaign_from_json(R"({"scenarios": [
-      {"metrics": {"requests": [{"name": "embedding_quality",
-                                 "params": {"spectral_mode": "cheby"}}]}}]})"),
-               PreconditionError);
-  for (const char* bad : kBadFilterDegrees) {
-    EXPECT_THROW((void)campaign_from_json(std::string(R"({"scenarios": [
-        {"metrics": {"requests": [{"name": "expander_certificate",
-                                   "params": {"filter_degree": )") + bad + "}}]}}]}"),
-                 PreconditionError)
-        << bad;
+/// Runs `fn`, which must throw a PreconditionError whose message
+/// contains `needle`.
+template <typename Fn>
+void expect_rejected(const Fn& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a PreconditionError naming " << needle;
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
   }
 }
 
-TEST(MetricsRegistry, CampaignJsonParsesPruneSpectralMode) {
-  const Campaign c = campaign_from_json(R"({"scenarios": [
-      {"topology": {"name": "mesh", "params": {"side": 8, "dims": 2}},
-       "prune": {"alpha": 0.25, "spectral_mode": "filtered", "filter_degree": 10}}]})");
-  ASSERT_EQ(c.entries.size(), 1u);
-  EXPECT_EQ(c.entries[0].scenario.prune.finder.spectral_mode, SpectralMode::kFiltered);
-  EXPECT_EQ(c.entries[0].scenario.prune.finder.filter_degree, 10);
-  EXPECT_THROW((void)campaign_from_json(R"({"scenarios": [
-      {"prune": {"spectral_mode": "sideways"}}]})"),
-               PreconditionError);
-  EXPECT_THROW((void)campaign_from_json(R"({"scenarios": [
-      {"prune": {"filter_degree": -1}}]})"),
-               PreconditionError);
-  EXPECT_EQ(campaign_from_json(R"({"scenarios": [{"prune": {"filter_degree": 24}}]})")
-                .entries[0].scenario.prune.finder.filter_degree,
-            kMaxFilterDegree);
-  for (const char* bad : kBadFilterDegrees) {
-    EXPECT_THROW((void)campaign_from_json(std::string(R"({"scenarios": [
-        {"prune": {"filter_degree": )") + bad + "}}]}"),
-                 PreconditionError)
-        << bad;
+TEST(RemovedSolverKnobs, CampaignKeysAndMetricParamsAreRejectedByName) {
+  // The eigensolver is the library's choice (DESIGN.md §10): the retired
+  // knobs are unknown keys and undeclared params, whatever their value.
+  for (const char* knob : {"spectral_mode", "filter_degree"}) {
+    const std::string key = knob;
+    expect_rejected(
+        [&] {
+          (void)campaign_from_json(R"({"scenarios": [{"prune": {")" + key + R"(": 1}}]})");
+        },
+        "prune has no key '" + key + "'");
+    for (const char* metric : {"embedding_quality", "expander_certificate"}) {
+      expect_rejected([&] { MetricsRegistry::instance().check(metric, Params{{key, "0"}}); },
+                      std::string("'") + metric + "' has no param '" + key + "'");
+      expect_rejected(
+          [&] {
+            (void)campaign_from_json(std::string(R"({"scenarios": [{"metrics": {"requests": [
+                {"name": ")") + metric + R"(", "params": {")" + key + R"(": 0}}]}}]})");
+          },
+          "has no param '" + key + "'");
+    }
   }
 }
 
-TEST(MetricsRegistry, CliFilterDegreeIsBounded) {
-  const auto parse = [](const std::string& degree) {
-    std::string prog = "scenario_runner";
-    std::string flag = "--filter-degree=" + degree;
-    std::string metrics = "--metrics=embedding_quality";
-    char* argv[] = {prog.data(), flag.data(), metrics.data()};
-    return scenario_overrides_from_cli(Scenario{}, Cli(3, argv));
-  };
-  const Scenario ok = parse("24");
-  EXPECT_EQ(ok.prune.finder.filter_degree, 24);
-  ASSERT_EQ(ok.metrics.requests.size(), 1u);
-  EXPECT_EQ(ok.metrics.requests[0].params.get_int("filter_degree", 0), 24);
-  for (const char* bad : kBadFilterDegrees) {
-    EXPECT_THROW((void)parse(bad), PreconditionError) << "--filter-degree=" << bad;
+TEST(RemovedSolverKnobs, CliFlagsAreRejectedByName) {
+  for (const char* flag : {"spectral-mode=plain", "filter-degree=8"}) {
+    const std::string name = std::string(flag).substr(0, std::string(flag).find('='));
+    const std::string command = std::string("'") + FNE_SCENARIO_RUNNER +
+                                "' --scenario=mesh-random --reps=1 --" + flag + " 2>&1";
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << output;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+    EXPECT_NE(output.find("--" + name + " does not apply"), std::string::npos) << output;
   }
 }
 

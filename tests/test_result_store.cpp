@@ -133,7 +133,7 @@ TEST(CellRecord, DecodeIsTotalOnMalformedInput) {
 TEST(CellKey, NamesEveryInputAndSeparatesCells) {
   const Scenario s = small_scenario();
   const std::string key = store_cell_key(s, s.fault, 0);
-  EXPECT_EQ(key.find("fne-cell|schema=2|"), 0u);
+  EXPECT_EQ(key.find("fne-cell|schema=3|"), 0u);
   EXPECT_NE(key.find("|topo=mesh|"), std::string::npos);
   EXPECT_NE(key.find("|fault=random|"), std::string::npos);
   EXPECT_NE(key.find("|rep=0"), std::string::npos);
@@ -158,11 +158,11 @@ TEST(CellKey, NamesEveryInputAndSeparatesCells) {
   // The bytes themselves are pinned: a stored cell is found only under
   // exactly the key that wrote it.
   EXPECT_EQ(store_cell_key(s, s.fault, 3),
-            "fne-cell|schema=2|topo=mesh|topo_params=dims=2,side=10|"
+            "fne-cell|schema=3|topo=mesh|topo_params=dims=2,side=10|"
             "build_seed=10555928141083241264|fault=random|fault_params=p=0.2|kind=edge|"
             "alpha=0x1.999999999999ap-3|epsilon=0x0p+0|fast=0|max_iter=100000|"
             "finder=exact_limit:20,ball_sources:12,refine_passes:6,use_spectral:1,use_balls:1,"
-            "use_exact:1,warm:0,stale:0,early:0,spectral_mode:filtered,filter_degree:0|"
+            "use_exact:1,warm:0,stale:0,early:0|"
             "metrics=frag:1,exp:1,trace:1,bx:14|requests=|seed=404|rep=3");
   EXPECT_EQ(store_cell_key(store_key_prefix(s, s.fault), 3), store_cell_key(s, s.fault, 3));
 }
@@ -878,34 +878,45 @@ TEST(CampaignStore, KilledCampaignResumesRecomputingOnlyMissingCells) {
   EXPECT_EQ(healed.store.misses, 0u);
 }
 
-TEST(CampaignStore, SchemaOneCellsAreMissesUnderSchemaTwo) {
+TEST(CampaignStore, SchemaOneAndTwoCellsAreMissesUnderSchemaThree) {
   // Schema-1 cells ran the old default solver and, with fast=1, the old
-  // staged schedule.  A fast cell that named spectral_mode:filtered then
-  // has the same key string now but a different result, so only the
-  // schema field keeps such cells from being replayed as current results.
-  // This cell is fast=1 and uses the default (filtered) mode.
-  const std::string dir = fresh_dir("campaign-schema1");
+  // staged schedule: a fast cell that named spectral_mode:filtered kept
+  // its key string then but not its result, so only the schema field
+  // keeps such cells from being replayed as current results.  Schema-2
+  // cells are the same results as today under a longer key (the retired
+  // spectral_mode/filter_degree segment); they too are misses, never
+  // corrupt records.  Each old key is built the way its schema wrote it.
+  // This cell is fast=1 and runs the default (filtered) solve.
   Campaign reps;
   reps.name = "schema";
   reps.entries.push_back(store_campaign().entries[0]);
   const Scenario& s = reps.entries[0].scenario;
   ScenarioRunner scenario_runner(s);
+  const std::string fresh_payload = CampaignRunner(reps).run(1).to_json(false);
 
-  ResultStore store(dir);
-  for (int rep = 0; rep < s.repetitions; ++rep) {
-    std::string old_key = store_cell_key(s, s.fault, rep);
-    ASSERT_EQ(old_key.find("fne-cell|schema=2|"), 0u);
-    old_key.replace(0, std::string("fne-cell|schema=2").size(), "fne-cell|schema=1");
-    const ScenarioRun run = scenario_runner.run_isolated(s.fault, rep);
-    store.put(old_key, encode_runs({&run, 1}));
-    EXPECT_TRUE(store.contains(old_key));
-    EXPECT_FALSE(store.contains(store_cell_key(s, s.fault, rep)));
+  for (const int version : {1, 2}) {
+    const std::string schema = "fne-cell|schema=" + std::to_string(version);
+    SCOPED_TRACE(schema);
+    ResultStore store(fresh_dir("campaign-schema" + std::to_string(version)));
+    for (int rep = 0; rep < s.repetitions; ++rep) {
+      std::string old_key = store_cell_key(s, s.fault, rep);
+      ASSERT_EQ(old_key.find("fne-cell|schema=3|"), 0u);
+      old_key.replace(0, std::string("fne-cell|schema=3").size(), schema);
+      const std::size_t finder_end = old_key.find("|metrics=");
+      ASSERT_NE(finder_end, std::string::npos);
+      old_key.insert(finder_end, ",spectral_mode:filtered,filter_degree:0");
+      const ScenarioRun run = scenario_runner.run_isolated(s.fault, rep);
+      store.put(old_key, encode_runs({&run, 1}));
+      EXPECT_TRUE(store.contains(old_key));
+      EXPECT_FALSE(store.contains(store_cell_key(s, s.fault, rep)));
+    }
+
+    const CampaignReport report = CampaignRunner(reps).run(1, &store);
+    EXPECT_EQ(report.store.hits, 0u) << "an older-schema cell must never be served";
+    EXPECT_EQ(report.store.misses, static_cast<std::uint64_t>(s.repetitions));
+    EXPECT_EQ(store.stats().corrupt_records, 0u);
+    EXPECT_EQ(report.to_json(false), fresh_payload);
   }
-
-  const CampaignReport report = CampaignRunner(reps).run(1, &store);
-  EXPECT_EQ(report.store.hits, 0u) << "a schema-1 cell must never be served";
-  EXPECT_EQ(report.store.misses, static_cast<std::uint64_t>(s.repetitions));
-  EXPECT_EQ(report.to_json(false), CampaignRunner(reps).run(1).to_json(false));
 }
 
 // A test-only metric that cancels `g_probe_token` in the cell that runs it

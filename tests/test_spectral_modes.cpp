@@ -19,7 +19,6 @@
 
 #include "api/runner.hpp"
 #include "core/traversal.hpp"
-#include "expansion/cut_finder.hpp"
 #include "faults/fault_model.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/jacobi.hpp"
@@ -59,6 +58,15 @@ namespace {
   return a;
 }
 
+[[nodiscard]] const char* mode_name(SpectralMode mode) {
+  switch (mode) {
+    case SpectralMode::kPlain: return "plain";
+    case SpectralMode::kFiltered: return "filtered";
+    case SpectralMode::kShiftInvert: return "shift_invert";
+  }
+  return "?";
+}
+
 [[nodiscard]] SpectralAccel accel_for(SpectralMode mode, const SubCsr& sub) {
   SpectralAccel accel;
   accel.mode = mode;
@@ -93,20 +101,8 @@ struct CertifyComponent {
   return {runner.graph(), std::move(comp)};
 }
 
-TEST(SpectralModes, ModeStringsRoundTripAndReject) {
-  for (const SpectralMode mode :
-       {SpectralMode::kPlain, SpectralMode::kFiltered, SpectralMode::kShiftInvert}) {
-    EXPECT_EQ(spectral_mode_from_string(spectral_mode_name(mode)), mode);
-  }
-  // "auto" names the default in configs; it is the filtered solve.
-  EXPECT_EQ(spectral_mode_from_string("auto"), SpectralMode::kFiltered);
-  EXPECT_THROW((void)spectral_mode_from_string("chebyshev"), PreconditionError);
-  EXPECT_THROW((void)spectral_mode_from_string(""), PreconditionError);
-}
-
 TEST(SpectralModes, DefaultFiedlerSolveIsFilteredAtAnySize) {
   EXPECT_EQ(FiedlerOptions{}.accel.mode, SpectralMode::kFiltered);
-  EXPECT_EQ(CutFinderOptions{}.spectral_mode, SpectralMode::kFiltered);
   // No size threshold: at n = 2, 10 and 8192 the default solve (whose
   // NaN bound fiedler_vector fills from Gershgorin) is bit-identical to
   // an explicit filtered solve with that bound.
@@ -172,15 +168,15 @@ TEST(SpectralModes, FilteredMatchesPlainOnMesh) {
   EXPECT_NEAR(filtered.values[0], plain.values[0], 1e-6);
 
   // Blocked k = 4: values match the plain blocked solve pairwise.
-  BlockLanczosOptions bopts;
+  LanczosOptions bopts;
   bopts.num_eigenpairs = 4;
   bopts.tolerance = 1e-8;
-  bopts.max_basis = 500;
+  bopts.max_iterations = 500;
   const LanczosResult bplain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
   bopts.accel = accel_for(SpectralMode::kFiltered, sub);
   const LanczosResult bfilt =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
   ASSERT_TRUE(bplain.converged);
   ASSERT_TRUE(bfilt.converged);
   ASSERT_EQ(bplain.values.size(), bfilt.values.size());
@@ -210,15 +206,15 @@ TEST(SpectralModes, ShiftInvertMatchesPlainOnMesh) {
   EXPECT_LT(si.iterations, plain.iterations)
       << "shift-invert exists to converge in far fewer (outer) iterations";
 
-  BlockLanczosOptions bopts;
+  LanczosOptions bopts;
   bopts.num_eigenpairs = 4;
   bopts.tolerance = 1e-8;
-  bopts.max_basis = 500;
+  bopts.max_iterations = 500;
   const LanczosResult bplain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
   bopts.accel.mode = SpectralMode::kShiftInvert;
   const LanczosResult bsi =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
   ASSERT_TRUE(bplain.converged);
   ASSERT_TRUE(bsi.converged);
   ASSERT_EQ(bplain.values.size(), bsi.values.size());
@@ -233,15 +229,15 @@ TEST(SpectralModes, FilteredMatchesPlainOnRandomRegular) {
   sub.build(g, VertexSet::full(g.num_vertices()));
   const SubCsrLaplacian lap(sub);
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-8;
-  opts.max_basis = 400;
+  opts.max_iterations = 400;
   const LanczosResult plain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   opts.accel = accel_for(SpectralMode::kFiltered, sub);
   const LanczosResult filtered =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(plain.converged);
   ASSERT_TRUE(filtered.converged);
   ASSERT_EQ(plain.values.size(), filtered.values.size());
@@ -275,18 +271,21 @@ TEST(SpectralModes, FilteredParityOnCullSequence) {
     culled.for_each([&](vid v) { alive.reset(v); });
     incremental.remove(culled);
     const VertexSet comp = largest_component(g, alive);
-    if (comp.count() != alive.count()) break;  // solver needs connectivity
+    if (comp.count() != alive.count()) {  // the solver needs a connected mask
+      incremental.remove(alive - comp);
+      alive = comp;
+    }
 
     const SubCsrLaplacian lap(incremental);
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = 2;
     opts.tolerance = 1e-7;
-    opts.max_basis = 300;
+    opts.max_iterations = 300;
     const LanczosResult plain =
-        lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+        lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
     opts.accel = accel_for(SpectralMode::kFiltered, incremental);
     const LanczosResult filtered =
-        lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+        lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
     SCOPED_TRACE(round);
     ASSERT_TRUE(plain.converged);
     ASSERT_TRUE(filtered.converged);
@@ -328,11 +327,12 @@ struct PinnedSolve {
     const std::vector<double> degenerate(n, 1.0);  // deflated away entirely
     for (const SpectralMode mode :
          {SpectralMode::kPlain, SpectralMode::kFiltered, SpectralMode::kShiftInvert}) {
-      const std::string tag = std::string(name) + "/" + spectral_mode_name(mode) + "/";
+      const std::string tag = std::string(name) + "/" + mode_name(mode) + "/";
       const SpectralAccel accel = accel_for(mode, sub);
       const auto rank1 = [&](const char* what, int k, int cap, const std::vector<double>* init) {
         LanczosOptions o;
         o.num_eigenpairs = k;
+        o.block_size = 1;
         o.max_iterations = cap;
         o.seed = 11;
         o.initial = init;
@@ -344,14 +344,14 @@ struct PinnedSolve {
       rank1("r1 k=2 warm", 2, 400, &warm);
       rank1("r1 k=2 cap=40", 2, 40, nullptr);
       const auto block = [&](const char* what, int k, int cap, int width) {
-        BlockLanczosOptions o;
+        LanczosOptions o;
         o.num_eigenpairs = k;
-        o.max_basis = cap;
+        o.max_iterations = cap;
         o.block_size = width;
         o.tolerance = 1e-8;
         o.seed = 5;
         o.accel = accel;
-        record(tag + what, lanczos_smallest_block(as_operator(lap), n, ones_deflation(n), o));
+        record(tag + what, lanczos_smallest(as_operator(lap), n, ones_deflation(n), o));
       };
       block("blk k=2", 2, 400, 0);
       block("blk k=4 width=3", 4, 400, 3);
@@ -365,10 +365,11 @@ struct PinnedSolve {
       o.seed = 12;
       o.accel = top;
       record(tag + "-L r1", lanczos_smallest(neg, n, {}, o));
-      BlockLanczosOptions b;
+      LanczosOptions b;
+      b.num_eigenpairs = 2;
       b.seed = 12;
       b.accel = top;
-      record(tag + "-L blk k=2", lanczos_smallest_block(neg, n, {}, b));
+      record(tag + "-L blk k=2", lanczos_smallest(neg, n, {}, b));
     }
   }
   return out;
@@ -486,7 +487,7 @@ TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
         return lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
       };
       const LanczosResult first = solve();
-      SCOPED_TRACE(spectral_mode_name(mode));
+      SCOPED_TRACE(mode_name(mode));
       SCOPED_TRACE(side);
 #ifdef _OPENMP
       const int saved = omp_get_max_threads();
@@ -547,18 +548,18 @@ TEST(SpectralModesSlow, ClusteredSpectrumRegressionSide96) {
   sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
   const SubCsrLaplacian lap(sub);
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-5;
-  opts.max_basis = 250;
+  opts.max_iterations = 250;
   const LanczosResult plain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   EXPECT_FALSE(plain.converged)
       << "plain converged inside the cap — the regression no longer bites; tighten it";
 
   opts.accel = accel_for(SpectralMode::kFiltered, sub);
   const LanczosResult filtered =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(filtered.converged);
   ASSERT_EQ(filtered.values.size(), 4u);
   const double mu1 = path_mu(1, 96);
