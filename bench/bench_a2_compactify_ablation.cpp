@@ -31,7 +31,7 @@ static int run_main(const fne::Cli& cli) {
   for (double p : {0.15, 0.30, 0.40}) {
     const VertexSet alive = random_node_faults(g, p, seed + static_cast<vid>(1000 * p));
     for (bool compact_on : {true, false}) {
-      Prune2Options opts;
+      PruneEngineOptions opts;
       opts.compactify_enabled = compact_on;
       opts.finder.seed = seed;
       const PruneResult result = prune2(g, alive, alpha_e, eps, opts);

@@ -4,8 +4,8 @@
 //
 // Scenario-layer version: each family is a Scenario (topology by registry
 // name), the attack portfolio is the fault-model registry, and one
-// ScenarioRunner per family drives every (k, attack) cell on one
-// persistent engine — the runner also measures the honest α (the
+// ScenarioRunner per family runs every (k, attack) cell through
+// run_isolated — the runner also measures the honest α (the
 // constructive upper bound of the fault-free bracket) that the theorem's
 // budget is computed from.
 #include "bench_common.hpp"
@@ -51,8 +51,7 @@ void run(const Family& family, double k, std::uint64_t seed, Table& table) {
       {"sweep_cut", Params().set("budget", std::int64_t{f})},
   };
   for (const auto& [attack_name, params] : attacks) {
-    runner.set_fault({attack_name, params});
-    const ScenarioRun result = runner.run_once();
+    const ScenarioRun result = runner.run_isolated({attack_name, params}, 0);
     const Theorem21Check check = check_theorem21_size(n, alpha, result.faults, k,
                                                       result.prune.survivors.count());
     std::string h_expansion = "-";

@@ -42,7 +42,7 @@ static int run_main(const fne::Cli& cli) {
 
     for (double p : {0.02, 0.05, 0.10}) {
       const VertexSet alive = random_node_faults(g, p, seed + static_cast<vid>(p * 1000) + n);
-      Prune2Options opts;
+      PruneEngineOptions opts;
       opts.finder.seed = seed;
       const PruneResult pruned = prune2(g, alive, c.alpha_e, eps, opts);
       if (pruned.survivors.count() < 2) continue;

@@ -504,23 +504,21 @@ static int run_main(const fne::Cli& cli) {
   for (int t = 0; t < trials; ++t) {
     const VertexSet alive = random_node_faults(g, fault_p, seed + static_cast<std::uint64_t>(t));
     if (t == 0) first_alive = alive;
-    PruneOptions popts;
-    popts.finder.seed = seed + 100 + static_cast<std::uint64_t>(t);
+    PruneEngineOptions det;
+    det.finder.seed = seed + 100 + static_cast<std::uint64_t>(t);
 
     Timer timer;
-    const PruneResult ref = prune_reference(g, alive, alpha, eps, popts);
+    const PruneResult ref = prune_reference(g, alive, alpha, eps, det);
     const double ref_ms = timer.millis();
 
-    PruneEngineOptions det;
-    det.finder = popts.finder;
     EngineStats snapshot = det_engine.stats();
     timer.reset();
     const PruneResult engine_det = det_engine.run(alive, alpha, eps, det);
     const double det_ms = timer.millis();
     det_stats += det_engine.stats() - snapshot;
 
-    PruneEngineOptions fast = PruneEngineOptions::fast();
-    fast.finder.seed = popts.finder.seed;
+    PruneEngineOptions fast = det;
+    fast.finder.fast = true;
     snapshot = fast_engine.stats();
     timer.reset();
     const PruneResult engine_fast = fast_engine.run(alive, alpha, eps, fast);

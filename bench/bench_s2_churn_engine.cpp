@@ -3,9 +3,10 @@
 // A churn process perturbs the alive set only slightly per round, so
 // re-running a stateless prune loop from scratch every round wastes
 // nearly all of its work: components, degrees and the Fiedler ordering
-// barely change.  ScenarioRunner::run_churn threads every round through
-// ONE engine whose workspace survives across rounds (ROADMAP: "reuse
-// component state across *rounds*, not just within one run").
+// barely change.  ScenarioRunner::run_churn threads every round of one
+// call through ONE leased engine whose workspace survives across rounds
+// (ROADMAP: "reuse component state across *rounds*, not just within one
+// run"), and reports that call's engine work on the trace.
 //
 // This bench drives the identical churn fault stream three ways —
 // per-round stateless prune2_reference, runner churn in deterministic
@@ -71,7 +72,7 @@ static int run_main(const fne::Cli& cli) {
   bool det_matches_ref = true;
   for (int t = 0; t < steps; ++t) {
     (void)process.step();
-    Prune2Options popts;
+    PruneEngineOptions popts;
     popts.finder.seed = det.rounds[static_cast<std::size_t>(t)].finder_seed;
     timer.reset();
     const PruneResult r = prune2_reference(det_runner.graph(), process.alive(),
@@ -117,8 +118,8 @@ static int run_main(const fne::Cli& cli) {
   Table stats({"mode", "engine runs", "iters", "eigensolves", "stale sweeps", "stale hits",
                "disconnected culls", "relabel BFS", "relabel verts"});
   for (const auto& [mode, st] :
-       {std::pair<const char*, EngineStats>{"deterministic", det_runner.engine_stats()},
-        std::pair<const char*, EngineStats>{"fast", fast_runner.engine_stats()}}) {
+       {std::pair<const char*, EngineStats>{"deterministic", det.engine},
+        std::pair<const char*, EngineStats>{"fast", fast.engine}}) {
     stats.row()
         .cell(mode)
         .cell(st.runs)

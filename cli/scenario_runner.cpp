@@ -650,7 +650,7 @@ int run(const Cli& cli) {
     copts.p_join = cli.get_double("p-join", copts.p_join);
     copts.seed = s.seed + 17;
     const ChurnRunTrace trace = runner.run_churn(copts);
-    churn_work = runner.engine_stats();
+    churn_work = trace.engine;
     std::cout << "\nchurn (" << churn_steps << " rounds, p_leave=" << copts.p_leave
               << ", p_join=" << copts.p_join << "), re-pruned per round on one engine:\n";
     Table churn({"round", "alive", "gamma", "|H|", "culled", "iters", "prune ms"});

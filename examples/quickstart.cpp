@@ -36,17 +36,18 @@ static int run_main(const fne::Cli& cli) {
   // 2. Bind a runner.  It builds the graph once, resolves alpha (the
   //    measured edge expansion of the fault-free mesh — a real cut, so a
   //    value the graph actually has) and epsilon (Theorem 3.4's
-  //    1/(2*max_degree)), and owns one PruneEngine whose workspace will
-  //    be reused by every run below.
+  //    1/(2*max_degree)).  It holds no engine: each call leases one from
+  //    the process-wide cache and returns it, so a runner is stateless.
   ScenarioRunner runner(scenario);
   std::cout << "network: " << runner.graph().summary() << "\n"
             << "alpha_e = " << runner.alpha() << ", eps = " << runner.epsilon()
             << "  ->  culling threshold alpha*eps = " << runner.alpha() * runner.epsilon()
             << "\n";
 
-  // 3. Execute.  One call injects the faults, runs the engine-backed
-  //    Prune2 loop, and measures the requested metrics.
-  const ScenarioRun run = runner.run_once();
+  // 3. Execute repetition 0 under the scenario's fault spec.  One call
+  //    injects the faults, runs the engine-backed Prune2 loop, and
+  //    measures the requested metrics.
+  const ScenarioRun run = runner.run_isolated(scenario.fault, 0);
   std::cout << "faults: " << run.faults << " nodes failed, " << run.alive.count()
             << " survive\n"
             << "prune2: culled " << run.prune.total_culled << " vertices in "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <initializer_list>
 #include <iostream>
 #include <utility>
@@ -353,9 +354,11 @@ std::string CampaignReport::to_json(bool include_timing) const {
 namespace {
 
 /// Everything a campaign can get wrong in its entries, checked before any
-/// graph is built: registered names, metric requests, and each sweep.  A
-/// sweep's param must be one its fault model declares, and a monotone
-/// sweep additionally needs a declared-monotone param and strictly
+/// graph is built: registered names, prune numbers, metric requests, and
+/// each sweep.  α must be finite (<= 0 means "measure it") and ε below 1
+/// (<= 0 means the kind's canonical value), the ranges PruneEngine::run
+/// enforces.  A sweep's param must be one its fault model declares, and a
+/// monotone sweep additionally needs a declared-monotone param and strictly
 /// ascending values (the masks nest only then).  Left to the jobs, a bad
 /// sweep would fail only after every other cell had run and committed.
 void check_campaign(const Campaign& campaign) {
@@ -363,6 +366,11 @@ void check_campaign(const Campaign& campaign) {
   for (const CampaignEntry& e : campaign.entries) {
     (void)TopologyRegistry::instance().at(e.scenario.topology.name);
     const FaultModelEntry& model = FaultModelRegistry::instance().at(e.scenario.fault.name);
+    FNE_REQUIRE(std::isfinite(e.scenario.prune.alpha),
+                "campaign entry '" + e.scenario.name + "': prune.alpha must be finite");
+    FNE_REQUIRE(e.scenario.prune.epsilon < 1.0,
+                "campaign entry '" + e.scenario.name +
+                    "': prune.epsilon must be < 1 (<= 0 picks the kind's canonical value)");
     check_metric_requests(e.scenario);
     if (!e.sweep.has_value()) continue;
     const SweepSpec& sweep = *e.sweep;

@@ -71,21 +71,9 @@ EngineLease ScenarioRunner::lease_engine() const {
                                        scenario_build_seed(scenario_), scenario_.prune.kind);
 }
 
-PruneEngine& ScenarioRunner::primary_engine() {
-  if (!primary_) primary_ = lease_engine();
-  return primary_.engine();
-}
-
 PruneEngineOptions ScenarioRunner::engine_options(std::uint64_t finder_seed) const {
   PruneEngineOptions opts;
-  if (scenario_.prune.fast) opts = PruneEngineOptions::fast();
-  // fast() only toggles switches; layer the scenario's finder knobs on
-  // top, then re-apply the switches so fast mode survives the overwrite.
-  const bool fast = scenario_.prune.fast;
-  opts.finder = scenario_.prune.finder;
-  opts.finder.warm_start = opts.finder.warm_start || fast;
-  opts.finder.stale_sweep_first = opts.finder.stale_sweep_first || fast;
-  opts.finder.early_exit = opts.finder.early_exit || fast;
+  opts.finder.fast = scenario_.prune.fast;
   opts.finder.seed = finder_seed;
   opts.max_iterations = scenario_.prune.max_iterations;
   return opts;
@@ -153,8 +141,8 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   run.finder_seed = derive_seed(scenario_.seed, 4, static_cast<std::uint64_t>(rep));
 
   // Snapshot the engine's counters around the run: run.engine is the
-  // work THIS prune performed, regardless of which surface (primary
-  // lease, per-job lease, monotone chain point) drove it.
+  // work THIS prune performed, whether a cell or a monotone chain point
+  // drove it.
   const EngineStats before = engine.stats();
   Timer timer;
   run.prune = engine.run(run.alive, alpha_, epsilon_, engine_options(run.finder_seed));
@@ -164,20 +152,10 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   return run;
 }
 
-ScenarioRun ScenarioRunner::run_once(int rep) {
-  return run_point(primary_engine(), scenario_.fault, rep);
-}
-
 ScenarioRun ScenarioRunner::run_isolated(const FaultSpec& fault, int rep,
                                          bool defer_split_metrics) const {
   EngineLease lease = lease_engine();
   return run_point(lease.engine(), fault, rep, nullptr, defer_split_metrics);
-}
-
-void ScenarioRunner::set_fault(FaultSpec fault) {
-  // Validate the name eagerly so a typo fails at set time, not mid-sweep.
-  (void)FaultModelRegistry::instance().at(fault.name);
-  scenario_.fault = std::move(fault);
 }
 
 std::vector<ScenarioRun> ScenarioRunner::run_monotone_chain(
@@ -201,8 +179,9 @@ std::vector<ScenarioRun> ScenarioRunner::run_monotone_chain(
   return runs;
 }
 
-ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
-  PruneEngine& engine = primary_engine();
+ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) const {
+  EngineLease lease = lease_engine();
+  PruneEngine& engine = lease.engine();
   ChurnProcess process(*graph_, options);
   ChurnRunTrace trace;
   trace.rounds.reserve(static_cast<std::size_t>(options.steps));
@@ -221,6 +200,7 @@ ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
     trace.rounds.push_back(round);
   }
   trace.final_alive = process.alive();
+  trace.engine = lease.stats_delta();
   return trace;
 }
 

@@ -2,24 +2,25 @@
 //
 // A runner is bound to one Scenario: it resolves α/ε once and reads its
 // graph and engines from the process-wide EngineCache (api/executor.hpp).
-// It has no scheduler of its own.  Batches — repetitions, fault sweeps,
-// whole studies — run as campaigns (api/campaign.hpp): CampaignPlan
-// builds one runner per entry and calls its cell methods (run_isolated,
-// run_monotone_chain, compute_metric_request) from its job pool; a
-// single scenario is a one-entry campaign.  The runner keeps one PRIMARY
-// engine lease for the warm single-shot surfaces (run_once, run_churn),
-// whose workspace — Krylov basis, BFS queues, degree tables, cached
-// Fiedler vector — survives across calls.
+// It has no scheduler and no mutable state of its own.  Batches —
+// repetitions, fault sweeps, whole studies — run as campaigns
+// (api/campaign.hpp): CampaignPlan builds one runner per entry and calls
+// its cell methods (run_isolated, run_monotone_chain,
+// compute_metric_request) from its job pool; a single scenario is a
+// one-entry campaign.  Every method leases its engine for the one call
+// and returns it to the cache's pool when done; run_churn's rounds share
+// that one lease, so its workspace — Krylov basis, BFS queues, degree
+// tables, cached Fiedler vector — carries over from round to round.
 //
 // Determinism contract: a ScenarioRunner is a pure function of its
 // Scenario.  Repetition r derives its fault seed from (scenario.seed, r)
 // via splitmix64 and its finder seed likewise, never from the thread
-// that runs it, and every cell runs on an engine whose warm state was
+// that runs it, and every call runs on an engine whose warm state was
 // dropped at lease time (EngineCache contract), so each ScenarioRun is a
 // pure function of (scenario, fault, rep): bit-identical for any thread
-// count and any cache-hit pattern.  run_once and run_churn keep the
-// cross-run Fiedler cache on the primary lease — churn rounds are
-// serially dependent anyway and profit most from it.
+// count and any cache-hit pattern.  Within one run_churn call the rounds
+// keep the cross-run Fiedler cache — they are serially dependent anyway
+// and profit most from it.
 //
 // Monotone sweeps (DESIGN.md §8): for fault models whose registry entry
 // declares the swept param monotone (same seed, larger value -> alive
@@ -82,7 +83,7 @@ struct ScenarioRun {
   }
 };
 
-/// One churn round executed through the runner's persistent engine.
+/// One churn round, re-pruned on the engine run_churn leased.
 struct ChurnRoundRun {
   ChurnStep churn;         ///< the raw process observables (parity with simulate_churn)
   vid survivors = 0;       ///< |H| after re-pruning this round's alive mask
@@ -96,6 +97,7 @@ struct ChurnRunTrace {
   std::vector<ChurnRoundRun> rounds;
   VertexSet final_alive;       ///< churn process state after the last round
   VertexSet final_survivors;   ///< prune survivors of the last round
+  EngineStats engine;          ///< engine work of this call's rounds (a stats delta)
   [[nodiscard]] double total_prune_millis() const;
 };
 
@@ -124,21 +126,9 @@ class ScenarioRunner {
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
 
-  /// Work accrued on the runner's PRIMARY engine lease (run_once,
-  /// run_churn).  Deltas since the lease was taken, so a cache-served
-  /// engine's prior history never shows up.  Cell work is reported per
-  /// run instead (ScenarioRun::engine).
-  [[nodiscard]] EngineStats engine_stats() const {
-    return primary_ ? primary_.stats_delta() : EngineStats{};
-  }
-
-  /// Execute repetition `rep`: inject faults, prune through the primary
-  /// engine, measure the requested metrics.  Keeps the engine's cross-run
-  /// warm cache (legacy single-shot semantics).
-  [[nodiscard]] ScenarioRun run_once(int rep = 0);
-
-  /// One campaign cell: repetition `rep` under `fault` on a freshly
-  /// leased cache engine (warm state dropped at lease) — a pure function
+  /// One campaign cell: repetition `rep` under `fault` (inject faults,
+  /// prune, measure the requested metrics) on a freshly leased cache
+  /// engine (warm state dropped at lease) — a pure function
   /// of (scenario, fault, rep), safe to call concurrently from any number
   /// of threads.  With `defer_split_metrics`, metric requests whose
   /// registry entry declares split_job are NOT computed: their
@@ -164,19 +154,14 @@ class ScenarioRunner {
   [[nodiscard]] MetricRecord compute_metric_request(const ScenarioRun& run,
                                                     std::size_t request_index) const;
 
-  /// Swap the fault process (topology, α/ε and engine state are kept —
-  /// that is the point of the persistent engine).
-  void set_fault(FaultSpec fault);
-
-  /// Drive a churn process and re-prune EVERY round through the
-  /// primary engine.  The fault stream is bit-identical to
-  /// simulate_churn(graph(), options) — the scenario's fault spec is not
-  /// used here.
-  [[nodiscard]] ChurnRunTrace run_churn(const ChurnOptions& options);
+  /// Drive a churn process and re-prune EVERY round on one engine,
+  /// leased for this call; the trace's `engine` is the call's work.  The
+  /// fault stream is bit-identical to simulate_churn(graph(), options) —
+  /// the scenario's fault spec is not used here.
+  [[nodiscard]] ChurnRunTrace run_churn(const ChurnOptions& options) const;
 
  private:
   [[nodiscard]] PruneEngineOptions engine_options(std::uint64_t finder_seed) const;
-  [[nodiscard]] PruneEngine& primary_engine();
   [[nodiscard]] EngineLease lease_engine() const;
   /// One repetition on an explicit engine and fault spec — the unit of
   /// work every surface reduces to.  Pure given (scenario, fault, rep)
@@ -193,7 +178,6 @@ class ScenarioRunner {
   std::shared_ptr<const Graph> graph_;
   double alpha_ = 0.0;
   double epsilon_ = 0.0;
-  EngineLease primary_;  ///< leased lazily; held for the runner's lifetime
 };
 
 }  // namespace fne

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "api/params.hpp"
-#include "expansion/cut_finder.hpp"
 #include "expansion/types.hpp"
 
 namespace fne {
@@ -43,11 +42,10 @@ struct PruneSpec {
   /// Threshold factor ε.  <= 0 means the kind's canonical choice:
   /// 1/(2·max_degree) for Edge (Theorem 3.4), 1/2 for Node (k = 2).
   double epsilon = 0.0;
-  /// Engine speed switches (warm start / stale sweep / early exit).  Off,
-  /// runs are bit-identical to the stateless reference loops.
+  /// The engine's one speed switch (CutFinderOptions::fast).  Off, runs
+  /// are bit-identical to the stateless reference loops.  The cut finder
+  /// otherwise runs its defaults at a per-repetition seed.
   bool fast = false;
-  /// Cut-finder knobs; the seed field is overridden per repetition.
-  CutFinderOptions finder{};
   int max_iterations = 100000;
 };
 

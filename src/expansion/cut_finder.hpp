@@ -20,17 +20,14 @@ struct CutFinderOptions {
   bool use_balls = true;
   bool use_exact = true;
 
-  // Fast-mode switches (honored only when a workspace is supplied; see
-  // DESIGN.md §5).  All default off: the default configuration is
-  // bit-identical to the stateless portfolio.  Turning them on changes
-  // WHICH violating set is found — never whether the found set is valid.
-  /// Warm-start the Fiedler eigensolve from the workspace's cached vector.
-  bool warm_start = false;
-  /// Before any eigensolve, sweep the ordering induced by the cached
-  /// (stale) Fiedler vector; a hit skips the solve entirely.
-  bool stale_sweep_first = false;
-  /// Let sweeps stop at the first candidate reaching the threshold.
-  bool early_exit = false;
+  /// Fast mode (DESIGN.md §5): before any eigensolve, sweep the ordering
+  /// of the workspace's cached (stale) Fiedler vector, a hit skipping the
+  /// solve; warm-start the solve from that vector; and let sweeps and the
+  /// staged solve stop at the first candidate reaching the threshold.
+  /// The stale sweep and warm start need a workspace.  Off (the default),
+  /// the portfolio is bit-identical to the stateless one; on, it changes
+  /// WHICH violating set is found — never whether the found set is valid.
+  bool fast = false;
 };
 
 /// Find S ⊆ alive with |S| <= |alive|/2 violating the expansion threshold:
@@ -40,9 +37,9 @@ struct CutFinderOptions {
 /// Returns the witness, or nullopt when the portfolio finds none.  With
 /// use_exact and |alive| <= exact_limit the answer is definitive.
 ///
-/// The workspace overload pools every scratch allocation and enables the
-/// fast-mode options above; `ws->alive_connected` additionally skips the
-/// initial component scan (the PruneEngine maintains components
+/// The workspace overload pools every scratch allocation and enables
+/// fast mode's stale sweep and warm start; `ws->alive_connected`
+/// additionally skips the initial component scan (the PruneEngine maintains components
 /// incrementally and only sets the hint when it is true).
 [[nodiscard]] std::optional<CutWitness> find_violating_set(const Graph& g, const VertexSet& alive,
                                                            ExpansionKind kind, double threshold,

@@ -15,8 +15,8 @@ void ExpansionWorkspace::reset(vid n) {
   // The cached Fiedler vector survives reset() as long as the universe is
   // unchanged: an engine rerunning on a perturbed alive mask (fault
   // sweeps, churn rounds) may stale-sweep / warm-start from the previous
-  // run's ordering.  Deterministic mode never reads it (the fast-mode
-  // switches gate every consumer), so preservation cannot change
+  // run's ordering.  Deterministic mode never reads it (the fast switch
+  // gates every consumer), so preservation cannot change
   // reference results; fast-mode candidates are validated against real
   // boundaries regardless of how stale the ordering is.
   if (static_cast<vid>(fiedler_vec.size()) != n) {

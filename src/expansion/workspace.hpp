@@ -8,9 +8,9 @@
 // the previous Fiedler vector (warm start / stale-order sweep) and the
 // incrementally-maintained alive-degree table (see DESIGN.md §5).
 //
-// A workspace never changes results by itself: with the fast-mode flags in
-// CutFinderOptions left off, threading a workspace through the portfolio is
-// bit-for-bit equivalent to the stateless path.
+// A workspace never changes results by itself: with CutFinderOptions::fast
+// left off, threading a workspace through the portfolio is bit-for-bit
+// equivalent to the stateless path.
 #pragma once
 
 #include <cstdint>

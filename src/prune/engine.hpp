@@ -19,12 +19,14 @@
 //   * allocations — BFS queues, sweep orderings and the Krylov basis are
 //     pooled in an ExpansionWorkspace owned by the engine.
 //
-// In its default configuration the engine is bit-for-bit identical to the
-// stateless reference loops: same culled sets, same order, same
-// survivors.  The fast-mode switches trade that replayability for speed
-// while preserving certified validity — every culled set still satisfied
-// its culling condition at cull time, which is all the paper's theorems
-// need (prune/verify.hpp replays either kind of trace).
+// It takes the one prune configuration, PruneEngineOptions
+// (prune/prune.hpp).  By default the engine is bit-for-bit identical to
+// the stateless reference loops: same culled sets, same order, same
+// survivors.  The one fast switch (finder.fast) trades that
+// replayability for speed while preserving certified validity — every
+// culled set still satisfied its culling condition at cull time, which
+// is all the paper's theorems need (prune/verify.hpp replays either kind
+// of trace).
 #pragma once
 
 #include <optional>
@@ -33,26 +35,6 @@
 #include "prune/prune.hpp"
 
 namespace fne {
-
-struct PruneEngineOptions {
-  /// The portfolio configuration, including the fast-mode switches
-  /// (finder.warm_start / finder.stale_sweep_first / finder.early_exit).
-  /// All default off: the engine then reproduces the stateless reference
-  /// bit-for-bit.  On, the engine may cull *different* (equally valid)
-  /// sets; use verify_prune_trace to certify the run.
-  CutFinderOptions finder{};
-  int max_iterations = 100000;
-  bool compactify_enabled = true;  ///< edge mode only (Lemma 3.3)
-
-  /// All speed features on.
-  [[nodiscard]] static PruneEngineOptions fast() {
-    PruneEngineOptions o;
-    o.finder.warm_start = true;
-    o.finder.stale_sweep_first = true;
-    o.finder.early_exit = true;
-    return o;
-  }
-};
 
 /// Cumulative telemetry across every run() of one engine (ROADMAP:
 /// "stale-sweep hit-rate telemetry ... so benches can report how many

@@ -6,16 +6,13 @@
 namespace fne {
 
 PruneResult prune(const Graph& g, const VertexSet& alive, double alpha, double epsilon,
-                  const PruneOptions& options) {
+                  const PruneEngineOptions& options) {
   PruneEngine engine(g, ExpansionKind::Node);
-  PruneEngineOptions eopts;
-  eopts.finder = options.finder;
-  eopts.max_iterations = options.max_iterations;
-  return engine.run(alive, alpha, epsilon, eopts);
+  return engine.run(alive, alpha, epsilon, options);
 }
 
 PruneResult prune_reference(const Graph& g, const VertexSet& alive, double alpha, double epsilon,
-                            const PruneOptions& options) {
+                            const PruneEngineOptions& options) {
   FNE_REQUIRE(alpha > 0.0, "alpha must be positive");
   FNE_REQUIRE(epsilon >= 0.0 && epsilon < 1.0, "epsilon must lie in [0, 1)");
   const double threshold = alpha * epsilon;

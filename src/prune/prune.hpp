@@ -13,6 +13,10 @@
 // cut-finder portfolio (expansion/cut_finder.hpp).  Every culled set is
 // recorded so the run can be *re-verified*: each S_i provably satisfied
 // its culling condition, which is all Theorem 2.1's proof needs.
+//
+// PruneEngineOptions, defined here, is the one configuration of every
+// cull loop: prune and prune2 (prune2.hpp), their stateless reference
+// loops and PruneEngine (engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,27 +43,34 @@ struct PruneResult {
   int iterations = 0;
 };
 
-struct PruneOptions {
+/// The one configuration of a Prune/Prune2 cull loop — the engine's
+/// (prune/engine.hpp), the wrappers' and the stateless reference loops'.
+/// Iteration i runs the portfolio at seed finder.seed + i.  With
+/// finder.fast off (the default) the engine reproduces the reference
+/// loops bit-for-bit; on, it may cull *different* (equally valid) sets,
+/// which verify_prune_trace certifies.
+struct PruneEngineOptions {
   CutFinderOptions finder{};
   int max_iterations = 100000;
+  bool compactify_enabled = true;  ///< Prune2 only: ablation A2 switches Lemma 3.3 off
 };
 
 /// Run Prune(epsilon) on the faulty graph (g restricted to `alive`) with
 /// expansion parameter `alpha` (the fault-free expansion, or any target).
 /// The culling threshold is alpha * epsilon.
 ///
-/// This entry point is a thin wrapper over PruneEngine (prune/engine.hpp)
-/// in its deterministic configuration, which is bit-identical to the
-/// stateless reference loop below; fast-mode toggles in options.finder
-/// (warm_start / stale_sweep_first / early_exit) are honored.
+/// This entry point is a thin wrapper over a fresh PruneEngine
+/// (prune/engine.hpp), which by default is bit-identical to the
+/// stateless reference loop below; options.finder.fast is honored.
 [[nodiscard]] PruneResult prune(const Graph& g, const VertexSet& alive, double alpha,
-                                double epsilon, const PruneOptions& options = {});
+                                double epsilon, const PruneEngineOptions& options = {});
 
 /// The original stateless cull loop: every iteration recomputes components,
 /// degrees and a cold-started Fiedler solve via find_violating_set.  Kept
 /// as the reference implementation for regression tests and benchmarks of
 /// the engine (see DESIGN.md §5).
 [[nodiscard]] PruneResult prune_reference(const Graph& g, const VertexSet& alive, double alpha,
-                                          double epsilon, const PruneOptions& options = {});
+                                          double epsilon,
+                                          const PruneEngineOptions& options = {});
 
 }  // namespace fne

@@ -14,17 +14,13 @@ double theorem34_fault_probability(double delta, double sigma) {
 }
 
 PruneResult prune2(const Graph& g, const VertexSet& alive, double alpha_e, double epsilon,
-                   const Prune2Options& options) {
+                   const PruneEngineOptions& options) {
   PruneEngine engine(g, ExpansionKind::Edge);
-  PruneEngineOptions eopts;
-  eopts.finder = options.finder;
-  eopts.max_iterations = options.max_iterations;
-  eopts.compactify_enabled = options.compactify_enabled;
-  return engine.run(alive, alpha_e, epsilon, eopts);
+  return engine.run(alive, alpha_e, epsilon, options);
 }
 
 PruneResult prune2_reference(const Graph& g, const VertexSet& alive, double alpha_e,
-                             double epsilon, const Prune2Options& options) {
+                             double epsilon, const PruneEngineOptions& options) {
   FNE_REQUIRE(alpha_e > 0.0, "alpha_e must be positive");
   FNE_REQUIRE(epsilon >= 0.0 && epsilon < 1.0, "epsilon must lie in [0, 1)");
   const double threshold = alpha_e * epsilon;

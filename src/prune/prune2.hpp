@@ -12,31 +12,29 @@
 // probability satisfies p <= 1/(2e·δ^(4σ)), ε <= 1/(2δ), and
 // α_e >= 6δ²·log³_δ(n)/n, then Prune2(ε) returns H with |H| >= n/2 and
 // edge expansion >= ε·α_e with high probability.
+//
+// Both loops take PruneEngineOptions (prune.hpp), the configuration
+// Prune's loops and the engine share.
 #pragma once
 
 #include "prune/prune.hpp"
 
 namespace fne {
 
-struct Prune2Options {
-  CutFinderOptions finder{};
-  int max_iterations = 100000;
-  bool compactify_enabled = true;  ///< ablation A2 switches Lemma 3.3 off
-};
-
 /// Run Prune2(epsilon) with edge-expansion parameter `alpha_e`.  Culled
-/// records store the *compactified* sets K_i and their cut at cull time.
+/// records store the *compactified* sets K_i (unless
+/// options.compactify_enabled is off) and their cut at cull time.
 ///
-/// Thin wrapper over PruneEngine in its deterministic configuration
-/// (bit-identical to prune2_reference); fast-mode toggles in
-/// options.finder are honored.
+/// Thin wrapper over a fresh PruneEngine, by default bit-identical to
+/// prune2_reference; options.finder.fast is honored.
 [[nodiscard]] PruneResult prune2(const Graph& g, const VertexSet& alive, double alpha_e,
-                                 double epsilon, const Prune2Options& options = {});
+                                 double epsilon, const PruneEngineOptions& options = {});
 
 /// The original stateless Prune2 loop, kept as the reference
 /// implementation for regression tests and engine benchmarks.
 [[nodiscard]] PruneResult prune2_reference(const Graph& g, const VertexSet& alive, double alpha_e,
-                                           double epsilon, const Prune2Options& options = {});
+                                           double epsilon,
+                                           const PruneEngineOptions& options = {});
 
 /// Theorem 3.4's admissible fault probability for span sigma and max
 /// degree delta: 1 / (2e · δ^(4σ)).

@@ -66,7 +66,6 @@ ScenarioService::ScenarioService(ServiceOptions options) : options_(std::move(op
   FNE_REQUIRE(options_.workers >= 1, "service: workers must be >= 1");
   FNE_REQUIRE(options_.exec_threads >= 1, "service: exec_threads must be >= 1");
   FNE_REQUIRE(options_.queue_depth >= 1, "service: queue_depth must be >= 1");
-  FNE_REQUIRE(options_.poll_ms >= 1, "service: poll_ms must be >= 1");
   listener_ = std::make_unique<TcpListener>(options_.bind, options_.port);
 }
 
@@ -144,7 +143,7 @@ void ScenarioService::accept_loop() {
       if (stopping_) return;
     }
     reap_readers();  // a session's thread lives as long as its connection
-    std::unique_ptr<Transport> t = listener_->accept(options_.poll_ms);
+    std::unique_ptr<Transport> t = listener_->accept(kPollMs);
     if (t == nullptr) continue;
     auto session = std::make_shared<Session>();
     session->transport = std::move(t);
@@ -188,7 +187,7 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) break;
     }
-    const ReadStatus st = read_message(*session->transport, frames, msg, options_.poll_ms);
+    const ReadStatus st = read_message(*session->transport, frames, msg, kPollMs);
     if (st == ReadStatus::kTimeout) continue;
     if (st != ReadStatus::kMessage && st != ReadStatus::kOversized) break;  // EOF / error / corrupt
     if (msg.type != MsgType::kRequest) break;  // protocol violation: drop

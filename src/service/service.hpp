@@ -80,7 +80,6 @@ struct ServiceOptions {
   std::size_t max_request_bytes = 1u << 20;  ///< frame payload cap before reject
   std::uint64_t retry_after_ms = 100;  ///< backpressure hint in every reject
   std::uint64_t cache_budget_bytes = 0;  ///< applied to EngineCache at start(); 0 = leave as-is
-  int poll_ms = 50;          ///< accept/recv poll granularity
 };
 
 /// Monotonic service counters (all guarded by the service mutex; stats()
@@ -126,6 +125,10 @@ class ScenarioService {
   [[nodiscard]] std::size_t session_count() const;
 
  private:
+  /// Accept and recv poll granularity: how soon the accept thread and
+  /// each session reader notice stop() or an ended session.
+  static constexpr int kPollMs = 50;
+
   struct Session;
   struct Request;
   /// One connection and the thread reading it.

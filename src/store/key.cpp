@@ -22,20 +22,6 @@ std::string hexf(double v) {
   return buf;
 }
 
-void append_finder(std::string& key, const CutFinderOptions& finder) {
-  key += "|finder=exact_limit:" + std::to_string(finder.exact_limit);
-  key += ",ball_sources:" + std::to_string(finder.ball_sources);
-  key += ",refine_passes:" + std::to_string(finder.refine_passes);
-  key += ",use_spectral:" + std::to_string(finder.use_spectral ? 1 : 0);
-  key += ",use_balls:" + std::to_string(finder.use_balls ? 1 : 0);
-  key += ",use_exact:" + std::to_string(finder.use_exact ? 1 : 0);
-  key += ",warm:" + std::to_string(finder.warm_start ? 1 : 0);
-  key += ",stale:" + std::to_string(finder.stale_sweep_first ? 1 : 0);
-  key += ",early:" + std::to_string(finder.early_exit ? 1 : 0);
-  // finder.seed is deliberately absent: the runner overrides it per
-  // repetition from (scenario.seed, rep), which the key already names.
-}
-
 void append_metrics(std::string& key, const MetricsSpec& metrics) {
   key += "|metrics=frag:" + std::to_string(metrics.fragmentation ? 1 : 0);
   key += ",exp:" + std::to_string(metrics.expansion ? 1 : 0);
@@ -56,7 +42,7 @@ void append_metrics(std::string& key, const MetricsSpec& metrics) {
 }  // namespace
 
 std::string store_key_prefix(const Scenario& scenario, const FaultSpec& effective_fault) {
-  std::string key = "fne-cell|schema=3";
+  std::string key = "fne-cell|schema=4";
   key += "|topo=" + scenario.topology.name;
   key += "|topo_params=" + scenario.topology.params.to_string();
   // Entries whose build output depends on state beyond the params (the
@@ -76,7 +62,6 @@ std::string store_key_prefix(const Scenario& scenario, const FaultSpec& effectiv
   key += "|epsilon=" + hexf(scenario.prune.epsilon);
   key += "|fast=" + std::to_string(scenario.prune.fast ? 1 : 0);
   key += "|max_iter=" + std::to_string(scenario.prune.max_iterations);
-  append_finder(key, scenario.prune.finder);
   append_metrics(key, scenario.metrics);
   key += "|seed=" + std::to_string(scenario.seed);
   key += "|rep=";

@@ -2,11 +2,12 @@
 //
 // A cell key canonically names everything the cell's result is a pure
 // function of: schema version, topology + params, the derived build seed,
-// the EFFECTIVE fault spec (after any sweep-point override), prune knobs
-// (α/ε in hexfloat so the key survives formatting round-trips), the full
-// cut-finder configuration, the metric-request set, the scenario seed and
-// repetition — and, for a monotone chain cell, the swept param and value
-// list (the chain is one job, so the whole chain is one cell).
+// the EFFECTIVE fault spec (after any sweep-point override), the five
+// prune knobs (α/ε in hexfloat so the key survives formatting
+// round-trips; the cut finder runs its defaults, so it has no segment),
+// the metric-request set, the scenario seed and repetition — and, for a
+// monotone chain cell, the swept param and value list (the chain is one
+// job, so the whole chain is one cell).
 //
 // Keys are human-readable on purpose: the store hashes them for its
 // index but writes them in full into every record and verifies equality

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -53,7 +54,8 @@ double Cli::get_double(const std::string& key, double fallback) const {
   const char* text = it->second.c_str();
   char* end = nullptr;
   const double v = std::strtod(text, &end);
-  FNE_REQUIRE(end != text && *end == '\0', "--" + key + ": '" + it->second + "' is not a number");
+  FNE_REQUIRE(end != text && *end == '\0' && std::isfinite(v),
+              "--" + key + ": '" + it->second + "' is not a finite number");
   return v;
 }
 
@@ -91,8 +93,8 @@ std::vector<double> parse_double_list(const std::string& spec) {
     if (!token.empty()) {
       char* end = nullptr;
       const double v = std::strtod(token.c_str(), &end);
-      FNE_REQUIRE(end != nullptr && *end == '\0' && end != token.c_str(),
-                  "bad number '" + token + "' in list '" + spec + "'");
+      FNE_REQUIRE(end != nullptr && *end == '\0' && end != token.c_str() && std::isfinite(v),
+                  "bad number '" + token + "' in list '" + spec + "' (need a finite number)");
       out.push_back(v);
     }
     if (comma == std::string::npos) break;

@@ -202,6 +202,10 @@ class JsonParser {
     const double value = std::strtod(token.c_str(), &end);
     FNE_REQUIRE(end != nullptr && *end == '\0' && end != token.c_str(),
                 "json: bad number '" + token + "' (at byte " + std::to_string(start) + ")");
+    // 1e999 overflows to inf, which the writer would emit as the invalid
+    // JSON token `inf`; reject it here so no such value gets past a parse.
+    FNE_REQUIRE(std::isfinite(value), "json: number '" + token + "' overflows a double (at byte " +
+                                          std::to_string(start) + ")");
     JsonValue v;
     v.kind_ = JsonValue::Kind::kNumber;
     v.number_ = value;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -97,8 +98,9 @@ TEST(EngineCache, LeasedEnginesReturnToTheIdlePoolAndAreReused) {
 }
 
 TEST(EngineCache, LeaseDropsWarmStateSoHistoryCannotLeak) {
-  // Run the same fast-mode repetition twice through cache leases with a
-  // warm-history engine in between: bit-identical results either way.
+  // Run the same fast-mode repetition twice through cache leases, with a
+  // fast-mode churn call in between whose engine goes back to the idle
+  // pool holding a warm Fiedler cache: bit-identical results either way.
   Scenario s;
   s.name = "cache-isolation";
   s.topology = {"mesh", Params{{"side", "12"}, {"dims", "2"}}};
@@ -107,14 +109,30 @@ TEST(EngineCache, LeaseDropsWarmStateSoHistoryCannotLeak) {
   s.prune.fast = true;
   s.seed = 5150;
 
+  EngineCache& cache = EngineCache::instance();
+  cache.clear();
   ScenarioRunner fresh(s);
   const ScenarioRun cold = fresh.run_isolated(s.fault, 0);
 
   ScenarioRunner warmed(s);
-  (void)warmed.run_once(1);  // leaves a warm Fiedler cache on some engine
+  ChurnOptions copts;
+  copts.steps = 4;
+  copts.seed = 99;
+  const ChurnRunTrace churn = warmed.run_churn(copts);
+  ASSERT_GT(churn.engine.eigensolves, 0u) << "the churn rounds must leave a Fiedler vector";
+  ASSERT_EQ(cache.idle_engines(), 1u) << "the warmed engine is back in the idle pool";
+
+  const EngineCacheStats before = cache.stats();
   const ScenarioRun after_history = warmed.run_isolated(s.fault, 0);
+  EXPECT_EQ((cache.stats() - before).engine_hits, 1u)
+      << "the churn-warmed engine must serve this lease";
   EXPECT_TRUE(cold.prune.survivors == after_history.prune.survivors);
   EXPECT_EQ(cold.prune.iterations, after_history.prune.iterations);
+  // The work counters are payload too, and they are where a leaked
+  // Fiedler vector shows first: a stale sweep the cold run never tried.
+  EXPECT_EQ(cold.engine.stale_sweeps, after_history.engine.stale_sweeps);
+  EXPECT_EQ(cold.engine.stale_sweep_hits, after_history.engine.stale_sweep_hits);
+  EXPECT_EQ(cold.engine.eigensolves, after_history.engine.eigensolves);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,6 +355,11 @@ TEST(JsonValueParser, AsIntRejectsOutOfRangeNumbersBeforeCasting) {
 
 TEST(JsonValueParser, RejectsMalformedDocuments) {
   EXPECT_THROW((void)JsonValue::parse("{"), PreconditionError);
+  // Overflow to ±inf would re-render as the invalid token `inf`;
+  // underflow to 0 is a representable value.
+  EXPECT_THROW((void)JsonValue::parse("[1e999]"), PreconditionError);
+  EXPECT_THROW((void)JsonValue::parse("[-1e999]"), PreconditionError);
+  EXPECT_EQ(JsonValue::parse("[1e-999]").items()[0].as_number(), 0.0);
   EXPECT_THROW((void)JsonValue::parse("{} extra"), PreconditionError);
   EXPECT_THROW((void)JsonValue::parse(R"({"a": 1, "a": 2})"), PreconditionError);
   EXPECT_THROW((void)JsonValue::parse(R"({"a": 01x})"), PreconditionError);
@@ -628,6 +651,33 @@ TEST(Campaign, ValidatesEntriesEagerly) {
     EXPECT_EQ(delta.leases, 0u);
     EXPECT_EQ(delta.graph_hits + delta.graph_builds, 0u);
   }
+
+  // So does a prune number PruneEngine::run would refuse: α must be
+  // finite and ε below 1.  α <= 0 ("measure it") and ε <= 0 (the kind's
+  // canonical value) stay valid.
+  for (const auto& [alpha, epsilon] : {std::pair{std::nan(""), 0.0}, std::pair{HUGE_VAL, 0.0},
+                                       std::pair{0.0, std::nan("")}, std::pair{0.0, 1.0},
+                                       std::pair{0.0, 1.5}}) {
+    SCOPED_TRACE(std::to_string(alpha) + " " + std::to_string(epsilon));
+    Scenario bad_prune = sweep_scenario();
+    bad_prune.prune.alpha = alpha;
+    bad_prune.prune.epsilon = epsilon;
+    Campaign campaign;
+    campaign.entries.push_back({good, std::nullopt});
+    campaign.entries.push_back({bad_prune, std::nullopt});
+    const EngineCacheStats before = EngineCache::instance().stats();
+    EXPECT_THROW((void)CampaignRunner(campaign), PreconditionError);
+    EXPECT_THROW((void)CampaignPlan(campaign, 2), PreconditionError);
+    const EngineCacheStats delta = EngineCache::instance().stats() - before;
+    EXPECT_EQ(delta.leases, 0u);
+    EXPECT_EQ(delta.graph_hits + delta.graph_builds, 0u);
+  }
+  Scenario defaults = sweep_scenario();
+  defaults.prune.alpha = -1.0;
+  defaults.prune.epsilon = -1.0;
+  Campaign valid;
+  valid.entries.push_back({defaults, std::nullopt});
+  EXPECT_NO_THROW((void)CampaignRunner(valid));
 }
 
 }  // namespace

@@ -6,12 +6,9 @@
 // embedding_quality on the shared graph-family fixtures.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 
@@ -23,6 +20,7 @@
 #include "api/scenario_cli.hpp"
 #include "core/traversal.hpp"
 #include "graph_cases.hpp"
+#include "run_cli.hpp"
 #include "span/span.hpp"
 #include "store/result_store.hpp"
 #include "topology/mesh.hpp"
@@ -150,17 +148,10 @@ TEST(RemovedSolverKnobs, CampaignKeysAndMetricParamsAreRejectedByName) {
 TEST(RemovedSolverKnobs, CliFlagsAreRejectedByName) {
   for (const char* flag : {"spectral-mode=plain", "filter-degree=8"}) {
     const std::string name = std::string(flag).substr(0, std::string(flag).find('='));
-    const std::string command = std::string("'") + FNE_SCENARIO_RUNNER +
-                                "' --scenario=mesh-random --reps=1 --" + flag + " 2>&1";
-    FILE* pipe = popen(command.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string output;
-    char buf[256];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
-    const int status = pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << output;
-    EXPECT_EQ(WEXITSTATUS(status), 1) << output;
-    EXPECT_NE(output.find("--" + name + " does not apply"), std::string::npos) << output;
+    const testing::CliRun run =
+        testing::run_scenario_runner(std::string("--scenario=mesh-random --reps=1 --") + flag);
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find("--" + name + " does not apply"), std::string::npos) << run.output;
   }
 }
 
@@ -198,6 +189,16 @@ TEST(ScenarioCli, CountFlagsAreRangeCheckedBeforeNarrowing) {
   }
   EXPECT_EQ(cli("--reps=5").get_int_in_range<int>("churn-steps", 3, 0, INT_MAX), 3)
       << "an absent flag reads its fallback";
+  // Real-valued flags must be finite: --alpha=nan once reached the job
+  // loop, and an inf α would render as the invalid JSON token `inf`.
+  for (const char* bad : {"--alpha=nan", "--alpha=inf", "--eps=-inf", "--eps=NaN"}) {
+    EXPECT_THROW((void)scenario_overrides_from_cli(Scenario{}, cli(bad)), PreconditionError)
+        << bad;
+  }
+  EXPECT_EQ(scenario_overrides_from_cli(Scenario{}, cli("--alpha=0.25")).prune.alpha, 0.25);
+  for (const char* bad : {"0.1,nan", "inf", "0.1,-inf,0.2"}) {
+    EXPECT_THROW((void)parse_double_list(bad), PreconditionError) << bad;
+  }
   // --cache-budget is MiB shifted left by 20: negative or shift-overflowing
   // counts are refused before the shift.
   const auto budget = [&](const std::string& flag) {
@@ -266,7 +267,7 @@ TEST(MetricsRegistry, CatalogPresetsCarryMetricRequests) {
 
 TEST(MetricsRegistry, RunnerProducesOneRecordPerRequestInOrder) {
   ScenarioRunner runner(metric_scenario());
-  const ScenarioRun run = runner.run_once(0);
+  const ScenarioRun run = runner.run_isolated(metric_scenario().fault, 0);
   ASSERT_EQ(run.metrics.size(), 3u);
   EXPECT_EQ(run.metrics[0].name, "mesh_span");
   EXPECT_EQ(run.metrics[1].name, "embedding_quality");
@@ -286,7 +287,7 @@ TEST(MetricsRegistry, RunnerProducesOneRecordPerRequestInOrder) {
 TEST(MetricsRegistry, RecordsArePureFunctionsOfScenarioAndRep) {
   ScenarioRunner a(metric_scenario());
   ScenarioRunner b(metric_scenario());
-  const ScenarioRun ra = a.run_once(1);
+  const ScenarioRun ra = a.run_isolated(metric_scenario().fault, 1);
   const ScenarioRun rb = b.run_isolated(metric_scenario().fault, 1);
   ASSERT_EQ(ra.metrics.size(), rb.metrics.size());
   for (std::size_t i = 0; i < ra.metrics.size(); ++i) {
@@ -294,7 +295,7 @@ TEST(MetricsRegistry, RecordsArePureFunctionsOfScenarioAndRep) {
   }
   // Different repetitions draw different metric seeds (sampled metrics
   // must not alias across reps).
-  const ScenarioRun r0 = a.run_once(0);
+  const ScenarioRun r0 = a.run_isolated(metric_scenario().fault, 0);
   EXPECT_NE(r0.metrics[0].payload, ra.metrics[0].payload)
       << "rep 0 and rep 1 sampled identical compact sets — seed derivation collapsed";
 }
@@ -305,7 +306,7 @@ TEST(MetricsRegistry, MeshSpanRejectsNonMeshTopologies) {
   s.prune.alpha = 0.5;
   s.metrics.requests = {{"mesh_span", Params{}}};
   ScenarioRunner runner(s);
-  EXPECT_THROW((void)runner.run_once(0), PreconditionError);
+  EXPECT_THROW((void)runner.run_isolated(s.fault, 0), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ TEST(Prune2, CompactifiedRecordsPassCompactReplay) {
 TEST(Prune2, AblationWithoutCompactificationStillValidTrace) {
   const Mesh m({8, 8});
   const VertexSet alive = random_node_faults(m.graph(), 0.22, 23);
-  Prune2Options opts;
+  PruneEngineOptions opts;
   opts.compactify_enabled = false;
   const PruneResult result = prune2(m.graph(), alive, 0.3, 0.25, opts);
   const TraceVerification v = verify_prune_trace(m.graph(), alive, result,

@@ -34,6 +34,12 @@ void expect_identical(const PruneResult& engine, const PruneResult& reference,
   }
 }
 
+[[nodiscard]] PruneEngineOptions fast_options() {
+  PruneEngineOptions o;
+  o.finder.fast = true;
+  return o;
+}
+
 TEST(PruneEngine, BitIdenticalToReferenceOnRandomRegular) {
   Rng rng(101);
   for (int trial = 0; trial < 4; ++trial) {
@@ -84,7 +90,7 @@ TEST(PruneEngine, BitIdenticalToReferenceForPrune2) {
 TEST(PruneEngine, BitIdenticalWithCompactifyDisabled) {
   const Graph g = Mesh({9, 9}).graph();
   const VertexSet alive = random_node_faults(g, 0.12, 17);
-  Prune2Options opts;
+  PruneEngineOptions opts;
   opts.compactify_enabled = false;
   const PruneResult engine = prune2(g, alive, 0.3, 0.25, opts);
   const PruneResult reference = prune2_reference(g, alive, 0.3, 0.25, opts);
@@ -115,7 +121,7 @@ TEST(PruneEngine, FastModeProducesCertifiedTraces) {
     const double alpha = 0.6;
     const double eps = 0.5;
     PruneEngine engine(g, ExpansionKind::Node);
-    const PruneResult fast = engine.run(alive, alpha, eps, PruneEngineOptions::fast());
+    const PruneResult fast = engine.run(alive, alpha, eps, fast_options());
     const TraceVerification v =
         verify_prune_trace(g, alive, fast, ExpansionKind::Node, alpha * eps);
     EXPECT_TRUE(v.valid) << "trial " << trial << ": " << v.reason;
@@ -134,7 +140,7 @@ TEST(PruneEngine, FastModeEdgeTracesReplay) {
   const double alpha_e = 0.3;
   const double eps = 0.25;
   PruneEngine engine(g, ExpansionKind::Edge);
-  const PruneResult fast = engine.run(alive, alpha_e, eps, PruneEngineOptions::fast());
+  const PruneResult fast = engine.run(alive, alpha_e, eps, fast_options());
   const TraceVerification v =
       verify_prune_trace(g, alive, fast, ExpansionKind::Edge, alpha_e * eps);
   EXPECT_TRUE(v.valid) << v.reason;

@@ -29,6 +29,7 @@
 #include "store/key.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
+#include "run_cli.hpp"
 #include "util/json.hpp"
 
 namespace fne {
@@ -133,7 +134,7 @@ TEST(CellRecord, DecodeIsTotalOnMalformedInput) {
 TEST(CellKey, NamesEveryInputAndSeparatesCells) {
   const Scenario s = small_scenario();
   const std::string key = store_cell_key(s, s.fault, 0);
-  EXPECT_EQ(key.find("fne-cell|schema=3|"), 0u);
+  EXPECT_EQ(key.find("fne-cell|schema=4|"), 0u);
   EXPECT_NE(key.find("|topo=mesh|"), std::string::npos);
   EXPECT_NE(key.find("|fault=random|"), std::string::npos);
   EXPECT_NE(key.find("|rep=0"), std::string::npos);
@@ -158,12 +159,12 @@ TEST(CellKey, NamesEveryInputAndSeparatesCells) {
   // The bytes themselves are pinned: a stored cell is found only under
   // exactly the key that wrote it.
   EXPECT_EQ(store_cell_key(s, s.fault, 3),
-            "fne-cell|schema=3|topo=mesh|topo_params=dims=2,side=10|"
+            "fne-cell|schema=4|topo=mesh|topo_params=dims=2,side=10|"
             "build_seed=10555928141083241264|fault=random|fault_params=p=0.2|kind=edge|"
             "alpha=0x1.999999999999ap-3|epsilon=0x0p+0|fast=0|max_iter=100000|"
-            "finder=exact_limit:20,ball_sources:12,refine_passes:6,use_spectral:1,use_balls:1,"
-            "use_exact:1,warm:0,stale:0,early:0|"
             "metrics=frag:1,exp:1,trace:1,bx:14|requests=|seed=404|rep=3");
+  EXPECT_EQ(key.find("|finder="), std::string::npos)
+      << "the cut finder runs its defaults; the key names no finder knobs";
   EXPECT_EQ(store_cell_key(store_key_prefix(s, s.fault), 3), store_cell_key(s, s.fault, 3));
 }
 
@@ -878,15 +879,17 @@ TEST(CampaignStore, KilledCampaignResumesRecomputingOnlyMissingCells) {
   EXPECT_EQ(healed.store.misses, 0u);
 }
 
-TEST(CampaignStore, SchemaOneAndTwoCellsAreMissesUnderSchemaThree) {
+TEST(CampaignStore, SchemaOneTwoAndThreeCellsAreMissesUnderSchemaFour) {
   // Schema-1 cells ran the old default solver and, with fast=1, the old
   // staged schedule: a fast cell that named spectral_mode:filtered kept
   // its key string then but not its result, so only the schema field
   // keeps such cells from being replayed as current results.  Schema-2
-  // cells are the same results as today under a longer key (the retired
-  // spectral_mode/filter_degree segment); they too are misses, never
-  // corrupt records.  Each old key is built the way its schema wrote it.
-  // This cell is fast=1 and runs the default (filtered) solve.
+  // and schema-3 cells are the same results as today under longer keys
+  // (the retired spectral_mode/filter_degree knobs, then the retired
+  // |finder= segment); they too are misses, never corrupt records.  Each
+  // old key is built the way its schema wrote it.  This cell is fast=1
+  // and runs the default (filtered) solve; the old finder segment named
+  // the Scenario's finder knobs, whose switches stayed 0 under fast=1.
   Campaign reps;
   reps.name = "schema";
   reps.entries.push_back(store_campaign().entries[0]);
@@ -894,17 +897,21 @@ TEST(CampaignStore, SchemaOneAndTwoCellsAreMissesUnderSchemaThree) {
   ScenarioRunner scenario_runner(s);
   const std::string fresh_payload = CampaignRunner(reps).run(1).to_json(false);
 
-  for (const int version : {1, 2}) {
+  ASSERT_TRUE(s.prune.fast);
+  for (const int version : {1, 2, 3}) {
     const std::string schema = "fne-cell|schema=" + std::to_string(version);
     SCOPED_TRACE(schema);
     ResultStore store(fresh_dir("campaign-schema" + std::to_string(version)));
     for (int rep = 0; rep < s.repetitions; ++rep) {
       std::string old_key = store_cell_key(s, s.fault, rep);
-      ASSERT_EQ(old_key.find("fne-cell|schema=3|"), 0u);
-      old_key.replace(0, std::string("fne-cell|schema=3").size(), schema);
-      const std::size_t finder_end = old_key.find("|metrics=");
-      ASSERT_NE(finder_end, std::string::npos);
-      old_key.insert(finder_end, ",spectral_mode:filtered,filter_degree:0");
+      ASSERT_EQ(old_key.find("fne-cell|schema=4|"), 0u);
+      old_key.replace(0, std::string("fne-cell|schema=4").size(), schema);
+      const std::size_t metrics_at = old_key.find("|metrics=");
+      ASSERT_NE(metrics_at, std::string::npos);
+      old_key.insert(metrics_at,
+                     std::string("|finder=exact_limit:20,ball_sources:12,refine_passes:6,"
+                                 "use_spectral:1,use_balls:1,use_exact:1,warm:0,stale:0,early:0") +
+                         (version < 3 ? ",spectral_mode:filtered,filter_degree:0" : ""));
       const ScenarioRun run = scenario_runner.run_isolated(s.fault, rep);
       store.put(old_key, encode_runs({&run, 1}));
       EXPECT_TRUE(store.contains(old_key));
@@ -916,6 +923,34 @@ TEST(CampaignStore, SchemaOneAndTwoCellsAreMissesUnderSchemaThree) {
     EXPECT_EQ(report.store.misses, static_cast<std::uint64_t>(s.repetitions));
     EXPECT_EQ(store.stats().corrupt_records, 0u);
     EXPECT_EQ(report.to_json(false), fresh_payload);
+  }
+}
+
+TEST(CampaignStore, OutOfRangePruneNumbersFailBeforeAnyCellIsCommitted) {
+  // A bad prune number behind a good entry used to fail only inside the
+  // job loop (ε >= 1, at PruneEngine::run) after the good entry's cells
+  // had committed, or not at all (α = 1e999 parsed to inf and reached the
+  // payload as the invalid JSON token `inf`).  Now the JSON parser or
+  // CampaignRunner construction rejects it, so the store stays empty.
+  const std::string good = R"({"preset": "mesh-random", "repetitions": 3})";
+  for (const char* bad_prune : {R"({"epsilon": 1.5})", R"({"epsilon": 1})",
+                                R"({"alpha": 1e999})", R"({"alpha": -1e999})"}) {
+    SCOPED_TRACE(bad_prune);
+    const std::string json = R"({"scenarios": [)" + good +
+                             R"(, {"preset": "mesh-random", "prune": )" + bad_prune + "}]}";
+    EXPECT_THROW((void)CampaignRunner(campaign_from_json(json)), PreconditionError);
+
+    const std::string dir = fresh_dir("bad-prune-number");
+    fs::create_directories(dir);
+    const fs::path file = fs::path(dir) / "campaign.json";
+    write_file(file, json);
+    const testing::CliRun run =
+        testing::run_scenario_runner("--campaign='" + file.string() + "' --store='" + dir + "'");
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    // ε fails after the CLI opened the store (a 16-byte header), the
+    // overflow while parsing the file, before any store exists.
+    const fs::path log = log_of(dir);
+    EXPECT_TRUE(!fs::exists(log) || fs::file_size(log) == 16u) << "no cell may be committed";
   }
 }
 

@@ -85,9 +85,9 @@ TEST(ScenarioRunner, DeterministicModeIsBitIdenticalToTheStatelessReference) {
   // DESIGN.md §5, now reachable through the scenario layer).
   const Scenario s = culling_scenario();
   ScenarioRunner runner(s);
-  const ScenarioRun run = runner.run_once(0);
+  const ScenarioRun run = runner.run_isolated(s.fault, 0);
 
-  Prune2Options popts;
+  PruneEngineOptions popts;
   popts.finder.seed = run.finder_seed;
   const PruneResult reference = prune2_reference(runner.graph(), run.alive, runner.alpha(),
                                                  runner.epsilon(), popts);
@@ -151,19 +151,17 @@ TEST(ScenarioRunner, ChurnRoundsPruneThroughThePersistentEngine) {
   copts.p_leave = 0.08;
   copts.p_join = 0.2;
   copts.seed = 77;
-  const EngineStats before = runner.engine_stats();
   const ChurnRunTrace trace = runner.run_churn(copts);
-  const EngineStats after = runner.engine_stats();
 
-  // One engine run per round, all on the same engine instance.
-  EXPECT_EQ(after.runs - before.runs, static_cast<std::uint64_t>(copts.steps));
+  // One engine run per round, all on the call's one lease.
+  EXPECT_EQ(trace.engine.runs, static_cast<std::uint64_t>(copts.steps));
   for (const ChurnRoundRun& r : trace.rounds) {
     EXPECT_LE(r.survivors, r.churn.alive_count);
     EXPECT_EQ(r.survivors + r.culled, r.churn.alive_count);
   }
   // The last round's survivors must match pruning its alive mask from
   // scratch in deterministic mode (engine == stateless reference).
-  Prune2Options popts;
+  PruneEngineOptions popts;
   popts.finder.seed = trace.rounds.back().finder_seed;
   const PruneResult reference = prune2_reference(runner.graph(), trace.final_alive,
                                                  runner.alpha(), runner.epsilon(), popts);

@@ -82,7 +82,7 @@ namespace {
 
 /// The largest component of the certify benchmark's mesh-64² cell
 /// (p = 0.05, scenario seed 11): the solve the filtered default exists
-/// to speed up.  The spectral stage is switched off so the runner only
+/// to speed up.  The cull loop runs zero iterations, so the runner only
 /// reproduces the cell's fault mask.
 struct CertifyComponent {
   Graph graph;
@@ -94,10 +94,10 @@ struct CertifyComponent {
   cell.topology = {"mesh", Params{{"side", "64"}, {"dims", "2"}}};
   cell.fault = {"random", Params{{"p", "0.05"}}};
   cell.prune.alpha = 0.125;
-  cell.prune.finder.use_spectral = false;
+  cell.prune.max_iterations = 0;
   cell.seed = 11;
   ScenarioRunner runner(cell);
-  VertexSet comp = largest_component(runner.graph(), runner.run_once(0).alive);
+  VertexSet comp = largest_component(runner.graph(), runner.run_isolated(cell.fault, 0).alive);
   return {runner.graph(), std::move(comp)};
 }
 
